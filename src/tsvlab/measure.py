@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NullEnsembleError
-from .qcore import Bra, Ket, Observable, matrix_element
+from .qcore import Bra, Ket, Observable
 from .tsv import (
     CERTAINTY_TOL,
     Distribution,
@@ -117,16 +117,26 @@ def ideal_measure(state: Ket, obs: Observable, rng: np.random.Generator) -> Meas
     """
     if state.dim != obs.dim:
         raise DimensionError("state and observable dims differ")
-    projected = [proj.matrix @ state.amplitudes for proj in obs.projectors]
-    probs = np.array([float(np.real(np.vdot(v, v))) for v in projected])
-    probs = np.clip(probs, 0.0, None)
+    projected = obs.project(state)
+    probs = _born_weights(projected)
     probs /= probs.sum()
     index = int(rng.choice(len(probs), p=probs))
     return MeasurementRecord(
         outcome=obs.eigenvalues[index],
-        post_state=Ket(projected[index]),
+        post_state=Ket(projected[:, index]),
         probability=float(probs[index]),
     )
+
+
+def _born_weights(projected: np.ndarray) -> np.ndarray:
+    """Squared norms ``||P_n psi||^2`` of the columns of :meth:`Observable.project`."""
+    return np.einsum("ij,ij->j", projected.conj(), projected).real
+
+
+def _collapsed(projected: np.ndarray, born: np.ndarray) -> np.ndarray:
+    """Projected columns renormalized; a column of zero Born weight is left as is."""
+    norms = np.sqrt(born)
+    return projected / np.where(norms > 0.0, norms, 1.0)
 
 
 def _basis_containing(first: np.ndarray) -> np.ndarray:
@@ -179,23 +189,18 @@ def monte_carlo_abl(
     empty frequency tables; the caller decides what that means.
     """
     if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+        raise ConfigError(f"samples must be at least 1, got {n_samples}")
     if workers < 1:
-        raise ValueError("workers must be at least 1")
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     if pre.dim != obs.dim or post.dim != obs.dim:
         raise DimensionError("state and observable dims differ")
 
     n_outcomes = len(obs.eigenvalues)
-    projected = [proj.matrix @ pre.amplitudes for proj in obs.projectors]
-    outcome_probs = np.array([float(np.real(np.vdot(v, v))) for v in projected])
-    outcome_probs = np.clip(outcome_probs, 0.0, None)
-    outcome_probs /= outcome_probs.sum()
+    projected = obs.project(pre)
+    outcome_probs = _born_weights(projected)
     # collapsed state per intermediate outcome (zero-probability rows unused)
-    collapsed = np.zeros((n_outcomes, pre.dim), dtype=complex)
-    for i, vec in enumerate(projected):
-        norm = np.linalg.norm(vec)
-        if norm > 0.0:
-            collapsed[i] = vec / norm
+    collapsed = _collapsed(projected, outcome_probs).T
+    outcome_probs /= outcome_probs.sum()
 
     basis = _basis_containing(post.amplitudes)  # rows; row 0 is the post state
     final_probs = np.abs(basis.conj() @ collapsed.T) ** 2  # [basis row, outcome]
@@ -257,20 +262,14 @@ def exact_conditional_oracle(pre: Ket, post: Bra, obs: Observable) -> Distributi
     """
     if pre.dim != obs.dim or post.dim != obs.dim:
         raise DimensionError("state and observable dims differ")
-    weights = []
-    for proj in obs.projectors:
-        vec = proj.matrix @ pre.amplitudes
-        p_outcome = float(np.real(np.vdot(vec, vec)))
-        if p_outcome <= 0.0:
-            weights.append(0.0)
-            continue
-        collapsed = vec / np.sqrt(p_outcome)
-        p_post = float(np.abs(np.vdot(post.amplitudes, collapsed)) ** 2)
-        weights.append(p_outcome * p_post)
-    total = sum(weights)
+    projected = obs.project(pre)
+    p_outcome = _born_weights(projected)
+    p_post = np.abs(post.amplitudes.conj() @ _collapsed(projected, p_outcome)) ** 2
+    weights = p_outcome * p_post
+    total = weights.sum()
     if total <= 1e-24:
         raise NullEnsembleError("post-selection is unreachable from every intermediate outcome")
-    probs = np.array(weights) / total
+    probs = weights / total
     probs = probs / probs.sum()
     return Distribution(tuple(zip(obs.eigenvalues, probs)))
 
@@ -298,9 +297,7 @@ def weak_measure_pointer(
     if tsv.dim != obs.dim:
         raise DimensionError("two-state vector and observable dims differ")
     cfg.validate_for(obs)
-    amplitudes = np.array(
-        [matrix_element(tsv.backward, proj, tsv.forward) for proj in obs.projectors]
-    )
+    amplitudes = obs.amplitudes(tsv.backward, tsv.forward)
     q = np.linspace(-cfg.half_range, cfg.half_range, cfg.points)
     centers = cfg.coupling * np.asarray(obs.eigenvalues)
     packets = (2.0 * np.pi * cfg.sigma**2) ** (-0.25) * np.exp(

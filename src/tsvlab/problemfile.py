@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProblemFileError
+from .errors import NullEnsembleError, ProblemFileError, ZeroStateError
 from .qcore import Bra, HamiltonianSchedule, Ket, Operator, spectral_decompose
 from .tsv import GeneralizedTwoStateVector, TwoStateVector, TwoTimeKernel
 
@@ -56,28 +56,44 @@ class ProblemFile:
         return TwoStateVector(self.pre, self.post)
 
 
-def _parse_complex(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        raise ProblemFileError(f"{where}: complex numbers are [re, im] pairs, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+def _parse_numbers(value, shape: tuple, where: str, expected: str) -> np.ndarray:
+    """Nested JSON numbers of exactly ``shape`` as a finite float array."""
+    try:
+        raw = np.array(value, dtype=object)
+    except ValueError:
+        raw = None
+    if raw is None or raw.shape != shape:
+        raise ProblemFileError(f"{where}: expected {expected}")
+    # numpy would silently read true/false and numeric strings as numbers
+    bad = sorted(t.__name__ for t in set(map(type, raw.flat))
+                 if t is bool or not issubclass(t, (int, float)))
+    if bad:
+        raise ProblemFileError(f"{where}: expected {expected}, found {', '.join(bad)} entries")
+    try:
+        numbers = raw.astype(float)
+    except OverflowError:
+        raise ProblemFileError(f"{where}: number too large for a double") from None
+    if not np.isfinite(numbers).all():
+        raise ProblemFileError(f"{where}: numbers must be finite, got NaN or Infinity")
+    return numbers
 
 
-def _parse_vector(value, length: int, where: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != length:
-        raise ProblemFileError(f"{where}: expected a vector of {length} [re, im] pairs")
-    return np.array([_parse_complex(v, where) for v in value], dtype=complex)
+def _parse_complex(value, shape: tuple, where: str) -> np.ndarray:
+    """[re, im] pairs nested to ``shape`` as a complex array, each pair bit-exact."""
+    if not shape:
+        expected = "a complex [re, im] pair"
+    elif len(shape) == 1:
+        expected = f"a vector of {shape[0]} [re, im] pairs"
+    else:
+        expected = f"a {shape[0]}x{shape[1]} matrix of [re, im] pairs"
+    return _parse_numbers(value, (*shape, 2), where, expected).view(complex)[..., 0]
 
 
-def _parse_matrix(value, rows: int, cols: int, where: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != rows:
-        raise ProblemFileError(f"{where}: expected {rows} matrix rows")
-    return np.array(
-        [_parse_vector(row, cols, f"{where} row {i}") for i, row in enumerate(value)]
-    )
+def _parse_state(cls, value, dim: int, where: str):
+    try:
+        return cls(_parse_complex(value, (dim,), where))
+    except ZeroStateError as exc:
+        raise ProblemFileError(f"{where}: {exc}") from exc
 
 
 def parse_document(doc) -> ProblemFile:
@@ -114,8 +130,8 @@ def parse_document(doc) -> ProblemFile:
 
     pre = post = generalized = kernel = None
     if has_pre:
-        pre = Ket(_parse_vector(doc["pre"], total, "pre"))
-        post = Bra(_parse_vector(doc["post"], total, "post"))
+        pre = _parse_state(Ket, doc["pre"], total, "pre")
+        post = _parse_state(Bra, doc["post"], total, "post")
     elif "generalized" in doc:
         raw_terms = doc["generalized"]
         if not isinstance(raw_terms, list) or not raw_terms:
@@ -124,13 +140,19 @@ def parse_document(doc) -> ProblemFile:
         for i, term in enumerate(raw_terms):
             if not isinstance(term, dict) or set(term) != {"alpha", "pre", "post"}:
                 raise ProblemFileError(f"generalized term {i} needs alpha, pre, post")
-            alpha = _parse_complex(term["alpha"], f"generalized term {i} alpha")
-            fwd = Ket(_parse_vector(term["pre"], total, f"generalized term {i} pre"))
-            bwd = Bra(_parse_vector(term["post"], total, f"generalized term {i} post"))
+            alpha = complex(_parse_complex(term["alpha"], (), f"generalized term {i} alpha"))
+            fwd = _parse_state(Ket, term["pre"], total, f"generalized term {i} pre")
+            bwd = _parse_state(Bra, term["post"], total, f"generalized term {i} post")
             terms.append((alpha, bwd, fwd))
-        generalized = GeneralizedTwoStateVector(tuple(terms))
+        try:
+            generalized = GeneralizedTwoStateVector(tuple(terms))
+        except NullEnsembleError as exc:
+            raise ProblemFileError(f"generalized: {exc}") from exc
     else:
-        kernel = TwoTimeKernel(_parse_matrix(doc["kernel"], total, total, "kernel"))
+        try:
+            kernel = TwoTimeKernel(_parse_complex(doc["kernel"], (total, total), "kernel"))
+        except NullEnsembleError as exc:
+            raise ProblemFileError(f"kernel: {exc}") from exc
 
     schedule = None
     if "hamiltonian" in doc:
@@ -141,11 +163,13 @@ def parse_document(doc) -> ProblemFile:
         for i, seg in enumerate(raw):
             if not isinstance(seg, dict) or set(seg) != {"duration", "matrix"}:
                 raise ProblemFileError(f"hamiltonian segment {i} needs duration and matrix")
-            duration = seg["duration"]
-            if not isinstance(duration, (int, float)) or isinstance(duration, bool) or duration < 0:
-                raise ProblemFileError(f"hamiltonian segment {i}: duration must be a non-negative number")
-            matrix = _parse_matrix(seg["matrix"], total, total, f"hamiltonian segment {i}")
-            segments.append((float(duration), Operator(matrix)))
+            where = f"hamiltonian segment {i}"
+            duration = float(_parse_numbers(seg["duration"], (), f"{where} duration",
+                                            "a non-negative number"))
+            if duration < 0:
+                raise ProblemFileError(f"{where}: duration must be a non-negative number")
+            matrix = _parse_complex(seg["matrix"], (total, total), where)
+            segments.append((duration, Operator(matrix)))
         try:
             schedule = HamiltonianSchedule(tuple(segments))
         except Exception as exc:
@@ -163,7 +187,7 @@ def parse_document(doc) -> ProblemFile:
             raise ProblemFileError(f"observable {i}: name must be a non-empty string")
         if name in observables:
             raise ProblemFileError(f"duplicate observable name {name!r}")
-        matrix = _parse_matrix(entry["matrix"], total, total, f"observable {name!r}")
+        matrix = _parse_complex(entry["matrix"], (total, total), f"observable {name!r}")
         try:
             observables[name] = spectral_decompose(Operator(matrix))
         except Exception as exc:

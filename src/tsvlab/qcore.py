@@ -1,7 +1,7 @@
 """Finite-dimensional complex Hilbert-space primitives.
 
-States (kets and bras), operators with cached Hermitian/unitary flags,
-tensor products, spectral decomposition into eigenspace projectors, and
+States (kets and bras), operators with a verified Hermitian flag, tensor
+products, spectral decomposition into eigenvector blocks, and
 unitary time evolution under piecewise-constant Hamiltonian schedules
 (hbar = 1 throughout).
 """
@@ -9,6 +9,7 @@ unitary time evolution under piecewise-constant Hamiltonian schedules
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
 
 #: construction-time tolerance for state normalization
 NORM_TOL = 1e-12
-#: tolerance for the cached hermitian / unitary operator flags
+#: tolerance for the hermitian / unitary operator checks
 FLAG_TOL = 1e-10
 #: default tolerance below which adjacent eigenvalues are merged
 DEGENERACY_TOL = 1e-9
@@ -119,15 +120,15 @@ def overlap(bra: Bra, ket: Ket) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Square matrix on the Hilbert space with verified structural flags.
+    """Square matrix on the Hilbert space with a verified Hermitian flag.
 
-    ``is_hermitian`` and ``is_unitary`` are computed (not user asserted) at
-    construction, with tolerance ``FLAG_TOL`` on the max-abs deviation.
+    ``is_hermitian`` is computed (not user asserted) at construction and
+    ``is_unitary`` on each access, both with tolerance ``FLAG_TOL`` on the
+    max-abs deviation.
     """
 
     matrix: np.ndarray
     is_hermitian: bool = field(init=False)
-    is_unitary: bool = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex).copy()
@@ -138,10 +139,25 @@ class Operator:
         object.__setattr__(
             self, "is_hermitian", bool(np.max(np.abs(m - m.conj().T)) <= FLAG_TOL)
         )
-        eye = np.eye(m.shape[0])
-        object.__setattr__(
-            self, "is_unitary", bool(np.max(np.abs(m.conj().T @ m - eye)) <= FLAG_TOL)
-        )
+
+    @property
+    def is_unitary(self) -> bool:
+        m = self.matrix
+        return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= FLAG_TOL)
+
+    @cached_property
+    def eigh(self) -> tuple:
+        """``np.linalg.eigh`` of a Hermitian operator, computed on first access.
+
+        Returns read-only ``(w, V)``: eigenvalues ascending and the unitary
+        whose columns are the matching eigenvectors.
+        """
+        if not self.is_hermitian:
+            raise NotHermitianError("eigendecomposition requires a Hermitian operator")
+        w, v = np.linalg.eigh(self.matrix)
+        w.flags.writeable = False
+        v.flags.writeable = False
+        return w, v
 
     @property
     def dim(self) -> int:
@@ -173,18 +189,32 @@ def matrix_element(bra: Bra, op: Operator, ket: Ket) -> complex:
 class Observable:
     """Hermitian operator with its spectral decomposition cached.
 
-    ``eigenvalues`` are sorted ascending with degenerate values merged;
-    ``projectors[i]`` projects onto the i-th merged eigenspace. Use
-    :func:`spectral_decompose` to construct one.
+    ``eigenvalues`` are sorted ascending with degenerate values merged. The
+    i-th merged eigenspace is spanned by the orthonormal columns
+    ``eigenvectors[:, block_starts[i]:block_starts[i + 1]]`` (the last block
+    runs to the final column). The dense ``projectors`` are built only when
+    first read. Use :func:`spectral_decompose` to construct one.
     """
 
     op: Operator
     eigenvalues: tuple
-    projectors: tuple
+    eigenvectors: np.ndarray
+    block_starts: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.op.dim
+
+    @cached_property
+    def projectors(self) -> tuple:
+        """Dense eigenspace projectors ``V_n V_n^dagger`` as Operators, ascending."""
+        v = self.eigenvectors
+        bounds = (*self.block_starts.tolist(), v.shape[1])
+        out = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            proj = v[:, a:b] @ v[:, a:b].conj().T
+            out.append(Operator((proj + proj.conj().T) / 2.0))
+        return tuple(out)
 
     @property
     def spectrum(self) -> tuple:
@@ -195,13 +225,23 @@ class Observable:
     def max_abs_eigenvalue(self) -> float:
         return max(abs(e) for e in self.eigenvalues)
 
+    def amplitudes(self, bra: Bra, ket: Ket) -> np.ndarray:
+        """``<phi|P_n|psi>`` for every merged eigenspace n, in eigenvalue order."""
+        vh = self.eigenvectors.conj().T
+        return np.add.reduceat(np.conj(vh @ bra.amplitudes) * (vh @ ket.amplitudes), self.block_starts)
+
+    def project(self, ket: Ket) -> np.ndarray:
+        """Projected states ``P_n |psi> = V_n (V_n^dagger psi)``, one column per eigenspace."""
+        v = self.eigenvectors
+        return np.add.reduceat(v * (v.conj().T @ ket.amplitudes), self.block_starts, axis=1)
+
 
 def spectral_decompose(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> Observable:
-    """Decompose a Hermitian operator into eigenvalue/projector pairs.
+    """Decompose a Hermitian operator into merged eigenspaces.
 
     Adjacent eigenvalues closer than ``degeneracy_tol`` are merged into a
-    single eigenspace; the merged eigenvalue is their mean. The projectors
-    are mutually orthogonal idempotents summing to the identity.
+    single eigenspace; the merged eigenvalue is their mean. The eigenspaces
+    are mutually orthogonal and together span the whole space.
 
     Raises
     ------
@@ -212,22 +252,12 @@ def spectral_decompose(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> 
         op = Operator(op)
     if not op.is_hermitian:
         raise NotHermitianError("spectral decomposition requires a Hermitian operator")
-    w, v = np.linalg.eigh(op.matrix)
-    eigenvalues = []
-    projectors = []
-    i = 0
-    n = w.size
-    while i < n:
-        j = i
-        while j + 1 < n and w[j + 1] - w[j] <= degeneracy_tol:
-            j += 1
-        block = v[:, i : j + 1]
-        proj = block @ block.conj().T
-        proj = (proj + proj.conj().T) / 2.0
-        eigenvalues.append(float(np.mean(w[i : j + 1])))
-        projectors.append(Operator(proj))
-        i = j + 1
-    return Observable(op=op, eigenvalues=tuple(eigenvalues), projectors=tuple(projectors))
+    w, v = op.eigh
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > degeneracy_tol) + 1))
+    bounds = (*starts.tolist(), w.size)
+    eigenvalues = tuple(float(np.mean(w[a:b])) for a, b in zip(bounds[:-1], bounds[1:]))
+    starts.flags.writeable = False
+    return Observable(op=op, eigenvalues=eigenvalues, eigenvectors=v, block_starts=starts)
 
 
 def tensor(a, b):
@@ -318,10 +348,10 @@ class HamiltonianSchedule:
         return HamiltonianSchedule(tuple(before)), HamiltonianSchedule(tuple(after))
 
 
-def _segment_unitary(h: Operator, duration: float) -> np.ndarray:
-    # exact for Hermitian generators: U = V exp(-i w dt) V^dagger
-    w, v = np.linalg.eigh(h.matrix)
-    return (v * np.exp(-1j * w * duration)) @ v.conj().T
+def _propagate(h: Operator, duration: float, vec: np.ndarray, sign: float) -> np.ndarray:
+    # exact for Hermitian generators: exp(-i sign H dt) = V exp(-i sign w dt) V^dagger
+    w, v = h.eigh
+    return v @ (np.exp(-1j * sign * duration * w) * (v.conj().T @ vec))
 
 
 def evolve_forward(state: Ket, schedule: HamiltonianSchedule) -> Ket:
@@ -330,7 +360,7 @@ def evolve_forward(state: Ket, schedule: HamiltonianSchedule) -> Ket:
         raise DimensionError("schedule dimension does not match state")
     amps = state.amplitudes
     for duration, h in schedule.segments:
-        amps = _segment_unitary(h, duration) @ amps
+        amps = _propagate(h, duration, amps, 1.0)
     return Ket(amps)
 
 
@@ -346,5 +376,5 @@ def evolve_backward(bra: Bra, schedule: HamiltonianSchedule) -> Bra:
         raise DimensionError("schedule dimension does not match state")
     comps = bra.amplitudes
     for duration, h in reversed(schedule.segments):
-        comps = _segment_unitary(h, duration).conj().T @ comps
+        comps = _propagate(h, duration, comps, -1.0)
     return Bra(comps)

@@ -179,7 +179,9 @@ def abl_probabilities(tsv: TwoStateVector, obs: Observable) -> Distribution:
 
         Prob(o_n) = |<phi| P_n |psi>|^2 / sum_j |<phi| P_j |psi>|^2
 
-    over the observable's merged eigenspace projectors.
+    over the observable's merged eigenspaces, with the amplitudes
+    ``<phi|P_n|psi>`` taken from the eigenvector blocks (see
+    :meth:`~tsvlab.qcore.Observable.amplitudes`).
 
     Raises
     ------
@@ -188,11 +190,7 @@ def abl_probabilities(tsv: TwoStateVector, obs: Observable) -> Distribution:
     """
     if tsv.dim != obs.dim:
         raise DimensionError("two-state vector and observable dims differ")
-    weights = [
-        abs(matrix_element(tsv.backward, proj, tsv.forward)) ** 2
-        for proj in obs.projectors
-    ]
-    return _distribution_from_weights(obs, weights)
+    return _distribution_from_weights(obs, np.abs(obs.amplitudes(tsv.backward, tsv.forward)) ** 2)
 
 
 def abl_at_time(
@@ -235,11 +233,8 @@ def abl_probabilities_generalized(
     """
     if g.dim != obs.dim:
         raise DimensionError("generalized two-state vector and observable dims differ")
-    weights = []
-    for proj in obs.projectors:
-        amp = sum(a * matrix_element(b, proj, f) for a, b, f in g.terms)
-        weights.append(abs(amp) ** 2)
-    return _distribution_from_weights(obs, weights)
+    amps = sum(a * obs.amplitudes(b, f) for a, b, f in g.terms)
+    return _distribution_from_weights(obs, np.abs(amps) ** 2)
 
 
 def gtsv_from_ancilla(

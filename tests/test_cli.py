@@ -181,6 +181,17 @@ class TestVerify:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("flag", ["--samples", "--workers"])
+    def test_non_positive_count_exits_2(self, capsys, flag):
+        code = main([
+            "verify",
+            "--file", str(FIXTURES / "random_dim3.json"),
+            "--observable", "obs_a",
+            flag, "0",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_deterministic_output(self, capsys, spin_box_file):
         argv = [
             "verify",

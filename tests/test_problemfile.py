@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsvlab import ProblemFileError
 from tsvlab.problemfile import (
@@ -148,6 +151,186 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(ProblemFileError):
             load(path)
+
+
+def generalized_doc():
+    return {
+        "dims": [2],
+        "generalized": [
+            {"alpha": [1.0, 0.0], "pre": [[1.0, 0.0], [0.0, 0.0]], "post": [[1.0, 0.0], [0.0, 0.0]]}
+        ],
+    }
+
+
+def kernel_doc():
+    return {"dims": [2], "kernel": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+
+
+def hamiltonian_doc():
+    doc = minimal_doc()
+    doc["hamiltonian"] = [
+        {"duration": 0.5, "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+    ]
+    return doc
+
+
+def set_at(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+NUMBER_LOCATIONS = [
+    (minimal_doc, ("pre", 0, 0), "pre"),
+    (minimal_doc, ("post", 1, 1), "post"),
+    (generalized_doc, ("generalized", 0, "alpha", 0), "generalized term 0 alpha"),
+    (generalized_doc, ("generalized", 0, "pre", 1, 0), "generalized term 0 pre"),
+    (kernel_doc, ("kernel", 0, 1, 0), "kernel"),
+    (hamiltonian_doc, ("hamiltonian", 0, "matrix", 1, 0, 0), "hamiltonian segment 0"),
+    (hamiltonian_doc, ("hamiltonian", 0, "duration"), "hamiltonian segment 0 duration"),
+    (minimal_doc, ("observables", 0, "matrix", 0, 0, 0), "observable 'z'"),
+]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make, path, field", NUMBER_LOCATIONS,
+                             ids=[loc[2] for loc in NUMBER_LOCATIONS])
+    def test_rejected_naming_the_field(self, make, path, field, value):
+        doc = make()
+        parse_document(doc)  # the unmodified document is valid
+        with pytest.raises(ProblemFileError, match="finite") as info:
+            parse_document(set_at(doc, path, value))
+        assert str(info.value).startswith(field)
+
+
+MALFORMED_VECTORS = {
+    "true": [[True, 0.0], [0.0, 0.0]],
+    "false": [[1.0, 0.0], [False, 0.0]],
+    "numeric string": [["1.0", 0.0], [0.0, 0.0]],
+    "null": [[1.0, None], [0.0, 0.0]],
+    "three-element pair": [[1.0, 0.0, 0.0], [0.0, 0.0]],
+    "pair that is a number": [1.0, [0.0, 0.0]],
+    "too deep": [[[1.0], [0.0]], [[0.0], [0.0]]],
+    "dict entry": [{"re": 1.0, "im": 0.0}, [0.0, 0.0]],
+}
+Z = [0.0, 0.0]
+MALFORMED_MATRICES = {
+    "true": [[[True, 0.0], Z], [Z, [-1.0, 0.0]]],
+    "false": [[[1.0, False], Z], [Z, [-1.0, 0.0]]],
+    "numeric string": [[["1.0", 0.0], Z], [Z, [-1.0, 0.0]]],
+    "null": [[None, Z], [Z, [-1.0, 0.0]]],
+    "three-element pair": [[[1.0, 0.0, 0.0], Z], [Z, [-1.0, 0.0]]],
+    "ragged row": [[[1.0, 0.0], Z], [Z]],
+    "row that is a dict": [[[1.0, 0.0], Z], {"0": Z, "1": [-1.0, 0.0]}],
+    "too deep": [[[[1.0, 0.0]], [Z]], [[Z], [[-1.0, 0.0]]]],
+}
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("vector", MALFORMED_VECTORS.values(), ids=MALFORMED_VECTORS.keys())
+    def test_vector(self, vector):
+        doc = minimal_doc()
+        doc["pre"] = vector
+        with pytest.raises(ProblemFileError, match="^pre: "):
+            parse_document(doc)
+
+    @pytest.mark.parametrize("matrix", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
+    def test_matrix(self, matrix):
+        doc = minimal_doc()
+        doc["observables"][0]["matrix"] = matrix
+        with pytest.raises(ProblemFileError, match="^observable 'z': "):
+            parse_document(doc)
+
+
+# Valid documents of dimension 1-3, then at most one node replaced by junk.
+finite = st.one_of(st.floats(min_value=-4.0, max_value=4.0), st.integers(-2, 2))
+junk = st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "1.0", 10**400,
+                        [], [1.0], [1.0, 0.0, 0.0], {"re": 1.0}, [[1.0, 0.0]]])
+
+
+def hermitian_pairs(dim, values):
+    """A Hermitian matrix as [re, im] pairs, from its upper triangle (diagonal made real)."""
+    m = np.zeros((dim, dim), dtype=complex)
+    m[np.triu_indices(dim)] = [complex(re, im) for re, im in values]
+    m = np.triu(m, 1) + np.triu(m, 1).conj().T + np.diag(m.diagonal().real)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def valid_documents(dim):
+    pair = st.lists(finite, min_size=2, max_size=2)
+    vector = st.lists(pair, min_size=dim, max_size=dim)
+    n_upper = dim * (dim + 1) // 2
+    matrix = st.lists(st.tuples(finite, finite), min_size=n_upper, max_size=n_upper).map(
+        lambda values: hermitian_pairs(dim, values))
+    payload = st.one_of(
+        st.fixed_dictionaries({"pre": vector, "post": vector}),
+        st.fixed_dictionaries({"generalized": st.lists(
+            st.fixed_dictionaries({"alpha": pair, "pre": vector, "post": vector}),
+            min_size=1, max_size=2)}),
+        st.fixed_dictionaries({"kernel": st.lists(vector, min_size=dim, max_size=dim)}),
+    )
+    observables = st.lists(
+        st.fixed_dictionaries({"name": st.sampled_from(["a", "b"]), "matrix": matrix}),
+        max_size=2, unique_by=lambda entry: entry["name"])
+    segments = st.lists(
+        st.fixed_dictionaries({"duration": st.floats(min_value=0.0, max_value=2.0), "matrix": matrix}),
+        max_size=2)
+    rest = st.fixed_dictionaries({"dims": st.just([dim]), "observables": observables},
+                                 optional={"hamiltonian": segments})
+    return st.tuples(payload, rest).map(lambda parts: {**parts[0], **parts[1]})
+
+
+def nodes(value, path=()):
+    """Paths to every list entry and dict value inside a document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from nodes(child, path + (key,))
+
+
+@st.composite
+def json_documents(draw):
+    doc = draw(st.integers(1, 3).flatmap(valid_documents))
+    if draw(st.booleans()):
+        paths = list(nodes(doc))
+        set_at(doc, paths[draw(st.integers(0, len(paths) - 1))], draw(junk))
+    return doc
+
+
+def parsed_arrays(problem):
+    arrays = [np.asarray(problem.dims, dtype=float)]
+    for state in (problem.pre, problem.post):
+        if state is not None:
+            arrays.append(state.amplitudes)
+    if problem.generalized is not None:
+        for alpha, bwd, fwd in problem.generalized.terms:
+            arrays += [np.array(alpha), bwd.amplitudes, fwd.amplitudes]
+    if problem.kernel is not None:
+        arrays.append(problem.kernel.matrix)
+    if problem.hamiltonian is not None:
+        for duration, h in problem.hamiltonian.segments:
+            arrays += [np.array(duration), h.matrix]
+    for obs in problem.observables.values():
+        arrays += [obs.op.matrix, np.array(obs.eigenvalues), obs.eigenvectors]
+    return arrays
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents())
+def test_any_document_parses_finite_or_is_rejected(doc):
+    try:
+        problem = parse_document(doc)
+    except ProblemFileError:
+        return
+    assert all(np.isfinite(a).all() for a in parsed_arrays(problem))
 
 
 class TestSerialization:
