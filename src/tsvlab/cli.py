@@ -27,13 +27,7 @@ from .errors import (
     TimeWindowError,
     TsvLabError,
 )
-from .tsv import (
-    abl_at_time,
-    abl_probabilities,
-    abl_probabilities_generalized,
-    weak_value,
-    weak_value_generalized,
-)
+from .tsv import abl_at_time, abl_probabilities, weak_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,10 +58,6 @@ def _jsonable(value):
 def _format_complex(z: complex) -> str:
     sign = "+" if z.imag >= 0 or np.isnan(z.imag) else "-"
     return f"{float(z.real)} {sign} {abs(float(z.imag))}i"
-
-
-def _load_problem(path):
-    return problemfile.load(path)
 
 
 def _lookup_observable(problem, name: str):
@@ -115,24 +105,17 @@ def cmd_run(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _distribution_for(problem, name, at_time=None):
-    obs = _lookup_observable(problem, name)
-    if problem.mode == "kernel":
-        raise ProblemFileError("kernel problems have no single-observable distribution; use `run correlated-pair`")
-    if problem.mode == "generalized":
-        if at_time is not None:
-            raise ProblemFileError("--time applies only to pre/post problems with a hamiltonian")
-        return obs, abl_probabilities_generalized(problem.generalized, obs)
-    if at_time is not None:
-        if problem.hamiltonian is None:
-            raise ProblemFileError("--time requires a hamiltonian in the problem file")
-        return obs, abl_at_time(problem.pre, problem.post, problem.hamiltonian, at_time, obs)
-    return obs, abl_probabilities(problem.two_state_vector(), obs)
-
-
 def cmd_abl(args) -> int:
-    problem = _load_problem(args.file)
-    _, dist = _distribution_for(problem, args.observable, args.time)
+    problem = problemfile.load(args.file)
+    obs = _lookup_observable(problem, args.observable)
+    if args.time is None:
+        dist = abl_probabilities(problem.selection, obs)
+    elif problem.mode != "selection":
+        raise ProblemFileError("--time applies only to pre/post problems with a hamiltonian")
+    elif problem.hamiltonian is None:
+        raise ProblemFileError("--time requires a hamiltonian in the problem file")
+    else:
+        dist = abl_at_time(problem.pre, problem.post, problem.hamiltonian, args.time, obs)
     if args.format == "json":
         print(json.dumps({"observable": args.observable, "distribution": [
             {"outcome": o, "probability": p} for o, p in dist.entries
@@ -144,14 +127,9 @@ def cmd_abl(args) -> int:
 
 
 def cmd_weak(args) -> int:
-    problem = _load_problem(args.file)
+    problem = problemfile.load(args.file)
     obs = _lookup_observable(problem, args.observable)
-    if problem.mode == "kernel":
-        return _fail("kernel problems have no weak value; use `run correlated-pair`", EXIT_USAGE)
-    if problem.mode == "generalized":
-        value = weak_value_generalized(problem.generalized, obs.op)
-    else:
-        value = weak_value(problem.two_state_vector(), obs.op)
+    value = weak_value(problem.selection, obs.op)
     if args.format == "json":
         print(json.dumps({"observable": args.observable, "weak_value": [value.real, value.imag]}))
     else:
@@ -160,7 +138,7 @@ def cmd_weak(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _load_problem(args.file)
+    problem = problemfile.load(args.file)
     obs = _lookup_observable(problem, args.observable)
     if problem.mode != "selection":
         return _fail("verify needs a pre/post problem file", EXIT_USAGE)
@@ -212,7 +190,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pointer(args) -> int:
-    problem = _load_problem(args.file)
+    problem = problemfile.load(args.file)
     obs = _lookup_observable(problem, args.observable)
     if problem.mode != "selection":
         return _fail("pointer needs a pre/post problem file", EXIT_USAGE)
@@ -320,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--observable", required=True)
     verify.add_argument("--samples", type=int, default=100_000)
     verify.add_argument("--seed", type=int, default=measure.DEFAULT_SEED)
-    verify.add_argument("--workers", type=int, default=1)
+    verify.add_argument("--workers", type=int, default=1,
+                        help="seed-stream partitions, drawn one after another in this process")
     verify.add_argument("--format", choices=("table", "json"), default="table")
     verify.set_defaults(func=cmd_verify)
 

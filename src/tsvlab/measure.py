@@ -19,6 +19,7 @@ from .tsv import (
     CERTAINTY_TOL,
     Distribution,
     TwoStateVector,
+    _abl_amplitudes,
     abl_probabilities,
     element_of_reality,
     weak_value,
@@ -133,35 +134,22 @@ def _born_weights(projected: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", projected.conj(), projected).real
 
 
-def _collapsed(projected: np.ndarray, born: np.ndarray) -> np.ndarray:
-    """Projected columns renormalized; a column of zero Born weight is left as is."""
-    norms = np.sqrt(born)
-    return projected / np.where(norms > 0.0, norms, 1.0)
+def _sequential_born(pre: Ket, post: Bra, obs: Observable) -> tuple:
+    """The two Born rules of a pre/post-selected trial, one entry per outcome n.
 
-
-def _basis_containing(first: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) whose first vector spans ``first``.
-
-    Deterministic: the standard basis vector most parallel to ``first`` is
-    dropped and the rest are orthogonalized against it (QR), so the basis
-    depends only on the given state. Row phases are irrelevant to the
-    outcome probabilities computed from it.
+    Returns ``(p_outcome, p_post)``: the Born weight ``||P_n psi||^2`` of the
+    intermediate outcome, and the Born probability ``|<phi|psi_n>|^2`` of
+    the post-selection from the collapsed state ``psi_n``. An outcome of
+    zero Born weight has ``p_post == 0``.
     """
-    dim = first.size
-    unit = first / np.linalg.norm(first)
-    drop = int(np.argmax(np.abs(unit)))
-    columns = np.zeros((dim, dim), dtype=complex)
-    columns[:, 0] = unit
-    keep = [i for i in range(dim) if i != drop]
-    for col, i in enumerate(keep, start=1):
-        columns[i, col] = 1.0
-    q, _ = np.linalg.qr(columns)
-    return q.T
-
-
-def _worker_counts(n_samples: int, workers: int) -> list:
-    base, extra = divmod(n_samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+    if pre.dim != obs.dim or post.dim != obs.dim:
+        raise DimensionError("state and observable dims differ")
+    projected = obs.project(pre)
+    p_outcome = _born_weights(projected)
+    norms = np.sqrt(p_outcome)
+    collapsed = projected / np.where(norms > 0.0, norms, 1.0)
+    p_post = np.abs(post.amplitudes.conj() @ collapsed) ** 2
+    return p_outcome, p_post
 
 
 def monte_carlo_abl(
@@ -174,14 +162,19 @@ def monte_carlo_abl(
 ) -> MonteCarloReport:
     """Simulate the pre/post-selected ensemble in forward-only mechanics.
 
-    Each trial prepares ``pre``, performs the intermediate projective
-    measurement of ``obs``, then measures a complete orthonormal basis
-    containing the post state and keeps the trial iff that outcome occurs.
-    Kept trials (and only those) contribute to the conditional frequencies.
+    Each trial prepares ``pre`` and performs the intermediate projective
+    measurement of ``obs``, drawing outcome n with its Born weight. The
+    trial is kept iff a uniform draw ``u`` satisfies
+    ``u <= |<phi|psi_n>|^2``, the Born probability of the post-selection
+    from the collapsed state ``psi_n``. Kept trials (and only those)
+    contribute to the conditional frequencies.
 
     Deterministic for a fixed (seed, workers) pair: trials are partitioned
     into per-worker blocks in worker order, each worker draws from its own
     stream spawned from the master seed, and results merge in worker order.
+    The workers run one after another in this process; ``workers`` only
+    selects how the seed stream is partitioned. At most ``n_samples``
+    blocks are drawn, since surplus workers would get no trials.
 
     Standard errors are binomial, with +1 smoothing at degenerate counts so
     acceptance bands never have zero width. If no trial survives the
@@ -192,33 +185,20 @@ def monte_carlo_abl(
         raise ConfigError(f"samples must be at least 1, got {n_samples}")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    if pre.dim != obs.dim or post.dim != obs.dim:
-        raise DimensionError("state and observable dims differ")
 
     n_outcomes = len(obs.eigenvalues)
-    projected = obs.project(pre)
-    outcome_probs = _born_weights(projected)
-    # collapsed state per intermediate outcome (zero-probability rows unused)
-    collapsed = _collapsed(projected, outcome_probs).T
+    outcome_probs, p_post = _sequential_born(pre, post, obs)
     outcome_probs /= outcome_probs.sum()
-
-    basis = _basis_containing(post.amplitudes)  # rows; row 0 is the post state
-    final_probs = np.abs(basis.conj() @ collapsed.T) ** 2  # [basis row, outcome]
-    col_mass = final_probs.sum(axis=0, keepdims=True)  # zero only for unsampled outcomes
-    final_probs = final_probs / np.where(col_mass == 0.0, 1.0, col_mass)
-    final_cdf = np.cumsum(final_probs.T, axis=1)  # [outcome, basis row]
 
     counts = np.zeros(n_outcomes, dtype=np.int64)
     kept_total = 0
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    for block, stream in zip(_worker_counts(n_samples, workers), streams):
-        if block == 0:
-            continue
+    base, extra = divmod(n_samples, workers)
+    streams = np.random.SeedSequence(seed).spawn(min(workers, n_samples))
+    for w, stream in enumerate(streams):
+        block = base + (w < extra)
         rng = np.random.default_rng(stream)
         intermediate = rng.choice(n_outcomes, size=block, p=outcome_probs)
-        u = rng.random(block)
-        final = (u[:, None] > final_cdf[intermediate]).sum(axis=1)
-        kept = intermediate[final == 0]
+        kept = intermediate[rng.random(block) <= p_post[intermediate]]
         counts += np.bincount(kept, minlength=n_outcomes)
         kept_total += kept.size
 
@@ -260,11 +240,7 @@ def exact_conditional_oracle(pre: Ket, post: Bra, obs: Observable) -> Distributi
     collapsed state; the joint weights are then normalized. This shares no
     formula with the ABL path and serves as its independent oracle.
     """
-    if pre.dim != obs.dim or post.dim != obs.dim:
-        raise DimensionError("state and observable dims differ")
-    projected = obs.project(pre)
-    p_outcome = _born_weights(projected)
-    p_post = np.abs(post.amplitudes.conj() @ _collapsed(projected, p_outcome)) ** 2
+    p_outcome, p_post = _sequential_born(pre, post, obs)
     weights = p_outcome * p_post
     total = weights.sum()
     if total <= 1e-24:
@@ -294,10 +270,8 @@ def weak_measure_pointer(
     density splits into bumps at the scaled eigenvalues carrying the
     conditional (ABL) masses.
     """
-    if tsv.dim != obs.dim:
-        raise DimensionError("two-state vector and observable dims differ")
+    amplitudes = _abl_amplitudes(tsv, obs)
     cfg.validate_for(obs)
-    amplitudes = obs.amplitudes(tsv.backward, tsv.forward)
     q = np.linspace(-cfg.half_range, cfg.half_range, cfg.points)
     centers = cfg.coupling * np.asarray(obs.eigenvalues)
     packets = (2.0 * np.pi * cfg.sigma**2) ** (-0.25) * np.exp(

@@ -36,13 +36,6 @@ class ProblemFile:
     kernel: TwoTimeKernel | None = None
 
     @property
-    def total_dim(self) -> int:
-        total = 1
-        for d in self.dims:
-            total *= d
-        return total
-
-    @property
     def mode(self) -> str:
         if self.pre is not None:
             return "selection"
@@ -54,6 +47,15 @@ class ProblemFile:
         if self.pre is None or self.post is None:
             raise ProblemFileError("problem file has no pre/post selection pair")
         return TwoStateVector(self.pre, self.post)
+
+    @property
+    def selection(self) -> TwoStateVector | GeneralizedTwoStateVector:
+        """The pre/post pair or the generalized two-state vector; kernel files have none."""
+        if self.mode == "selection":
+            return self.two_state_vector()
+        if self.mode == "generalized":
+            return self.generalized
+        raise ProblemFileError("kernel problems have no single selection; use `run correlated-pair`")
 
 
 def _parse_numbers(value, shape: tuple, where: str, expected: str) -> np.ndarray:

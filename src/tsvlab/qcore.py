@@ -307,11 +307,6 @@ class HamiltonianSchedule:
     def constant(cls, h, duration: float) -> "HamiltonianSchedule":
         return cls(((duration, h),))
 
-    @classmethod
-    def free(cls) -> "HamiltonianSchedule":
-        """Empty schedule: no evolution."""
-        return cls(())
-
     @property
     def total_duration(self) -> float:
         return sum(d for d, _ in self.segments)

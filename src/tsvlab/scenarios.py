@@ -34,7 +34,6 @@ from .tsv import (
     TwoStateVector,
     TwoTimeKernel,
     abl_probabilities,
-    abl_probabilities_generalized,
     element_of_reality,
     gtsv_from_ancilla,
     product_rule_report,
@@ -393,7 +392,7 @@ def scenario_mean_king() -> Scenario:
     for outcome, g in enumerate(reduced):
         row = []
         for name, obs in components.items():
-            dist = abl_probabilities_generalized(g, obs)
+            dist = abl_probabilities(g, obs)
             value, prob = dist.max_entry()
             if prob < 1.0 - 1e-10:
                 raise SearchFailedError(
@@ -412,7 +411,7 @@ def scenario_mean_king() -> Scenario:
         def run():
             probs = []
             for obs in components.values():
-                dist = abl_probabilities_generalized(reduced[outcome], obs)
+                dist = abl_probabilities(reduced[outcome], obs)
                 probs.append(dist.max_entry()[1])
             ok = all(p >= 1.0 - 1e-10 for p in probs)
             return (

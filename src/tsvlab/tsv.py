@@ -12,6 +12,8 @@ forward-evolving particle with a backward-evolving one.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +62,11 @@ class TwoStateVector:
     def dim(self) -> int:
         return self.forward.dim
 
+    @property
+    def terms(self) -> tuple:
+        """The one-term generalized form ``((1, backward, forward),)``."""
+        return ((1.0 + 0.0j, self.backward, self.forward),)
+
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedTwoStateVector:
@@ -73,6 +80,8 @@ class GeneralizedTwoStateVector:
 
     def __post_init__(self):
         terms = tuple((complex(a), b, f) for a, b, f in self.terms)
+        if not all(cmath.isfinite(a) for a, _, _ in terms):
+            raise ValueError("term weights must be finite")
         if not terms:
             raise DimensionError("generalized two-state vector needs at least one term")
         dims = {f.dim for _, _, f in terms} | {b.dim for _, b, _ in terms}
@@ -88,7 +97,7 @@ class GeneralizedTwoStateVector:
 
     @classmethod
     def from_two_state_vector(cls, tsv: TwoStateVector) -> "GeneralizedTwoStateVector":
-        return cls(((1.0 + 0.0j, tsv.backward, tsv.forward),))
+        return cls(tsv.terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +136,8 @@ class Distribution:
 
     def __post_init__(self):
         entries = tuple((float(o), float(p)) for o, p in self.entries)
+        if not all(math.isfinite(p) for _, p in entries):
+            raise ValueError("probabilities must be finite")
         if any(p < 0.0 for _, p in entries):
             raise ValueError("probabilities must be non-negative")
         total = sum(p for _, p in entries)
@@ -141,9 +152,6 @@ class Distribution:
     @property
     def probabilities(self) -> tuple:
         return tuple(p for _, p in self.entries)
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
 
     def max_entry(self) -> tuple:
         """(outcome, probability) of the most likely outcome."""
@@ -172,25 +180,34 @@ def _distribution_from_weights(observable: Observable, weights) -> Distribution:
     return Distribution(tuple(zip(observable.eigenvalues, probs)))
 
 
-def abl_probabilities(tsv: TwoStateVector, obs: Observable) -> Distribution:
+def _abl_amplitudes(selection, obs: Observable) -> np.ndarray:
+    """``sum_i alpha_i <phi_i|P_n|psi_i>`` for every merged eigenspace n."""
+    if selection.dim != obs.dim:
+        raise DimensionError("selection and observable dims differ")
+    return sum(a * obs.amplitudes(b, f) for a, b, f in selection.terms)
+
+
+def abl_probabilities(selection, obs: Observable) -> Distribution:
     """Conditional outcome probabilities of an intermediate ideal measurement.
 
     Implements the Aharonov-Bergmann-Lebowitz rule
 
-        Prob(o_n) = |<phi| P_n |psi>|^2 / sum_j |<phi| P_j |psi>|^2
+        Prob(o_n) = |sum_i alpha_i <phi_i| P_n |psi_i>|^2 / (normalization)
 
     over the observable's merged eigenspaces, with the amplitudes
     ``<phi|P_n|psi>`` taken from the eigenvector blocks (see
-    :meth:`~tsvlab.qcore.Observable.amplitudes`).
+    :meth:`~tsvlab.qcore.Observable.amplitudes`). ``selection`` is a
+    TwoStateVector (the one term ``1 <phi| |psi>``) or a
+    GeneralizedTwoStateVector. The term sum is coherent, inside the
+    modulus: the unique form consistent with reducing a joint system with an
+    unmeasured ancilla (see :func:`gtsv_from_ancilla`).
 
     Raises
     ------
     NullEnsembleError
-        If every amplitude <phi|P_n|psi> vanishes (the denominator is zero).
+        If every amplitude vanishes (the denominator is zero).
     """
-    if tsv.dim != obs.dim:
-        raise DimensionError("two-state vector and observable dims differ")
-    return _distribution_from_weights(obs, np.abs(obs.amplitudes(tsv.backward, tsv.forward)) ** 2)
+    return _distribution_from_weights(obs, np.abs(_abl_amplitudes(selection, obs)) ** 2)
 
 
 def abl_at_time(
@@ -217,24 +234,6 @@ def abl_at_time(
     forward = evolve_forward(pre, earlier)
     backward = evolve_backward(post, later)
     return abl_probabilities(TwoStateVector(forward, backward), obs)
-
-
-def abl_probabilities_generalized(
-    g: GeneralizedTwoStateVector, obs: Observable
-) -> Distribution:
-    """ABL rule for a generalized two-state vector.
-
-    The term sum is coherent, inside the modulus:
-
-        Prob(o_n) = |sum_i alpha_i <phi_i| P_n |psi_i>|^2 / (normalization)
-
-    which is the unique form consistent with reducing a joint system with an
-    unmeasured ancilla (see :func:`gtsv_from_ancilla`).
-    """
-    if g.dim != obs.dim:
-        raise DimensionError("generalized two-state vector and observable dims differ")
-    amps = sum(a * obs.amplitudes(b, f) for a, b, f in g.terms)
-    return _distribution_from_weights(obs, np.abs(amps) ** 2)
 
 
 def gtsv_from_ancilla(
@@ -283,46 +282,35 @@ def gtsv_from_ancilla(
 
 
 def weak_value(
-    tsv: TwoStateVector,
+    selection,
     op: Operator,
     threshold: float = ORTHOGONALITY_THRESHOLD,
 ) -> complex:
-    """Weak value <phi|O|psi> / <phi|psi>; complex in general.
+    """Weak value sum_i alpha_i <phi_i|O|psi_i> / sum_i alpha_i <phi_i|psi_i>.
 
-    This is the effective coupling seen by a weakly coupled probe, and may
-    lie far outside the operator's eigenvalue range.
+    For a TwoStateVector this is <phi|O|psi> / <phi|psi>, complex in
+    general: the effective coupling seen by a weakly coupled probe, which
+    may lie far outside the operator's eigenvalue range. For a generalized
+    two-state vector it matches the joint-system weak value of
+    O (x) identity under the ancilla reduction.
 
     Raises
     ------
     OrthogonalSelectionError
-        If |<phi|psi>| is at or below ``threshold``; the ratio is undefined
-        for orthogonal selections.
+        If the (effective) overlap is at or below ``threshold``; the ratio is
+        undefined for orthogonal selections.
     """
-    denom = tsv.overlap
+    denom = sum(a * overlap(b, f) for a, b, f in selection.terms)
     if abs(denom) <= threshold:
         raise OrthogonalSelectionError(
             f"pre/post overlap {abs(denom):.3e} is below the weak-value threshold"
         )
-    return matrix_element(tsv.backward, op, tsv.forward) / denom
+    return sum(a * matrix_element(b, op, f) for a, b, f in selection.terms) / denom
 
 
-def weak_value_generalized(
-    g: GeneralizedTwoStateVector,
-    op: Operator,
-    threshold: float = ORTHOGONALITY_THRESHOLD,
-) -> complex:
-    """Weak value of a generalized two-state vector.
-
-    sum_i alpha_i <phi_i|O|psi_i> / sum_i alpha_i <phi_i|psi_i>, matching the
-    joint-system weak value of O (x) identity under the ancilla reduction.
-    """
-    denom = sum(a * overlap(b, f) for a, b, f in g.terms)
-    if abs(denom) <= threshold:
-        raise OrthogonalSelectionError(
-            f"effective overlap {abs(denom):.3e} is below the weak-value threshold"
-        )
-    num = sum(a * matrix_element(b, op, f) for a, b, f in g.terms)
-    return num / denom
+#: the generalized names of the one selection calculus
+abl_probabilities_generalized = abl_probabilities
+weak_value_generalized = weak_value
 
 
 def element_of_reality(
@@ -339,11 +327,7 @@ def element_of_reality(
 
     ``selection`` may be a TwoStateVector or a GeneralizedTwoStateVector.
     """
-    if isinstance(selection, GeneralizedTwoStateVector):
-        dist = abl_probabilities_generalized(selection, obs)
-    else:
-        dist = abl_probabilities(selection, obs)
-    outcome, prob = dist.max_entry()
+    outcome, prob = abl_probabilities(selection, obs).max_entry()
     if prob >= 1.0 - tol:
         return CertaintyReport(label=label, certain=True, value=outcome, probability=prob)
     return CertaintyReport(label=label, certain=False, value=None, probability=prob)
@@ -361,7 +345,7 @@ class ProductRuleReport:
 
 
 def product_rule_report(
-    tsv,
+    selection,
     obs_a: Observable,
     obs_b: Observable,
     tol: float = CERTAINTY_TOL,
@@ -384,9 +368,9 @@ def product_rule_report(
     if not product_op.is_hermitian:
         raise NotMeasurableError("product of the observables is not Hermitian")
     product_obs = spectral_decompose(product_op)
-    report_a = element_of_reality(tsv, obs_a, tol=tol, label="A")
-    report_b = element_of_reality(tsv, obs_b, tol=tol, label="B")
-    report_ab = element_of_reality(tsv, product_obs, tol=tol, label="AB")
+    report_a = element_of_reality(selection, obs_a, tol=tol, label="A")
+    report_b = element_of_reality(selection, obs_b, tol=tol, label="B")
+    report_ab = element_of_reality(selection, product_obs, tol=tol, label="AB")
     all_certain = report_a.certain and report_b.certain and report_ab.certain
     holds = None
     if all_certain:

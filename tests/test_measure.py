@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import tsvlab.measure
+import tsvlab.tsv
+
 from helpers import (
     dichotomic_case_with_certain_outcome,
     random_observable,
@@ -12,11 +15,13 @@ from tsvlab import (
     SIGMA_Z,
     ConfigError,
     NullEnsembleError,
+    Observable,
     Operator,
     PointerConfig,
     TwoStateVector,
     abl_probabilities,
     exact_conditional_oracle,
+    get_scenario,
     ideal_measure,
     make_bra,
     make_ket,
@@ -102,12 +107,49 @@ class TestMonteCarloAbl:
             z = (report.conditional_frequencies[outcome] - prob) / report.standard_errors[outcome]
             assert abs(z) <= 5
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_surplus_workers_draw_nothing(self, seed):
+        pre, post = make_ket([1, 1]), make_bra([1, 1])
+        obs = spectral_decompose(Operator(SIGMA_Z))
+        many = monte_carlo_abl(pre, post, obs, 3, seed=seed, workers=10**12)
+        few = monte_carlo_abl(pre, post, obs, 3, seed=seed, workers=3)
+        assert many.workers == 10**12
+        assert many.samples_postselected == few.samples_postselected
+        assert many.conditional_frequencies == few.conditional_frequencies
+        assert many.standard_errors == few.standard_errors
+
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(5)
         tsv = random_tsv(rng, 4)
         obs = random_observable(rng, 4)
         report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 30_000, seed=19)
         assert abs(sum(report.conditional_frequencies.values()) - 1.0) <= 1e-12
+
+
+def kept_counts(report):
+    return [round(f * report.samples_postselected) for f in report.conditional_frequencies.values()]
+
+
+class TestMonteCarloGolden:
+    """Fixed-seed kept counts as literals: a change to the draw order or the keep rule shows here."""
+
+    @pytest.mark.parametrize("name", ["P_A", "P_B"])
+    def test_three_box(self, name):
+        scenario = get_scenario("three-box")
+        report = monte_carlo_abl(
+            scenario.tsv.forward, scenario.tsv.backward, scenario.observables[name],
+            100_000, seed=424242, workers=1,
+        )
+        assert report.samples_postselected == 11328
+        assert kept_counts(report) == [0, 11328]
+
+    def test_random_d8_three_workers(self):
+        rng = np.random.default_rng(2024)
+        tsv = random_tsv(rng, 8)
+        obs = random_observable(rng, 8)
+        report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 50_000, seed=31, workers=3)
+        assert report.samples_postselected == 6539
+        assert kept_counts(report) == [55, 151, 795, 169, 1395, 1238, 3, 2733]
 
 
 class TestExactConditionalOracle:
@@ -131,6 +173,18 @@ class TestExactConditionalOracle:
             a = abl_probabilities(tsv, obs)
             b = exact_conditional_oracle(tsv.forward, tsv.backward, obs)
             np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-12)
+
+    def test_independent_of_abl_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the ABL code path")
+
+        monkeypatch.setattr(Observable, "amplitudes", forbidden)
+        for module in (tsvlab.tsv, tsvlab.measure):
+            for name in ("_abl_amplitudes", "abl_probabilities", "weak_value", "element_of_reality"):
+                monkeypatch.setattr(module, name, forbidden)
+        tsv = boxed_spin_tsv()
+        dist = exact_conditional_oracle(tsv.forward, tsv.backward, diagonal_projector(4, 1))
+        assert dict(dist.entries)[1.0] == pytest.approx(1.0, abs=1e-12)
 
     def test_null_ensemble(self):
         with pytest.raises(NullEnsembleError):

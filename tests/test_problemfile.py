@@ -74,6 +74,18 @@ class TestParsing:
         assert problem.mode == "kernel"
         np.testing.assert_allclose(problem.kernel.matrix, np.eye(2))
 
+    def test_selection_per_mode(self):
+        pair = parse_document(minimal_doc())
+        assert pair.selection.forward is pair.pre
+        assert pair.selection.backward is pair.post
+        doc = minimal_doc()
+        doc["generalized"] = [{"alpha": [1.0, 0.0], "pre": doc.pop("pre"), "post": doc.pop("post")}]
+        generalized = parse_document(doc)
+        assert generalized.selection is generalized.generalized
+        kernel = parse_document({"dims": [1], "kernel": [[[1.0, 0.0]]]})
+        with pytest.raises(ProblemFileError, match="kernel"):
+            kernel.selection
+
     def test_hamiltonian_parses(self):
         doc = minimal_doc()
         doc["hamiltonian"] = [

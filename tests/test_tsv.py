@@ -15,6 +15,7 @@ from tsvlab import (
     SIGMA_Z,
     Bra,
     DimensionError,
+    Distribution,
     GeneralizedTwoStateVector,
     HamiltonianSchedule,
     Ket,
@@ -30,6 +31,7 @@ from tsvlab import (
     abl_probabilities_generalized,
     element_of_reality,
     exact_conditional_oracle,
+    get_scenario,
     gtsv_from_ancilla,
     make_bra,
     make_ket,
@@ -200,6 +202,17 @@ class TestGeneralized:
             atol=1e-14,
         )
         assert abs(weak_value_generalized(g, obs.op) - weak_value(tsv, obs.op)) <= 1e-12
+        # a two-state vector is the one-term generalized one, bit for bit
+        assert g.terms == tsv.terms
+        assert abl_probabilities_generalized(g, obs) == abl_probabilities(tsv, obs)
+        assert weak_value_generalized(g, obs.op) == weak_value(tsv, obs.op)
+        assert element_of_reality(g, obs) == element_of_reality(tsv, obs)
+        boxed = boxed_spin_tsv()
+        certain = element_of_reality(
+            GeneralizedTwoStateVector.from_two_state_vector(boxed), diagonal_projector(4, 0)
+        )
+        assert certain.certain
+        assert certain == element_of_reality(boxed, diagonal_projector(4, 0))
 
     def test_product_ancilla_single_term(self):
         rng = np.random.default_rng(8)
@@ -256,6 +269,49 @@ class TestGeneralized:
     def test_needs_nonzero_weight(self):
         with pytest.raises(NullEnsembleError):
             GeneralizedTwoStateVector(((0.0, make_bra([1, 0]), make_ket([1, 0])),))
+
+    def test_product_rule_on_mean_king_reduction(self):
+        scenario = get_scenario("mean-king")
+        values = dict(zip(("sigma_x", "sigma_y", "sigma_z"), scenario.details["value_table"][0]))
+        for name, value in values.items():
+            obs = scenario.observables[name]
+            report = product_rule_report(scenario.gtsv, obs, obs)
+            assert report.all_certain
+            assert report.a.value == pytest.approx(value, abs=1e-9)
+            assert report.product.value == pytest.approx(1.0, abs=1e-9)
+            assert report.product_rule_holds is True
+        with pytest.raises(NotMeasurableError):
+            product_rule_report(
+                scenario.gtsv, scenario.observables["sigma_x"], scenario.observables["sigma_y"]
+            )
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "+inf", "-inf"]
+)
+
+
+class TestNonFiniteRejected:
+    @NON_FINITE
+    def test_generalized_weight_beside_a_finite_one(self, bad):
+        bra, ket = make_bra([1, 1]), make_ket([1, 0])
+        with pytest.raises(ValueError, match="finite"):
+            GeneralizedTwoStateVector(((bad, bra, ket), (1.0, bra, ket)))
+
+    @NON_FINITE
+    def test_lone_generalized_weight(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GeneralizedTwoStateVector(((bad, make_bra([1, 1]), make_ket([1, 0])),))
+
+    @NON_FINITE
+    def test_imaginary_part_of_weight(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GeneralizedTwoStateVector(((complex(1.0, bad), make_bra([1, 1]), make_ket([1, 0])),))
+
+    @NON_FINITE
+    def test_distribution_probability(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(((-1.0, bad), (1.0, 1.0)))
 
 
 class TestWeakValue:
