@@ -50,13 +50,34 @@ class MonteCarloReport:
     workers: int
 
 
+#: largest pointer grid: 2**22 points is 32 MB per float64 array
+MAX_POINTER_POINTS = 2**22
+
+
+def _require_positive_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_grid_within_cap(points) -> None:
+    if not points <= MAX_POINTER_POINTS:
+        raise ConfigError(
+            f"pointer grid of {points} points exceeds MAX_POINTER_POINTS = {MAX_POINTER_POINTS}"
+        )
+
+
 @dataclass(frozen=True)
 class PointerConfig:
     """Gaussian pointer parameters and evaluation grid.
 
     ``coupling`` is the pointer shift per unit eigenvalue, ``sigma`` the
-    initial position spread of the pointer wavefunction. The grid must
-    satisfy ``half_range >= 10 * (sigma + coupling * max|eigenvalue|)`` and
+    initial position spread of the pointer wavefunction. All three lengths
+    must be positive and finite, ``2 pi sigma^2`` must be a nonzero finite
+    float64, and the grid may have at most ``MAX_POINTER_POINTS`` points;
+    these are checked on construction, before any array is allocated. The
+    grid must also satisfy
+    ``half_range >= 10 * (sigma + coupling * max|eigenvalue|)`` and
     ``points >= 4096``; both are checked against the observable actually
     being measured.
     """
@@ -67,8 +88,15 @@ class PointerConfig:
     points: int
 
     def __post_init__(self):
-        if self.coupling <= 0.0 or self.sigma <= 0.0:
-            raise ConfigError("coupling and sigma must be positive")
+        _require_positive_finite(
+            coupling=self.coupling, sigma=self.sigma, half_range=self.half_range
+        )
+        if not 0.0 < 2.0 * np.pi * self.sigma * self.sigma < np.inf:
+            raise ConfigError(
+                f"sigma {self.sigma} puts the pointer normalization (2 pi sigma^2)^(-1/4) "
+                "outside the float64 range"
+            )
+        _require_grid_within_cap(self.points)
 
     @classmethod
     def auto(
@@ -84,10 +112,12 @@ class PointerConfig:
         ``sigma / points_per_sigma`` (never below the 4096 floor), which
         keeps trapezoid quadrature error far below the model error.
         """
-        if coupling <= 0.0 or sigma <= 0.0:
-            raise ConfigError("coupling and sigma must be positive")
+        _require_positive_finite(coupling=coupling, sigma=sigma)
         half_range = 10.0 * (sigma + coupling * max_abs_eigenvalue)
-        points = max(4096, int(np.ceil(2.0 * half_range * points_per_sigma / sigma)) + 1)
+        points = np.ceil(2.0 * half_range * points_per_sigma / sigma) + 1
+        # checked as a float: an overflowing grid is inf, which int() cannot take
+        _require_grid_within_cap(points)
+        points = max(4096, int(points))
         return cls(coupling=coupling, sigma=sigma, half_range=half_range, points=points)
 
     def validate_for(self, obs: Observable) -> None:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from tsvlab import (
+    PointerConfig,
     abl_probabilities,
     abl_probabilities_generalized,
     get_scenario,
+    weak_measure_pointer,
     weak_value,
     weak_value_generalized,
 )
@@ -210,6 +212,14 @@ class TestVerify:
         assert first == second
 
 
+def per_row_pointer_csv(problem_path, observable, cfg):
+    """The pointer CSV as the original one-write-per-row loop formatted it."""
+    problem = load(problem_path)
+    result = weak_measure_pointer(problem.two_state_vector(), problem.observables[observable], cfg)
+    rows = "".join(f"{q:.17g},{d:.17g}\n" for q, d in zip(result.positions, result.density))
+    return "position,density\n" + rows, result
+
+
 class TestPointer:
     def test_weak_regime_summary_and_csv(self, capsys, spin_box_file, tmp_path):
         csv_path = tmp_path / "pointer.csv"
@@ -269,6 +279,65 @@ class TestPointer:
         assert code == 0
         out = capsys.readouterr().out
         assert "strong regime: bump masses vs ABL" in out
+        expected, result = per_row_pointer_csv(
+            spin_box_file, "P_B_up", PointerConfig.auto(1000.0, 1.0, 1.0)
+        )
+        assert result.positions.size == 640_641
+        assert csv_path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("points", [4096, 4097, 8193])
+    def test_csv_bytes_match_per_row_format(self, capsys, spin_box_file, tmp_path, points):
+        # half-range 61.3 reaches far enough into the Gaussian tails that the
+        # density underflows to subnormals and then to exact zeros
+        csv_path = tmp_path / "pointer.csv"
+        code = main([
+            "pointer",
+            "--file", str(spin_box_file),
+            "--observable", "P_B_up",
+            "--g", "0.001",
+            "--sigma", "1.0",
+            "--half-range", "61.3",
+            "--points", str(points),
+            "--out", str(csv_path),
+        ])
+        assert code == 0
+        cfg = PointerConfig(coupling=0.001, sigma=1.0, half_range=61.3, points=points)
+        expected, result = per_row_pointer_csv(spin_box_file, "P_B_up", cfg)
+        assert np.any(result.density == 0.0)
+        assert np.any((result.density > 0.0) & (result.density < np.finfo(float).tiny))
+        assert csv_path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--g", "inf", "--sigma", "1.0"], "coupling"),
+        (["--g", "nan", "--sigma", "1.0"], "coupling"),
+        (["--g", "1.0", "--sigma", "nan"], "sigma"),
+        (["--g", "1.0", "--sigma", "1e300"], "sigma"),
+        (["--g", "1e300", "--sigma", "1.0"], "MAX_POINTER_POINTS"),
+        # 640,000,000,641 points, ~10 TB for two float64 arrays
+        (["--g", "1e9", "--sigma", "1.0"], "MAX_POINTER_POINTS"),
+        (["--g", "0.001", "--sigma", "1.0", "--half-range", "20", "--points", str(2**22 + 1)],
+         "MAX_POINTER_POINTS"),
+        (["--g", "0.001", "--sigma", "1.0", "--half-range", "inf", "--points", "5000"],
+         "half_range"),
+        (["--g", "0.001", "--sigma", "1.0", "--half-range", "nan", "--points", "5000"],
+         "half_range"),
+    ])
+    def test_bad_pointer_flags_exit_2(self, capsys, spin_box_file, tmp_path, flags, named):
+        capsys.readouterr()  # drop fixture output
+        csv_path = tmp_path / "x.csv"
+        code = main([
+            "pointer",
+            "--file", str(spin_box_file),
+            "--observable", "P_B_up",
+            *flags,
+            "--out", str(csv_path),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert named in captured.err
+        assert "nan" not in captured.out
+        assert not csv_path.exists()
 
     def test_bad_grid_exits_2(self, capsys, spin_box_file, tmp_path):
         code = main([

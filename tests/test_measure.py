@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,83 @@ class TestWeakMeasurePointer:
         cfg = PointerConfig(coupling=0.1, sigma=1.0, half_range=20.0, points=128)
         with pytest.raises(ConfigError):
             weak_measure_pointer(tsv, obs, cfg)
+
+    @pytest.mark.parametrize("field,value", [
+        (field, value)
+        for field in ("coupling", "sigma", "half_range")
+        for value in (np.inf, -np.inf, np.nan, 0.0, -1.0)
+    ] + [("sigma", 1e300), ("sigma", 1e-300)])
+    def test_non_finite_or_non_positive_lengths_rejected(self, field, value):
+        kwargs = dict(coupling=0.1, sigma=1.0, half_range=20.0, points=4096)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=field):
+            PointerConfig(**kwargs)
+        if field != "half_range":
+            auto = dict(coupling=0.1, sigma=1.0)
+            auto[field] = value
+            with pytest.raises(ConfigError):
+                PointerConfig.auto(auto["coupling"], auto["sigma"], 1.0)
+
+    def test_grid_cap_checked_before_allocation(self):
+        cap = tsvlab.measure.MAX_POINTER_POINTS
+        assert cap > 640_641  # the strong-regime g=1000 grid stays legal
+        assert PointerConfig(coupling=0.1, sigma=1.0, half_range=20.0, points=cap).points == cap
+        tracemalloc.start()
+        try:
+            # g=1e9 asks for 640,000,000,641 points, g=1e300 for an infinite count
+            for coupling in (1e9, 1e300):
+                with pytest.raises(ConfigError, match="MAX_POINTER_POINTS"):
+                    PointerConfig.auto(coupling, 1.0, 1.0)
+            with pytest.raises(ConfigError, match="MAX_POINTER_POINTS"):
+                PointerConfig(coupling=0.1, sigma=1.0, half_range=20.0, points=cap + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_momentum_shift_matches_imaginary_weak_value(self):
+        """Pointer momentum mean against Im(weak value) (Jozsa 2007, PRA 76, 044103).
+
+        Sign convention (hbar = 1): the coupling translates the pointer by
+        +g*o_n on eigenspace n, so the post-selected pointer wavefunction is
+        Phi(q) = sum_n <phi|P_n|psi> G(q - g*o_n) with
+        G(q) = (2 pi sigma^2)^(-1/4) exp(-q^2 / (4 sigma^2)), the momentum is
+        p = -i d/dq, and A_w = <phi|A|psi> / <phi|psi>. To first order in g,
+        <p> = g Im(A_w) / (2 sigma^2). Phi and dPhi/dq are built here from
+        numpy ``eigh`` blocks, not from tsvlab's amplitude code.
+        """
+        rng = np.random.default_rng(20071015)  # A_w = -0.25 - 1.75i
+        levels = np.array([-1.0, 0.5, 0.5, 2.0])
+        basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        matrix = (basis * levels) @ basis.conj().T
+        pre = rng.normal(size=4) + 1j * rng.normal(size=4)
+        post = rng.normal(size=4) + 1j * rng.normal(size=4)
+        weak = weak_value(TwoStateVector(make_ket(pre), make_bra(post)), Operator(matrix))
+        assert weak.imag < -1.0
+
+        eigenvalues, vectors = np.linalg.eigh(matrix)
+        pre, post = pre / np.linalg.norm(pre), post / np.linalg.norm(post)
+        centers, amplitudes = [], []
+        for value in np.unique(np.round(eigenvalues, 9)):
+            block = vectors[:, np.abs(eigenvalues - value) < 1e-9]
+            centers.append(value)
+            amplitudes.append(np.vdot(post, block @ (block.conj().T @ pre)))
+        assert len(centers) == 3
+
+        sigma = 1.0
+        q = np.linspace(-12.0, 12.0, 2**15 + 1)
+        errors = {}
+        for g in (2e-3, 1e-3):
+            offsets = q[None, :] - g * np.array(centers)[:, None]
+            packets = (2 * np.pi * sigma**2) ** -0.25 * np.exp(-offsets**2 / (4 * sigma**2))
+            phi = np.array(amplitudes) @ packets
+            dphi = np.array(amplitudes) @ (-offsets / (2 * sigma**2) * packets)
+            p_mean = np.trapezoid(np.imag(np.conj(phi) * dphi), q) / np.trapezoid(
+                np.abs(phi) ** 2, q
+            )
+            errors[g] = abs(p_mean - g * weak.imag / (2 * sigma**2)) / g
+        assert errors[1e-3] <= 1e-4 * abs(weak.imag)
+        assert errors[1e-3] <= 0.6 * errors[2e-3]
 
 
 class TestStrongWeakConsistency:
