@@ -19,15 +19,14 @@ import sys
 import numpy as np
 
 from . import measure, problemfile, scenarios
-from .errors import (
-    ConfigError,
-    NullEnsembleError,
-    OrthogonalSelectionError,
-    ProblemFileError,
-    TimeWindowError,
-    TsvLabError,
+from .errors import NullEnsembleError, OrthogonalSelectionError, ProblemFileError, TsvLabError
+from .tsv import (
+    GeneralizedTwoStateVector,
+    TwoStateVector,
+    abl_at_time,
+    abl_probabilities,
+    weak_value,
 )
-from .tsv import abl_at_time, abl_probabilities, weak_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -37,6 +36,10 @@ EXIT_NO_SAMPLES = 4
 
 #: rows of the pointer CSV formatted per write
 CSV_BLOCK_ROWS = 4096
+
+#: selections that `abl` and `weak` evaluate; a two-time kernel is not one
+_SELECTIONS = (TwoStateVector, GeneralizedTwoStateVector)
+_NO_SELECTION = "kernel problems have no single selection; use `run correlated-pair`"
 
 
 def _fail(message: str, code: int) -> int:
@@ -68,6 +71,13 @@ def _lookup_observable(problem, name: str):
         known = ", ".join(sorted(problem.observables)) or "(none)"
         raise ProblemFileError(f"unknown observable {name!r}; file defines: {known}")
     return problem.observables[name]
+
+
+def _selection(problem, kinds, message: str):
+    """The problem's selection if it is one of ``kinds``; else a ProblemFileError."""
+    if not isinstance(problem.selection, kinds):
+        raise ProblemFileError(message)
+    return problem.selection
 
 
 def cmd_run(args) -> int:
@@ -112,13 +122,13 @@ def cmd_abl(args) -> int:
     problem = problemfile.load(args.file)
     obs = _lookup_observable(problem, args.observable)
     if args.time is None:
-        dist = abl_probabilities(problem.selection, obs)
-    elif problem.mode != "selection":
-        raise ProblemFileError("--time applies only to pre/post problems with a hamiltonian")
-    elif problem.hamiltonian is None:
-        raise ProblemFileError("--time requires a hamiltonian in the problem file")
+        dist = abl_probabilities(_selection(problem, _SELECTIONS, _NO_SELECTION), obs)
     else:
-        dist = abl_at_time(problem.pre, problem.post, problem.hamiltonian, args.time, obs)
+        tsv = _selection(problem, TwoStateVector,
+                         "--time applies only to pre/post problems with a hamiltonian")
+        if problem.hamiltonian is None:
+            raise ProblemFileError("--time requires a hamiltonian in the problem file")
+        dist = abl_at_time(tsv.forward, tsv.backward, problem.hamiltonian, args.time, obs)
     if args.format == "json":
         print(json.dumps({"observable": args.observable, "distribution": [
             {"outcome": o, "probability": p} for o, p in dist.entries
@@ -132,7 +142,7 @@ def cmd_abl(args) -> int:
 def cmd_weak(args) -> int:
     problem = problemfile.load(args.file)
     obs = _lookup_observable(problem, args.observable)
-    value = weak_value(problem.selection, obs.op)
+    value = weak_value(_selection(problem, _SELECTIONS, _NO_SELECTION), obs.op)
     if args.format == "json":
         print(json.dumps({"observable": args.observable, "weak_value": [value.real, value.imag]}))
     else:
@@ -143,11 +153,10 @@ def cmd_weak(args) -> int:
 def cmd_verify(args) -> int:
     problem = problemfile.load(args.file)
     obs = _lookup_observable(problem, args.observable)
-    if problem.mode != "selection":
-        return _fail("verify needs a pre/post problem file", EXIT_USAGE)
+    tsv = _selection(problem, TwoStateVector, "verify needs a pre/post problem file")
     report = measure.monte_carlo_abl(
-        problem.pre,
-        problem.post,
+        tsv.forward,
+        tsv.backward,
         obs,
         args.samples,
         seed=args.seed,
@@ -160,7 +169,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NO_SAMPLES
-    dist = abl_probabilities(problem.two_state_vector(), obs)
+    dist = abl_probabilities(tsv, obs)
     rows = []
     all_ok = True
     for outcome, prob in dist.entries:
@@ -195,9 +204,7 @@ def cmd_verify(args) -> int:
 def cmd_pointer(args) -> int:
     problem = problemfile.load(args.file)
     obs = _lookup_observable(problem, args.observable)
-    if problem.mode != "selection":
-        return _fail("pointer needs a pre/post problem file", EXIT_USAGE)
-    tsv = problem.two_state_vector()
+    tsv = _selection(problem, TwoStateVector, "pointer needs a pre/post problem file")
     if args.half_range is not None or args.points is not None:
         if args.half_range is None or args.points is None:
             return _fail("--half-range and --points must be given together", EXIT_USAGE)
@@ -244,29 +251,11 @@ def cmd_export_scenario(args) -> int:
         scenario = scenarios.get_scenario(args.scenario)
     except KeyError as exc:
         return _fail(str(exc.args[0]), EXIT_USAGE)
-    observables = {name: obs.op.matrix for name, obs in scenario.observables.items()}
-    if scenario.tsv is not None:
-        doc = problemfile.document_from_parts(
-            dims=scenario.dims,
-            observables=observables,
-            pre=scenario.tsv.forward.amplitudes,
-            post=scenario.tsv.backward.amplitudes,
-        )
-    elif scenario.gtsv is not None:
-        doc = problemfile.document_from_parts(
-            dims=(scenario.gtsv.dim,),
-            observables=observables,
-            generalized_terms=[
-                (alpha, bwd.amplitudes, fwd.amplitudes)
-                for alpha, bwd, fwd in scenario.gtsv.terms
-            ],
-        )
-    else:
-        doc = problemfile.document_from_parts(
-            dims=(scenario.kernel.dim_forward,),
-            observables=observables,
-            kernel=scenario.kernel.matrix,
-        )
+    doc = problemfile.document_from_parts(
+        scenario.dims,
+        scenario.selection,
+        observables={name: obs.op.matrix for name, obs in scenario.observables.items()},
+    )
     out = args.out or f"{scenario.name}.json"
     problemfile.save(doc, out)
     print(f"wrote {out}")
@@ -302,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="Monte Carlo check of the conditional probabilities")
     verify.add_argument("--file", required=True)
     verify.add_argument("--observable", required=True)
-    verify.add_argument("--samples", type=int, default=100_000)
+    verify.add_argument("--samples", type=int, default=100_000,
+                        help=f"trials to draw, at most {measure.MAX_MC_SAMPLES}")
     verify.add_argument("--seed", type=int, default=measure.DEFAULT_SEED)
     verify.add_argument("--workers", type=int, default=1,
                         help="seed-stream partitions, drawn one after another in this process")
@@ -332,15 +322,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFileError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except (ConfigError, TimeWindowError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except (NullEnsembleError, OrthogonalSelectionError) as exc:
         return _fail(str(exc), EXIT_NULL_ENSEMBLE)
-    except TsvLabError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except OSError as exc:
+    except (TsvLabError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)
 
 

@@ -38,6 +38,10 @@ class TimeWindowError(TsvLabError):
     """A requested time lies outside the schedule's time window."""
 
 
+class RangeError(TsvLabError):
+    """A quantity is well defined but lies outside the float64 range."""
+
+
 class ConfigError(TsvLabError):
     """A pointer grid configuration violates its sizing requirements."""
 

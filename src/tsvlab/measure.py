@@ -52,6 +52,11 @@ class MonteCarloReport:
 
 #: largest pointer grid: 2**22 points is 32 MB per float64 array
 MAX_POINTER_POINTS = 2**22
+#: most Monte Carlo trials per run; each worker block is drawn in one call
+MAX_MC_SAMPLES = 10**7
+#: smallest resolvable shift: coupling * max|eigenvalue| below this times
+#: sigma drowns in the quadrature residue (about 6e-17 sigma)
+MIN_SHIFT_OVER_SIGMA = 1e-9
 
 
 def _require_positive_finite(**values: float) -> None:
@@ -77,9 +82,11 @@ class PointerConfig:
     float64, and the grid may have at most ``MAX_POINTER_POINTS`` points;
     these are checked on construction, before any array is allocated. The
     grid must also satisfy
-    ``half_range >= 10 * (sigma + coupling * max|eigenvalue|)`` and
-    ``points >= 4096``; both are checked against the observable actually
-    being measured.
+    ``half_range >= 10 * (sigma + coupling * max|eigenvalue|)``,
+    ``points >= 4096`` and a spacing ``2 half_range / (points - 1)`` of at
+    most ``sigma / 2``, and the largest shift ``coupling * max|eigenvalue|``
+    must not be below ``MIN_SHIFT_OVER_SIGMA * sigma`` unless it is 0; these
+    are checked against the observable actually being measured.
     """
 
     coupling: float
@@ -128,6 +135,20 @@ class PointerConfig:
             )
         if self.points < 4096:
             raise ConfigError(f"grid needs at least 4096 points, got {self.points}")
+        # trapezoid aliasing of the Gaussian density is ~exp(-2 pi^2 sigma^2 / h^2)
+        spacing = 2.0 * self.half_range / (self.points - 1)
+        if spacing > self.sigma / 2.0:
+            raise ConfigError(
+                f"grid spacing {spacing:.6g} exceeds sigma / 2 = {self.sigma / 2.0:.6g}; "
+                "use more points or a smaller half_range"
+            )
+        shift = self.coupling * obs.max_abs_eigenvalue
+        if 0.0 < shift < MIN_SHIFT_OVER_SIGMA * self.sigma:
+            raise ConfigError(
+                f"pointer shift coupling * max|eigenvalue| = {shift:.6g} is below "
+                f"{MIN_SHIFT_OVER_SIGMA:g} * sigma = {MIN_SHIFT_OVER_SIGMA * self.sigma:.6g}, "
+                "where quadrature error swamps it"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +225,8 @@ def monte_carlo_abl(
     stream spawned from the master seed, and results merge in worker order.
     The workers run one after another in this process; ``workers`` only
     selects how the seed stream is partitioned. At most ``n_samples``
-    blocks are drawn, since surplus workers would get no trials.
+    blocks are drawn, since surplus workers would get no trials. At most
+    ``MAX_MC_SAMPLES`` trials are allowed, since each block is drawn at once.
 
     Standard errors are binomial, with +1 smoothing at degenerate counts so
     acceptance bands never have zero width. If no trial survives the
@@ -213,6 +235,8 @@ def monte_carlo_abl(
     """
     if n_samples < 1:
         raise ConfigError(f"samples must be at least 1, got {n_samples}")
+    if n_samples > MAX_MC_SAMPLES:
+        raise ConfigError(f"samples {n_samples} exceeds MAX_MC_SAMPLES = {MAX_MC_SAMPLES}")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
 

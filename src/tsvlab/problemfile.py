@@ -25,37 +25,17 @@ from .tsv import GeneralizedTwoStateVector, TwoStateVector, TwoTimeKernel
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """Parsed, validated problem description."""
+    """Parsed, validated problem description.
+
+    ``selection`` holds the one selection payload: a :class:`TwoStateVector`
+    (pre/post pair), a :class:`GeneralizedTwoStateVector` or a
+    :class:`TwoTimeKernel`.
+    """
 
     dims: tuple
     observables: dict
-    pre: Ket | None = None
-    post: Bra | None = None
+    selection: TwoStateVector | GeneralizedTwoStateVector | TwoTimeKernel
     hamiltonian: HamiltonianSchedule | None = None
-    generalized: GeneralizedTwoStateVector | None = None
-    kernel: TwoTimeKernel | None = None
-
-    @property
-    def mode(self) -> str:
-        if self.pre is not None:
-            return "selection"
-        if self.generalized is not None:
-            return "generalized"
-        return "kernel"
-
-    def two_state_vector(self) -> TwoStateVector:
-        if self.pre is None or self.post is None:
-            raise ProblemFileError("problem file has no pre/post selection pair")
-        return TwoStateVector(self.pre, self.post)
-
-    @property
-    def selection(self) -> TwoStateVector | GeneralizedTwoStateVector:
-        """The pre/post pair or the generalized two-state vector; kernel files have none."""
-        if self.mode == "selection":
-            return self.two_state_vector()
-        if self.mode == "generalized":
-            return self.generalized
-        raise ProblemFileError("kernel problems have no single selection; use `run correlated-pair`")
 
 
 def _parse_numbers(value, shape: tuple, where: str, expected: str) -> np.ndarray:
@@ -130,10 +110,11 @@ def parse_document(doc) -> ProblemFile:
             f"exactly one of pre+post, generalized, or kernel must be populated, got {modes or 'none'}"
         )
 
-    pre = post = generalized = kernel = None
     if has_pre:
-        pre = _parse_state(Ket, doc["pre"], total, "pre")
-        post = _parse_state(Bra, doc["post"], total, "post")
+        selection = TwoStateVector(
+            _parse_state(Ket, doc["pre"], total, "pre"),
+            _parse_state(Bra, doc["post"], total, "post"),
+        )
     elif "generalized" in doc:
         raw_terms = doc["generalized"]
         if not isinstance(raw_terms, list) or not raw_terms:
@@ -147,12 +128,12 @@ def parse_document(doc) -> ProblemFile:
             bwd = _parse_state(Bra, term["post"], total, f"generalized term {i} post")
             terms.append((alpha, bwd, fwd))
         try:
-            generalized = GeneralizedTwoStateVector(tuple(terms))
+            selection = GeneralizedTwoStateVector(tuple(terms))
         except NullEnsembleError as exc:
             raise ProblemFileError(f"generalized: {exc}") from exc
     else:
         try:
-            kernel = TwoTimeKernel(_parse_complex(doc["kernel"], (total, total), "kernel"))
+            selection = TwoTimeKernel(_parse_complex(doc["kernel"], (total, total), "kernel"))
         except NullEnsembleError as exc:
             raise ProblemFileError(f"kernel: {exc}") from exc
 
@@ -195,15 +176,7 @@ def parse_document(doc) -> ProblemFile:
         except Exception as exc:
             raise ProblemFileError(f"observable {name!r}: {exc}") from exc
 
-    return ProblemFile(
-        dims=dims,
-        observables=observables,
-        pre=pre,
-        post=post,
-        hamiltonian=schedule,
-        generalized=generalized,
-        kernel=kernel,
-    )
+    return ProblemFile(dims=dims, observables=observables, selection=selection, hamiltonian=schedule)
 
 
 def load(path) -> ProblemFile:
@@ -234,27 +207,26 @@ def matrix_pairs(matrix) -> list:
     return [[complex_pair(z) for z in row] for row in m]
 
 
-def document_from_parts(
-    dims,
-    observables=None,
-    pre=None,
-    post=None,
-    hamiltonian=None,
-    generalized_terms=None,
-    kernel=None,
-) -> dict:
-    """Assemble a problem document from numpy-level parts."""
+def document_from_parts(dims, selection, observables=None, hamiltonian=None) -> dict:
+    """Assemble a problem document; the inverse of :func:`parse_document`.
+
+    ``selection`` is a :class:`TwoStateVector`, a
+    :class:`GeneralizedTwoStateVector` or a :class:`TwoTimeKernel`;
+    ``observables`` maps names to matrices and ``hamiltonian`` is a sequence
+    of ``(duration, matrix)`` segments.
+    """
     doc = {"dims": [int(d) for d in dims]}
-    if pre is not None:
-        doc["pre"] = vector_pairs(pre)
-        doc["post"] = vector_pairs(post)
-    if generalized_terms is not None:
+    if isinstance(selection, TwoStateVector):
+        doc["pre"] = vector_pairs(selection.forward.amplitudes)
+        doc["post"] = vector_pairs(selection.backward.amplitudes)
+    elif isinstance(selection, GeneralizedTwoStateVector):
         doc["generalized"] = [
-            {"alpha": complex_pair(alpha), "pre": vector_pairs(fwd), "post": vector_pairs(bwd)}
-            for alpha, bwd, fwd in generalized_terms
+            {"alpha": complex_pair(alpha), "pre": vector_pairs(fwd.amplitudes),
+             "post": vector_pairs(bwd.amplitudes)}
+            for alpha, bwd, fwd in selection.terms
         ]
-    if kernel is not None:
-        doc["kernel"] = matrix_pairs(kernel)
+    else:
+        doc["kernel"] = matrix_pairs(selection.matrix)
     if hamiltonian is not None:
         doc["hamiltonian"] = [
             {"duration": float(duration), "matrix": matrix_pairs(h)}

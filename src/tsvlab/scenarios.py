@@ -1,9 +1,9 @@
 """Self-checking scenario definitions for the classic pre/post-selection systems.
 
-Each scenario packages a concrete selection (two-state vector, generalized
-two-state vector, or two-time kernel), named observables, and a list of
-executable checks with expected values. Provenance of each expected value
-is one of:
+Each scenario packages one selection object (a two-state vector, a
+generalized two-state vector, or a two-time kernel), named observables,
+and a list of executable checks with expected values. Provenance of each
+expected value is one of:
 
 * ``exact-property``: the value is the defining property the scenario exists
   to exhibit, exact by construction.
@@ -86,17 +86,19 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named system plus its executable checks."""
+    """A named system plus its executable checks.
+
+    ``dims`` are the subsystem dimensions of the space ``selection`` acts on:
+    for mean-king the spin alone (the ancilla is folded into the generalized
+    vector), for correlated-pair one leg of the 2 x 2 kernel.
+    """
 
     name: str
     description: str
     dims: tuple
-    basis_labels: tuple
     observables: dict
     checks: tuple
-    tsv: TwoStateVector | None = None
-    gtsv: GeneralizedTwoStateVector | None = None
-    kernel: TwoTimeKernel | None = None
+    selection: TwoStateVector | GeneralizedTwoStateVector | TwoTimeKernel
     details: dict = field(default_factory=dict)
 
 
@@ -185,11 +187,7 @@ def scenario_spin_box(include_empty_direction: bool = True) -> Scenario:
     The basis direction |B,down> carries no amplitude; dropping it
     (``include_empty_direction=False``) must not change any check.
     """
-    if include_empty_direction:
-        labels = ("A_up", "A_down", "B_up", "B_down")
-    else:
-        labels = ("A_up", "A_down", "B_up")
-    dim = len(labels)
+    dim = 4 if include_empty_direction else 3
     pre = np.zeros(dim, dtype=complex)
     pre[:3] = 1.0
     post = np.zeros(dim, dtype=complex)
@@ -253,10 +251,9 @@ def scenario_spin_box(include_empty_direction: bool = True) -> Scenario:
         name="spin-box",
         description="spin-1/2 particle in two boxes with contradictory certainties",
         dims=(dim,),
-        basis_labels=labels,
         observables=observables,
         checks=checks,
-        tsv=tsv,
+        selection=tsv,
     )
 
 
@@ -298,10 +295,9 @@ def scenario_three_box() -> Scenario:
         name="three-box",
         description="single particle certain to be found in either of two boxes",
         dims=(3,),
-        basis_labels=("A", "B", "C"),
         observables=observables,
         checks=checks,
-        tsv=tsv,
+        selection=tsv,
     )
 
 
@@ -345,10 +341,9 @@ def scenario_spin_xz() -> Scenario:
         name="spin-xz",
         description="z and x spin components simultaneously certain between selections",
         dims=(2,),
-        basis_labels=("up_z", "down_z"),
         observables=observables,
         checks=checks,
-        tsv=tsv,
+        selection=tsv,
     )
 
 
@@ -437,11 +432,10 @@ def scenario_mean_king() -> Scenario:
     return Scenario(
         name="mean-king",
         description="all three spin components answerable for every royal outcome",
-        dims=(2, 2),
-        basis_labels=("system", "ancilla"),
+        dims=(2,),
         observables=components,
         checks=checks,
-        gtsv=reduced[0],
+        selection=reduced[0],
         details={
             "value_table": value_table,
             "royal_basis": [vec.tolist() for vec in post_states],
@@ -495,11 +489,10 @@ def scenario_correlated_pair() -> Scenario:
     return Scenario(
         name="correlated-pair",
         description="forward- and backward-evolving spins perfectly correlated in every direction",
-        dims=(2, 2),
-        basis_labels=("forward", "backward"),
+        dims=(2,),
         observables={},
         checks=checks,
-        kernel=kernel,
+        selection=kernel,
     )
 
 

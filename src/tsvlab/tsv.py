@@ -23,6 +23,7 @@ from .errors import (
     NotMeasurableError,
     NullEnsembleError,
     OrthogonalSelectionError,
+    RangeError,
 )
 from .qcore import (
     Bra,
@@ -43,6 +44,8 @@ ORTHOGONALITY_THRESHOLD = 1e-10
 CERTAINTY_TOL = 1e-10
 #: squared-amplitude mass below which an ensemble is considered empty
 _NULL_WEIGHT = 1e-24
+#: term weights past this are scaled down by a common power of two on construction
+_MAX_WEIGHT = 2.0**500
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +76,9 @@ class GeneralizedTwoStateVector:
     """Weighted superposition of two-state vectors: sum_i alpha_i <phi_i| |psi_i>.
 
     Arises from pre- and post-selecting a system jointly with an ancilla
-    that is not measured in between; see :func:`gtsv_from_ancilla`.
+    that is not measured in between; see :func:`gtsv_from_ancilla`. If a
+    weight has a component past ``2**500``, all weights are stored scaled by
+    one power of two, which changes no ABL probability or weak value.
     """
 
     terms: tuple  # of (alpha: complex, backward: Bra, forward: Ket)
@@ -87,8 +92,14 @@ class GeneralizedTwoStateVector:
         dims = {f.dim for _, _, f in terms} | {b.dim for _, b, _ in terms}
         if len(dims) != 1:
             raise DimensionError("all terms must share one dimension")
-        if not any(abs(a) > 0.0 for a, _, _ in terms):
+        if not any(a != 0.0 for a, _, _ in terms):
             raise NullEnsembleError("all term weights vanish")
+        top = max(max(abs(a.real), abs(a.imag)) for a, _, _ in terms)
+        if top > _MAX_WEIGHT:
+            # ABL probabilities and weak values are ratios, unchanged by a common
+            # factor; a power of two scales exactly and keeps |alpha * amplitude|**2 finite
+            scale = 2.0 ** -math.frexp(top)[1]
+            terms = tuple((a * scale, b, f) for a, b, f in terms)
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -299,13 +310,18 @@ def weak_value(
     OrthogonalSelectionError
         If the (effective) overlap is at or below ``threshold``; the ratio is
         undefined for orthogonal selections.
+    RangeError
+        If the ratio overflows float64.
     """
     denom = sum(a * overlap(b, f) for a, b, f in selection.terms)
     if abs(denom) <= threshold:
         raise OrthogonalSelectionError(
             f"pre/post overlap {abs(denom):.3e} is below the weak-value threshold"
         )
-    return sum(a * matrix_element(b, op, f) for a, b, f in selection.terms) / denom
+    value = sum(a * matrix_element(b, op, f) for a, b, f in selection.terms) / denom
+    if not cmath.isfinite(value):
+        raise RangeError(f"weak value overflows float64 (pre/post overlap {abs(denom):.3e})")
+    return value
 
 
 #: the generalized names of the one selection calculus

@@ -16,6 +16,7 @@ from helpers import (
 )
 from tsvlab import (
     Bra,
+    GeneralizedTwoStateVector,
     Ket,
     Operator,
     PointerConfig,
@@ -67,7 +68,7 @@ def test_criterion_01_abl_matches_conditional_oracle():
 
 def test_criterion_02_boxed_spin_certainties():
     scenario = get_scenario("spin-box")
-    tsv = scenario.tsv
+    tsv = scenario.selection
     a = element_of_reality(tsv, scenario.observables["P_A_up"])
     b = element_of_reality(tsv, scenario.observables["P_A_down"])
     product = product_rule_report(
@@ -84,17 +85,17 @@ def test_criterion_02_boxed_spin_certainties():
 
 def test_criterion_03_weak_values():
     scenario = get_scenario("spin-box")
-    wv = weak_value(scenario.tsv, scenario.observables["P_B_up"].op)
+    wv = weak_value(scenario.selection, scenario.observables["P_B_up"].op)
     ok = abs(wv - (-1.0)) <= 1e-12
 
     worst = 0.0
     for name in SCENARIOS:
         s = get_scenario(name)
         for obs in s.observables.values():
-            if s.tsv is not None:
-                total = sum(weak_value(s.tsv, proj) for proj in obs.projectors)
-            elif s.gtsv is not None:
-                total = sum(weak_value_generalized(s.gtsv, proj) for proj in obs.projectors)
+            if isinstance(s.selection, TwoStateVector):
+                total = sum(weak_value(s.selection, proj) for proj in obs.projectors)
+            elif isinstance(s.selection, GeneralizedTwoStateVector):
+                total = sum(weak_value_generalized(s.selection, proj) for proj in obs.projectors)
             else:
                 continue
             worst = max(worst, abs(total - 1.0))
@@ -142,7 +143,7 @@ def test_criterion_05_monte_carlo():
         s = get_scenario(name)
         for obs in s.observables.values():
             seed += 1
-            ok = ok and _mc_within_bands(s.tsv.forward, s.tsv.backward, obs, seed)
+            ok = ok and _mc_within_bands(s.selection.forward, s.selection.backward, obs, seed)
     # the entangled-ancilla scenario runs on the joint system
     king = get_scenario("mean-king")
     joint_pre = Ket(np.array([1, 0, 0, 1], dtype=complex))
@@ -162,8 +163,8 @@ def test_criterion_05_monte_carlo():
 
     s = get_scenario("three-box")
     obs = s.observables["P_C"]
-    first = monte_carlo_abl(s.tsv.forward, s.tsv.backward, obs, 50_000, seed=9, workers=4)
-    second = monte_carlo_abl(s.tsv.forward, s.tsv.backward, obs, 50_000, seed=9, workers=4)
+    first = monte_carlo_abl(s.selection.forward, s.selection.backward, obs, 50_000, seed=9, workers=4)
+    second = monte_carlo_abl(s.selection.forward, s.selection.backward, obs, 50_000, seed=9, workers=4)
     deterministic = first == second
     elapsed = time.perf_counter() - start
     _report(
@@ -175,7 +176,7 @@ def test_criterion_05_monte_carlo():
 
 def test_criterion_06_pointer_laws():
     scenario = get_scenario("spin-box")
-    tsv = scenario.tsv
+    tsv = scenario.selection
     obs = scenario.observables["P_B_up"]
     errors = {}
     for g in (2e-3, 1e-3):

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from tsvlab import (
+    GeneralizedTwoStateVector,
     PointerConfig,
+    TwoStateVector,
+    TwoTimeKernel,
     abl_probabilities,
     abl_probabilities_generalized,
     get_scenario,
@@ -194,6 +197,18 @@ class TestVerify:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_samples_over_cap_exit_2(self, capsys):
+        code = main([
+            "verify",
+            "--file", str(FIXTURES / "random_dim3.json"),
+            "--observable", "obs_a",
+            "--samples", str(10**12),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples 1000000000000 exceeds MAX_MC_SAMPLES = 10000000\n"
+
     def test_deterministic_output(self, capsys, spin_box_file):
         argv = [
             "verify",
@@ -215,7 +230,7 @@ class TestVerify:
 def per_row_pointer_csv(problem_path, observable, cfg):
     """The pointer CSV as the original one-write-per-row loop formatted it."""
     problem = load(problem_path)
-    result = weak_measure_pointer(problem.two_state_vector(), problem.observables[observable], cfg)
+    result = weak_measure_pointer(problem.selection, problem.observables[observable], cfg)
     rows = "".join(f"{q:.17g},{d:.17g}\n" for q, d in zip(result.positions, result.density))
     return "position,density\n" + rows, result
 
@@ -321,6 +336,15 @@ class TestPointer:
          "half_range"),
         (["--g", "0.001", "--sigma", "1.0", "--half-range", "nan", "--points", "5000"],
          "half_range"),
+        # spacing 4.9 sigma: printed mean_shift / g = -5.96 where Re A_w = -1
+        (["--g", "0.001", "--sigma", "1.0", "--half-range", "1e4", "--points", "4096"],
+         "spacing"),
+        # spacing 488 sigma: the squared offsets overflowed to an empty pointer
+        (["--g", "0.001", "--sigma", "1.0", "--half-range", "1e6", "--points", "4096"],
+         "spacing"),
+        # printed mean_shift / g = 5.55e+303: quadrature noise over a subnormal g
+        (["--g", "1e-320", "--sigma", "1.0"], "coupling * max|eigenvalue| = 9.99989e-321"),
+        (["--g", "1e-14", "--sigma", "1.0"], "1e-09 * sigma = 1e-09"),
     ])
     def test_bad_pointer_flags_exit_2(self, capsys, spin_box_file, tmp_path, flags, named):
         capsys.readouterr()  # drop fixture output
@@ -360,35 +384,35 @@ class TestExportRoundTrip:
         assert main(["export-scenario", name, "--out", str(path)]) == 0
         scenario = get_scenario(name)
         problem = load(path)
-        if scenario.tsv is not None:
-            assert problem.mode == "selection"
-            tsv = problem.two_state_vector()
-            assert np.array_equal(tsv.forward.amplitudes, scenario.tsv.forward.amplitudes)
-            assert np.array_equal(tsv.backward.amplitudes, scenario.tsv.backward.amplitudes)
+        if isinstance(scenario.selection, TwoStateVector):
+            assert isinstance(problem.selection, TwoStateVector)
+            tsv = problem.selection
+            assert np.array_equal(tsv.forward.amplitudes, scenario.selection.forward.amplitudes)
+            assert np.array_equal(tsv.backward.amplitudes, scenario.selection.backward.amplitudes)
             for obs_name, obs in scenario.observables.items():
-                direct = abl_probabilities(scenario.tsv, obs)
+                direct = abl_probabilities(scenario.selection, obs)
                 via_file = abl_probabilities(tsv, problem.observables[obs_name])
                 assert direct.entries == via_file.entries  # identical floats
                 try:
-                    assert weak_value(scenario.tsv, obs.op) == weak_value(
+                    assert weak_value(scenario.selection, obs.op) == weak_value(
                         tsv, problem.observables[obs_name].op
                     )
                 except Exception:
                     pass
-        elif scenario.gtsv is not None:
-            assert problem.mode == "generalized"
+        elif isinstance(scenario.selection, GeneralizedTwoStateVector):
+            assert isinstance(problem.selection, GeneralizedTwoStateVector)
             for obs_name, obs in scenario.observables.items():
-                direct = abl_probabilities_generalized(scenario.gtsv, obs)
+                direct = abl_probabilities_generalized(scenario.selection, obs)
                 via_file = abl_probabilities_generalized(
-                    problem.generalized, problem.observables[obs_name]
+                    problem.selection, problem.observables[obs_name]
                 )
                 assert direct.entries == via_file.entries
-                assert weak_value_generalized(scenario.gtsv, obs.op) == weak_value_generalized(
-                    problem.generalized, problem.observables[obs_name].op
+                assert weak_value_generalized(scenario.selection, obs.op) == weak_value_generalized(
+                    problem.selection, problem.observables[obs_name].op
                 )
         else:
-            assert problem.mode == "kernel"
-            assert np.array_equal(problem.kernel.matrix, scenario.kernel.matrix)
+            assert isinstance(problem.selection, TwoTimeKernel)
+            assert np.array_equal(problem.selection.matrix, scenario.selection.matrix)
 
     def test_kernel_file_rejected_by_abl(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
@@ -398,5 +422,9 @@ class TestExportRoundTrip:
             {"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}
         ]
         path.write_text(json.dumps(doc))
-        assert main(["abl", "--file", str(path), "--observable", "z"]) == 2
-        assert main(["weak", "--file", str(path), "--observable", "z"]) == 2
+        capsys.readouterr()  # drop export output
+        for verb in ("abl", "weak"):
+            assert main([verb, "--file", str(path), "--observable", "z"]) == 2
+            assert capsys.readouterr().err == (
+                "error: kernel problems have no single selection; use `run correlated-pair`\n"
+            )

@@ -1,0 +1,57 @@
+"""Golden outputs: sha256 of the exported scenario files and of `run` output.
+
+The hashes pin the exact bytes of ``export-scenario`` for each of the five
+scenarios and of ``run <name>`` in table and JSON form. They were captured
+before the problem-file and scenario types were reduced to one ``selection``
+slot, so they show that refactors of those types leave every output byte
+unchanged. The printed residues (Gram deviations, max |z|) depend on
+floating-point rounding, so a different NumPy or LAPACK build may need the
+hashes recaptured.
+"""
+
+import hashlib
+
+import pytest
+
+from tsvlab.cli import main
+
+EXPORTED = {
+    "correlated-pair": "30033ad3f3f93b08b839322411cded60ed2059130f298fe3922b1048bbece317",
+    "mean-king": "b59ed9cfd864e3b0b84a2b647e207f9bdceb8945b2756471103ad9397501fc84",
+    "spin-box": "19af9d91534f686f698af3462d1e390aaf20e63363db4fd3cc3bb5bf6c9234fd",
+    "spin-xz": "2817c1a6a8bdcb1e5b46107019475cc1a86d444d9712d31f22e1595577a1ae7e",
+    "three-box": "3028213e559efe30dfd7259f4fddeccb5df0291f7166e503f50f16587d23c141",
+}
+
+RUN_STDOUT = {
+    ("correlated-pair", "table"): "55d3a000e2406d44952fd3670a2aa2be47ec7d8b35053e847e56cf5270911a98",
+    ("correlated-pair", "json"): "0a1c8cf6d9f2fbdf0da8d069bf13335d8f8e8eaae71848812d867f3556fc1c38",
+    ("mean-king", "table"): "49cb1d73cc40da263ac049e2acad0cf849c0cad16240b59cf0c44847201ecb4f",
+    ("mean-king", "json"): "8cca261449d1ca8f6051d05d697f7f8a96b16b3683c87e31dac8eaa836e0b297",
+    ("spin-box", "table"): "a98dc20dd3ab1dfc88d278d1b4b733bf765504e48beb17e677c011c522e75026",
+    ("spin-box", "json"): "0a4ced60c6a9ac02e0d3a6f51450e5cb9ab3b3bb915030204460ec47b713e8b2",
+    ("spin-xz", "table"): "a29746830025795ca07d87bab4e33cbdf6594df228612143f758419350ea86a4",
+    ("spin-xz", "json"): "3acf60cb4a129fb3c37549db812754abb5f0d2048ec37905cb0cfe190bdb7259",
+    ("three-box", "table"): "bca040231655486b1ed2d7b7a7a526ec3dce52d0e970c34dfff7b455fdb54f45",
+    ("three-box", "json"): "2dae3f4115b0dfc4c75072d4630264a1b16f804c1e4be1bebf0094eab8e22b20",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED))
+def test_exported_file_bytes(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    assert main(["export-scenario", name, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert sha256(path.read_bytes()) == EXPORTED[name]
+
+
+@pytest.mark.parametrize("name,fmt", sorted(RUN_STDOUT))
+def test_run_output_bytes(capsys, name, fmt):
+    assert main(["run", name, "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sha256(captured.out.encode()) == RUN_STDOUT[(name, fmt)]

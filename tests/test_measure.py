@@ -120,6 +120,21 @@ class TestMonteCarloAbl:
         assert many.conditional_frequencies == few.conditional_frequencies
         assert many.standard_errors == few.standard_errors
 
+    def test_sample_cap_checked_before_allocation(self):
+        pre, post = make_ket([1, 1]), make_bra([1, 1])
+        obs = spectral_decompose(Operator(SIGMA_Z))
+        cap = tsvlab.measure.MAX_MC_SAMPLES
+        assert cap >= 1_000_000  # the benchmark probe draws 1e6 trials
+        tracemalloc.start()
+        try:
+            for n_samples in (cap + 1, 10**12):
+                with pytest.raises(ConfigError, match=f"MAX_MC_SAMPLES = {cap}"):
+                    monte_carlo_abl(pre, post, obs, n_samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(5)
         tsv = random_tsv(rng, 4)
@@ -139,7 +154,7 @@ class TestMonteCarloGolden:
     def test_three_box(self, name):
         scenario = get_scenario("three-box")
         report = monte_carlo_abl(
-            scenario.tsv.forward, scenario.tsv.backward, scenario.observables[name],
+            scenario.selection.forward, scenario.selection.backward, scenario.observables[name],
             100_000, seed=424242, workers=1,
         )
         assert report.samples_postselected == 11328
@@ -281,6 +296,37 @@ class TestWeakMeasurePointer:
         cfg = PointerConfig(coupling=0.1, sigma=1.0, half_range=20.0, points=128)
         with pytest.raises(ConfigError):
             weak_measure_pointer(tsv, obs, cfg)
+
+    def test_grid_spacing_over_half_sigma_rejected(self):
+        tsv = boxed_spin_tsv()
+        obs = diagonal_projector(4, 2)
+        # spacing 2 * 10000 / 4095 = 4.9 sigma; the mean shift read -5.96 g, not -g
+        for half_range in (1e4, 1e6):
+            cfg = PointerConfig(coupling=0.001, sigma=1.0, half_range=half_range, points=4096)
+            with pytest.raises(ConfigError, match="spacing"):
+                weak_measure_pointer(tsv, obs, cfg)
+        # exactly sigma / 2 is still accepted
+        cfg = PointerConfig(coupling=0.001, sigma=1.0, half_range=0.25 * 4095, points=4096)
+        result = weak_measure_pointer(tsv, obs, cfg)
+        assert abs(result.mean_shift / 0.001 - (-1.0)) <= 0.01
+
+    @pytest.mark.parametrize("coupling", [1e-320, 1e-14, 0.99e-9])
+    def test_shift_below_quadrature_resolution_rejected(self, coupling):
+        tsv = boxed_spin_tsv()
+        obs = diagonal_projector(4, 2)
+        with pytest.raises(ConfigError, match=r"max\|eigenvalue\| = .* 1e-09 \* sigma = 1e-09"):
+            weak_measure_pointer(tsv, obs, PointerConfig.auto(coupling, 1.0, obs.max_abs_eigenvalue))
+
+    def test_shift_floor_scales_with_sigma_and_spares_zero_spectrum(self):
+        tsv = boxed_spin_tsv()
+        obs = diagonal_projector(4, 2)
+        result = weak_measure_pointer(tsv, obs, PointerConfig.auto(1e-9, 1.0, 1.0))
+        assert np.isfinite(result.mean_shift)
+        with pytest.raises(ConfigError, match="sigma"):
+            weak_measure_pointer(tsv, obs, PointerConfig.auto(1e-9, 2.0, 1.0))
+        zero = spectral_decompose(Operator(np.zeros((4, 4), dtype=complex)))
+        result = weak_measure_pointer(tsv, zero, PointerConfig.auto(1e-320, 1.0, 0.0))
+        assert result.mean_shift == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("field,value", [
         (field, value)

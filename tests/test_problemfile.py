@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvlab import ProblemFileError
+from tsvlab import (
+    Bra,
+    GeneralizedTwoStateVector,
+    Ket,
+    ProblemFileError,
+    TwoStateVector,
+    TwoTimeKernel,
+)
 from tsvlab.problemfile import (
     document_from_parts,
     dumps_document,
@@ -33,15 +40,15 @@ def minimal_doc():
 class TestParsing:
     def test_minimal_selection(self):
         problem = parse_document(minimal_doc())
-        assert problem.mode == "selection"
+        assert isinstance(problem.selection, TwoStateVector)
         assert problem.dims == (2,)
         assert set(problem.observables) == {"z"}
-        np.testing.assert_allclose(problem.pre.amplitudes, [1, 0])
+        np.testing.assert_allclose(problem.selection.forward.amplitudes, [1, 0])
 
     def test_fixture_files_load(self):
         for name in ("random_dim3.json", "impossible_postselection.json"):
             problem = load(FIXTURES / name)
-            assert problem.mode == "selection"
+            assert isinstance(problem.selection, TwoStateVector)
             assert problem.observables
 
     def test_generalized_mode(self):
@@ -62,8 +69,8 @@ class TestParsing:
             "observables": [],
         }
         problem = parse_document(doc)
-        assert problem.mode == "generalized"
-        assert len(problem.generalized.terms) == 2
+        assert isinstance(problem.selection, GeneralizedTwoStateVector)
+        assert len(problem.selection.terms) == 2
 
     def test_kernel_mode(self):
         doc = {
@@ -71,20 +78,18 @@ class TestParsing:
             "kernel": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
         }
         problem = parse_document(doc)
-        assert problem.mode == "kernel"
-        np.testing.assert_allclose(problem.kernel.matrix, np.eye(2))
+        assert isinstance(problem.selection, TwoTimeKernel)
+        np.testing.assert_allclose(problem.selection.matrix, np.eye(2))
 
     def test_selection_per_mode(self):
         pair = parse_document(minimal_doc())
-        assert pair.selection.forward is pair.pre
-        assert pair.selection.backward is pair.post
+        assert isinstance(pair.selection, TwoStateVector)
         doc = minimal_doc()
         doc["generalized"] = [{"alpha": [1.0, 0.0], "pre": doc.pop("pre"), "post": doc.pop("post")}]
         generalized = parse_document(doc)
-        assert generalized.selection is generalized.generalized
+        assert isinstance(generalized.selection, GeneralizedTwoStateVector)
         kernel = parse_document({"dims": [1], "kernel": [[[1.0, 0.0]]]})
-        with pytest.raises(ProblemFileError, match="kernel"):
-            kernel.selection
+        assert isinstance(kernel.selection, TwoTimeKernel)
 
     def test_hamiltonian_parses(self):
         doc = minimal_doc()
@@ -319,14 +324,11 @@ def json_documents(draw):
 
 def parsed_arrays(problem):
     arrays = [np.asarray(problem.dims, dtype=float)]
-    for state in (problem.pre, problem.post):
-        if state is not None:
-            arrays.append(state.amplitudes)
-    if problem.generalized is not None:
-        for alpha, bwd, fwd in problem.generalized.terms:
+    if isinstance(problem.selection, TwoTimeKernel):
+        arrays.append(problem.selection.matrix)
+    else:
+        for alpha, bwd, fwd in problem.selection.terms:
             arrays += [np.array(alpha), bwd.amplitudes, fwd.amplitudes]
-    if problem.kernel is not None:
-        arrays.append(problem.kernel.matrix)
     if problem.hamiltonian is not None:
         for duration, h in problem.hamiltonian.segments:
             arrays += [np.array(duration), h.matrix]
@@ -364,23 +366,23 @@ class TestSerialization:
         h = (h + h.conj().T) / 2
         doc = document_from_parts(
             dims=(3,),
+            selection=TwoStateVector(Ket(pre), Bra(post)),
             observables={"h": h},
-            pre=pre,
-            post=post,
         )
         path = tmp_path / "prob.json"
         save(doc, path)
         problem = load(path)
-        assert np.array_equal(problem.pre.amplitudes, pre)
-        assert np.array_equal(problem.post.amplitudes, post)
+        assert np.array_equal(problem.selection.forward.amplitudes, pre)
+        assert np.array_equal(problem.selection.backward.amplitudes, post)
         assert np.array_equal(problem.observables["h"].op.matrix, h)
 
     def test_dumps_is_valid_json(self):
         doc = document_from_parts(
             dims=(2,),
+            selection=TwoStateVector(
+                Ket(np.array([1.0, 0.0], dtype=complex)), Bra(np.array([0.6, 0.8], dtype=complex))
+            ),
             observables={"z": np.diag([1.0, -1.0]).astype(complex)},
-            pre=np.array([1.0, 0.0], dtype=complex),
-            post=np.array([0.6, 0.8], dtype=complex),
         )
         parsed = json.loads(dumps_document(doc))
         assert parsed["dims"] == [2]

@@ -53,7 +53,7 @@ def test_mean_king_value_table():
 
     # every component is dispersion-free for the reduced selection of outcome 0
     for obs in scenario.observables.values():
-        dist = abl_probabilities_generalized(scenario.gtsv, obs)
+        dist = abl_probabilities_generalized(scenario.selection, obs)
         assert dist.max_entry()[1] >= 1.0 - 1e-10
 
 

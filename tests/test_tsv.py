@@ -23,6 +23,7 @@ from tsvlab import (
     NullEnsembleError,
     Operator,
     OrthogonalSelectionError,
+    RangeError,
     TimeWindowError,
     TwoStateVector,
     TwoTimeKernel,
@@ -191,6 +192,25 @@ class TestAblAtTime:
 
 
 class TestGeneralized:
+    def test_huge_weights_scale_out(self):
+        rng = np.random.default_rng(8)
+        tsv = random_tsv(rng, 3, min_overlap=0.05)
+        obs = random_observable(rng, 3)
+        # |alpha * amplitude|**2 overflows for |alpha| past ~1e154
+        # and abs() itself overflows for 1.7e308 + 1.7e308j
+        for alpha in (1e300j, -1e300 + 1e300j, 1.7e308 + 1.7e308j):
+            g = GeneralizedTwoStateVector(((alpha, tsv.backward, tsv.forward),))
+            np.testing.assert_allclose(
+                abl_probabilities(g, obs).probabilities,
+                abl_probabilities(tsv, obs).probabilities,
+                atol=1e-14,
+            )
+            assert abs(weak_value(g, obs.op) - weak_value(tsv, obs.op)) <= 1e-12
+        # a power-of-two weight scales exactly: the same bits as alpha = 1
+        g = GeneralizedTwoStateVector(((2.0**600, tsv.backward, tsv.forward),))
+        assert abl_probabilities(g, obs) == abl_probabilities(tsv, obs)
+        assert weak_value(g, obs.op) == weak_value(tsv, obs.op)
+
     def test_single_term_embedding(self):
         rng = np.random.default_rng(7)
         tsv = random_tsv(rng, 3)
@@ -275,14 +295,14 @@ class TestGeneralized:
         values = dict(zip(("sigma_x", "sigma_y", "sigma_z"), scenario.details["value_table"][0]))
         for name, value in values.items():
             obs = scenario.observables[name]
-            report = product_rule_report(scenario.gtsv, obs, obs)
+            report = product_rule_report(scenario.selection, obs, obs)
             assert report.all_certain
             assert report.a.value == pytest.approx(value, abs=1e-9)
             assert report.product.value == pytest.approx(1.0, abs=1e-9)
             assert report.product_rule_holds is True
         with pytest.raises(NotMeasurableError):
             product_rule_report(
-                scenario.gtsv, scenario.observables["sigma_x"], scenario.observables["sigma_y"]
+                scenario.selection, scenario.observables["sigma_x"], scenario.observables["sigma_y"]
             )
 
 
@@ -341,6 +361,11 @@ class TestWeakValue:
         tsv = TwoStateVector(make_ket([1, 0]), make_bra([0, 1]))
         with pytest.raises(OrthogonalSelectionError):
             weak_value(tsv, Operator(SIGMA_X))
+
+    def test_overflowing_ratio_rejected(self):
+        tsv = TwoStateVector(make_ket([1, 1e-9]), make_bra([0, 1]))
+        with pytest.raises(RangeError, match="overflows"):
+            weak_value(tsv, Operator(np.full((2, 2), 1e300, dtype=complex)))
 
     def test_linearity(self):
         rng = np.random.default_rng(12)
