@@ -317,9 +317,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv) -> list:
+    """Write ``--time -1e-05`` as ``--time=-1e-05``.
+
+    argparse takes ``-1e-05`` or ``-inf`` after an option for another option
+    (it knows only ``-5`` and ``-0.5`` as negative numbers); the ``=`` form
+    is read as the value on every Python version. ``--`` and ``--help`` are
+    left as they are.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+                and token.startswith("-") and _is_number(token)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (NullEnsembleError, OrthogonalSelectionError) as exc:

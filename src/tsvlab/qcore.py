@@ -8,6 +8,7 @@ unitary time evolution under piecewise-constant Hamiltonian schedules
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     NotHermitianError,
+    RangeError,
     TimeWindowError,
     ZeroStateError,
 )
@@ -26,6 +28,8 @@ NORM_TOL = 1e-12
 FLAG_TOL = 1e-10
 #: default tolerance below which adjacent eigenvalues are merged
 DEGENERACY_TOL = 1e-9
+#: plain state norms in this range are computed without over- or underflow
+_SAFE_NORMS = (2.0**-450, 2.0**450)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -34,11 +38,18 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.flags.writeable = False
 
 
+@np.errstate(over="ignore")  # an overflowing norm takes the rescaled path below
 def _normalized_amplitudes(amplitudes) -> np.ndarray:
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
     if vec.size == 0:
         raise DimensionError("state needs at least one amplitude")
     norm = np.linalg.norm(vec)
+    if not _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1]:
+        # the sum of squares may have over- or underflowed: bring the largest
+        # real or imaginary part into [0.5, 1) first, an exact power-of-two scaling
+        parts = vec.view(np.float64)
+        vec = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(complex)
+        norm = np.linalg.norm(vec)
     if not np.isfinite(norm) or norm == 0.0:
         raise ZeroStateError("state norm must be finite and positive")
     # skip the division for already-normalized input so that round-tripping
@@ -239,9 +250,9 @@ class Observable:
 def spectral_decompose(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> Observable:
     """Decompose a Hermitian operator into merged eigenspaces.
 
-    Adjacent eigenvalues closer than ``degeneracy_tol`` are merged into a
-    single eigenspace; the merged eigenvalue is their mean. The eigenspaces
-    are mutually orthogonal and together span the whole space.
+    Adjacent eigenvalues whose gap is at most ``degeneracy_tol`` are merged
+    into a single eigenspace; the merged eigenvalue is their ``np.mean``.
+    The eigenspaces are mutually orthogonal and together span the whole space.
 
     Raises
     ------
@@ -253,11 +264,18 @@ def spectral_decompose(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> 
     if not op.is_hermitian:
         raise NotHermitianError("spectral decomposition requires a Hermitian operator")
     w, v = op.eigh
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > degeneracy_tol) + 1))
-    bounds = (*starts.tolist(), w.size)
-    eigenvalues = tuple(float(np.mean(w[a:b])) for a, b in zip(bounds[:-1], bounds[1:]))
-    starts.flags.writeable = False
-    return Observable(op=op, eigenvalues=eigenvalues, eigenvectors=v, block_starts=starts)
+    wl = w.tolist()
+    starts = [0] + [i for i in range(1, len(wl)) if wl[i] - wl[i - 1] > degeneracy_tol]
+    bounds = (*starts, len(wl))
+    # the mean of one nonzero level is that level on any numpy; a zero level
+    # still goes to np.mean, which decides the sign of zero
+    eigenvalues = tuple(
+        wl[a] if b - a == 1 and wl[a] else float(np.mean(w[a:b]))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    )
+    block_starts = np.array(starts)
+    block_starts.flags.writeable = False
+    return Observable(op=op, eigenvalues=eigenvalues, eigenvectors=v, block_starts=block_starts)
 
 
 def tensor(a, b):
@@ -346,6 +364,8 @@ class HamiltonianSchedule:
 def _propagate(h: Operator, duration: float, vec: np.ndarray, sign: float) -> np.ndarray:
     # exact for Hermitian generators: exp(-i sign H dt) = V exp(-i sign w dt) V^dagger
     w, v = h.eigh
+    if not math.isfinite(duration * max(-float(w[0]), float(w[-1]))):
+        raise RangeError(f"phase of exp(-i H t) overflows float64 over a segment of duration {duration}")
     return v @ (np.exp(-1j * sign * duration * w) * (v.conj().T @ vec))
 
 

@@ -16,6 +16,7 @@ expected value is one of:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -448,8 +449,12 @@ def scenario_correlated_pair() -> Scenario:
     kernel = TwoTimeKernel(np.eye(2, dtype=complex) / np.sqrt(2.0))
     directions = _random_directions(100, _DIRECTION_SEED)
 
-    def same_outcome_probability(k, direction):
-        obs = spectral_decompose(spin_along(direction))
+    @cache
+    def spins():
+        # decomposed on first use; both checks then share the cached projectors
+        return tuple(spectral_decompose(spin_along(direction)) for direction in directions)
+
+    def same_outcome_probability(k, obs):
         total = 0.0
         for value_a, proj_a in obs.spectrum:
             for value_b, proj_b in obs.spectrum:
@@ -459,15 +464,15 @@ def scenario_correlated_pair() -> Scenario:
 
     def correlation_check():
         worst = 0.0
-        for direction in directions:
-            worst = max(worst, abs(same_outcome_probability(kernel, direction) - 1.0))
+        for obs in spins():
+            worst = max(worst, abs(same_outcome_probability(kernel, obs) - 1.0))
         return "P(same) = 1 in all 100 directions", f"max deviation {worst:.3g}", worst <= 1e-12
 
     def negative_control_check():
         generic = TwoTimeKernel(np.array([[1.0, 0.3], [0.1j, 0.7]], dtype=complex))
         worst = 0.0
-        for direction in directions:
-            worst = max(worst, abs(same_outcome_probability(generic, direction) - 1.0))
+        for obs in spins():
+            worst = max(worst, abs(same_outcome_probability(generic, obs) - 1.0))
         return (
             "some direction violates P(same) = 1",
             f"max deviation {worst:.3g}",

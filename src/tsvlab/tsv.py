@@ -125,7 +125,7 @@ class TwoTimeKernel:
         m = np.asarray(self.matrix, dtype=complex).copy()
         if m.ndim != 2 or 0 in m.shape:
             raise DimensionError("kernel must be a non-empty matrix")
-        if np.linalg.norm(m) == 0.0:
+        if not m.any():
             raise NullEnsembleError("kernel must be nonzero")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

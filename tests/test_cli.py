@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,66 @@ class TestAbl:
             "observables": [{"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}],
         }))
         assert main(["abl", "--file", str(path), "--observable", "z", "--time", "5.0"]) == 2
+
+    def test_state_scale_does_not_matter(self, capsys, tmp_path):
+        # the norm of a 1e300 state overflows a plain sum of squares and that of a
+        # 1e-200 state underflows it; both must read as the unit-scale state
+        outputs = set()
+        for scale in (1.0, 1e300, 1e-200):
+            path = tmp_path / f"scaled-{scale}.json"
+            path.write_text(json.dumps({
+                "dims": [2],
+                "pre": [[scale, 0.0], [scale, 0.0]],
+                "post": [[scale, 0.0], [0.0, scale]],
+                "observables": [{"name": "n", "matrix": [[[0.6, 0.0], [0.8, 0.0]], [[0.8, 0.0], [-0.6, 0.0]]]}],
+            }))
+            base = ["--file", str(path), "--observable", "n"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes = [main(["abl", *base]), main(["abl", *base, "--format", "json"]), main(["weak", *base])]
+            assert codes == [0, 0, 0]
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.add(captured.out)
+        assert len(outputs) == 1
+
+    def test_overflowing_evolution_phase_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge-h.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [0.0, 0.0]],
+            "post": [[1.0, 0.0], [1.0, 0.0]],
+            "hamiltonian": [{"duration": 1e10, "matrix": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e300, 0.0]]]}],
+            "observables": [{"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}],
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["abl", "--file", str(path), "--observable", "z", "--time", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: phase of exp(-i H t) overflows float64") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("time, code", [("-1e-13", 0), ("-1e-05", 2), ("-inf", 2), ("-2.5E+3", 2)])
+    def test_negative_time_as_separate_argument(self, capsys, tmp_path, time, code):
+        # argparse alone reads `-1e-05` as an option string; both spellings must
+        # reach the time-window check and print the same thing
+        path = tmp_path / "evolve.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [0.0, 0.0]],
+            "post": [[0.6, 0.0], [0.8, 0.0]],
+            "hamiltonian": [{"duration": 1.0, "matrix": [[[0.0, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.0, 0.0]]]}],
+            "observables": [{"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}],
+        }))
+        base = ["abl", "--file", str(path), "--observable", "z"]
+        assert main([*base, "--time", time, "--format", "json"]) == code
+        separate = capsys.readouterr()
+        assert main([*base, f"--time={time}", "--format", "json"]) == code
+        assert capsys.readouterr() == separate
+        if code == 0:
+            assert main([*base, "--time", "0", "--format", "json"]) == 0
+            assert capsys.readouterr().out == separate.out
+        else:
+            assert separate.err == f"error: time {float(time)} outside schedule window [0, 1.0]\n"
 
 
 class TestWeak:

@@ -1,8 +1,8 @@
 """Property test: every verb on any small problem document ends in an exit code.
 
 Hypothesis builds pair, generalized and kernel documents of dimension 1-3,
-with or without a Hamiltonian, and runs them through ``abl``, ``abl --time``,
-``weak``, ``verify`` and ``pointer``. ``main`` must return one of the
+with or without a Hamiltonian, and runs them through ``abl``, ``abl --time``
+(spelled ``--time=T`` and ``--time T``), ``weak``, ``verify`` and ``pointer``. ``main`` must return one of the
 documented exit codes 0-4, never raise, and never print ``nan``.
 """
 
@@ -91,14 +91,15 @@ HUGE_WEAK_VALUE = {
 @example(doc=HUGE_WEIGHT, time=0.0, g=0.1)  # |alpha * amplitude|**2 overflows
 @example(doc=HUGE_ABS_WEIGHT, time=0.0, g=0.1)  # abs(alpha) overflows
 @example(doc=HUGE_WEAK_VALUE, time=0.0, g=0.1)  # the weak value is ~1e309
+@example(doc=HUGE_WEAK_VALUE, time=-1e-05, g=0.1)  # argparse alone reads -1e-05 as an option
 def test_every_verb_ends_in_an_exit_code(tmp_path, capsys, doc, time, g):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     base = ["--file", str(path), "--observable", "A"]
     for argv in (
         ["abl", *base],
-        # joined with "=": argparse would read a value such as -1e-05 as an option
         ["abl", *base, f"--time={time!r}"],
+        ["abl", *base, "--time", repr(time)],
         ["weak", *base],
         ["verify", *base, "--samples", "200"],
         ["pointer", *base, "--g", repr(g), "--sigma", "1", "--out", str(tmp_path / "p.csv")],

@@ -18,6 +18,7 @@ from tsvlab import (
     spectral_decompose,
     weak_measure_pointer,
 )
+from tsvlab import scenarios
 from tsvlab.qcore import DEGENERACY_TOL
 
 TOL = 1e-12
@@ -133,3 +134,65 @@ def test_decomposition_allocates_no_dense_projectors():
     assert len(obs.eigenvalues) == dim
     # one dense complex projector per eigenspace would take 256 * 1 MiB
     assert peak < 16 * 2**20
+
+
+def numpy_merge(w, tol=DEGENERACY_TOL):
+    """Block starts by ``np.diff`` and merged eigenvalues by one ``np.mean`` per block."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > tol) + 1))
+    bounds = (*starts.tolist(), w.size)
+    return starts.tolist(), [float(np.mean(w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def merge_cases():
+    """(label, Hermitian matrix, merged eigenspace count or None)."""
+    rng = np.random.default_rng(2024)
+    tol = DEGENERACY_TOL
+    for size in range(1, 41):
+        # one block of `size` levels, adjacent gaps below the tolerance, beside a distant level
+        base = rng.normal() * 10.0 ** rng.integers(-3, 4)
+        block = base + np.cumsum(rng.uniform(0.0, 0.9, size)) * tol
+        levels = np.append(block, base + 7.0)
+        yield f"diagonal-{size}", np.diag(levels), 2
+        z = rng.normal(size=(size + 1, size + 1)) + 1j * rng.normal(size=(size + 1, size + 1))
+        q, _ = np.linalg.qr(z)
+        m = (q * levels) @ q.conj().T
+        yield f"rotated-{size}", (m + m.conj().T) / 2.0, None
+    above, below = np.nextafter(tol, 1.0), np.nextafter(tol, 0.0)
+    for label, levels, blocks in (
+        ("gap-at-tol", [0.0, tol], 1),
+        ("gap-above-tol", [0.0, above], 2),
+        ("gap-below-tol", [0.0, below], 1),
+        ("negative-zero", [-0.0], 1),
+        ("negative-zeros", [-0.0, -0.0, 3.0], 2),
+        ("zero-and-negative-zero", [-tol, -0.0, 0.0, 5.0], 2),
+        ("negative-block-to-zero", [-above, -0.0], 2),
+    ):
+        yield label, np.diag(levels), blocks
+
+
+@pytest.mark.parametrize("label, matrix, blocks", list(merge_cases()))
+def test_merged_eigenvalues_are_numpy_means(label, matrix, blocks):
+    obs = spectral_decompose(Operator(matrix))
+    w = obs.op.eigh[0]
+    starts, means = numpy_merge(w)
+    # hex() tells -0.0 from 0.0 and differs in any last bit
+    assert [v.hex() for v in obs.eigenvalues] == [v.hex() for v in means]
+    assert obs.block_starts.tolist() == starts
+    assert obs.block_starts.dtype.kind == "i" and not obs.block_starts.flags.writeable
+    if blocks is not None:
+        assert len(obs.eigenvalues) == blocks
+
+
+def test_correlated_pair_decomposes_each_direction_once(monkeypatch):
+    calls = []
+    decompose = scenarios.spectral_decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "spectral_decompose", counting)
+    scenario = scenarios.get_scenario("correlated-pair")
+    assert calls == []  # built without decomposing; export needs none
+    assert scenarios.run_scenario(scenario).passed
+    assert len(calls) == 100
