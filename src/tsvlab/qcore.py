@@ -38,6 +38,12 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.flags.writeable = False
 
 
+def _unit_scaled(values: np.ndarray) -> np.ndarray:
+    """Complex ``values`` times the power of two putting the largest real or imaginary part in [0.5, 1)."""
+    parts = values.view(np.float64)
+    return np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
+
+
 @np.errstate(over="ignore")  # an overflowing norm takes the rescaled path below
 def _normalized_amplitudes(amplitudes) -> np.ndarray:
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
@@ -45,10 +51,8 @@ def _normalized_amplitudes(amplitudes) -> np.ndarray:
         raise DimensionError("state needs at least one amplitude")
     norm = np.linalg.norm(vec)
     if not _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1]:
-        # the sum of squares may have over- or underflowed: bring the largest
-        # real or imaginary part into [0.5, 1) first, an exact power-of-two scaling
-        parts = vec.view(np.float64)
-        vec = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(complex)
+        # the sum of squares may have over- or underflowed: rescale it first
+        vec = _unit_scaled(vec)
         norm = np.linalg.norm(vec)
     if not np.isfinite(norm) or norm == 0.0:
         raise ZeroStateError("state norm must be finite and positive")
@@ -203,8 +207,7 @@ class Observable:
     ``eigenvalues`` are sorted ascending with degenerate values merged. The
     i-th merged eigenspace is spanned by the orthonormal columns
     ``eigenvectors[:, block_starts[i]:block_starts[i + 1]]`` (the last block
-    runs to the final column). The dense ``projectors`` are built only when
-    first read. Use :func:`spectral_decompose` to construct one.
+    runs to the final column). Use :func:`spectral_decompose` to construct one.
     """
 
     op: Operator
@@ -218,7 +221,11 @@ class Observable:
 
     @cached_property
     def projectors(self) -> tuple:
-        """Dense eigenspace projectors ``V_n V_n^dagger`` as Operators, ascending."""
+        """Dense eigenspace projectors ``V_n V_n^dagger`` as Operators, ascending.
+
+        Built on first read, for callers that want a projector as an operator
+        (a weak value of ``P_n``, :func:`~tsvlab.tsv.two_time_joint`).
+        """
         v = self.eigenvectors
         bounds = (*self.block_starts.tolist(), v.shape[1])
         out = []
@@ -226,11 +233,6 @@ class Observable:
             proj = v[:, a:b] @ v[:, a:b].conj().T
             out.append(Operator((proj + proj.conj().T) / 2.0))
         return tuple(out)
-
-    @property
-    def spectrum(self) -> tuple:
-        """Pairs (eigenvalue, projector), ascending in eigenvalue."""
-        return tuple(zip(self.eigenvalues, self.projectors))
 
     @property
     def max_abs_eigenvalue(self) -> float:

@@ -31,6 +31,7 @@ from .qcore import (
     Ket,
     Observable,
     Operator,
+    _unit_scaled,
     evolve_backward,
     evolve_forward,
     matrix_element,
@@ -44,8 +45,6 @@ ORTHOGONALITY_THRESHOLD = 1e-10
 CERTAINTY_TOL = 1e-10
 #: squared-amplitude mass below which an ensemble is considered empty
 _NULL_WEIGHT = 1e-24
-#: term weights past this are scaled down by a common power of two on construction
-_MAX_WEIGHT = 2.0**500
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +75,10 @@ class GeneralizedTwoStateVector:
     """Weighted superposition of two-state vectors: sum_i alpha_i <phi_i| |psi_i>.
 
     Arises from pre- and post-selecting a system jointly with an ancilla
-    that is not measured in between; see :func:`gtsv_from_ancilla`. If a
-    weight has a component past ``2**500``, all weights are stored scaled by
-    one power of two, which changes no ABL probability or weak value.
+    that is not measured in between; see :func:`gtsv_from_ancilla`. If the
+    largest real or imaginary part of the weights lies outside [0.5, 2], all
+    are stored scaled by the power of two that puts it into [0.5, 1): exact,
+    so no result changes, and the absolute thresholds see any scale alike.
     """
 
     terms: tuple  # of (alpha: complex, backward: Bra, forward: Ket)
@@ -95,11 +95,11 @@ class GeneralizedTwoStateVector:
         if not any(a != 0.0 for a, _, _ in terms):
             raise NullEnsembleError("all term weights vanish")
         top = max(max(abs(a.real), abs(a.imag)) for a, _, _ in terms)
-        if top > _MAX_WEIGHT:
+        if not 0.5 <= top <= 2.0:
             # ABL probabilities and weak values are ratios, unchanged by a common
-            # factor; a power of two scales exactly and keeps |alpha * amplitude|**2 finite
-            scale = 2.0 ** -math.frexp(top)[1]
-            terms = tuple((a * scale, b, f) for a, b, f in terms)
+            # factor; a power of two scales exactly, and ldexp neither over- nor underflows it
+            e = -math.frexp(top)[1]
+            terms = tuple((complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)), b, f) for a, b, f in terms)
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -179,18 +179,6 @@ class CertaintyReport:
     probability: float
 
 
-def _distribution_from_weights(observable: Observable, weights) -> Distribution:
-    weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= _NULL_WEIGHT:
-        raise NullEnsembleError(
-            "this pre/post-selection is incompatible with measuring this observable at this time"
-        )
-    probs = weights / total
-    probs = probs / probs.sum()
-    return Distribution(tuple(zip(observable.eigenvalues, probs)))
-
-
 def _abl_amplitudes(selection, obs: Observable) -> np.ndarray:
     """``sum_i alpha_i <phi_i|P_n|psi_i>`` for every merged eigenspace n."""
     if selection.dim != obs.dim:
@@ -218,7 +206,14 @@ def abl_probabilities(selection, obs: Observable) -> Distribution:
     NullEnsembleError
         If every amplitude vanishes (the denominator is zero).
     """
-    return _distribution_from_weights(obs, np.abs(_abl_amplitudes(selection, obs)) ** 2)
+    weights = np.abs(_abl_amplitudes(selection, obs)) ** 2
+    total = weights.sum()
+    if total <= _NULL_WEIGHT:
+        raise NullEnsembleError(
+            "this pre/post-selection is incompatible with measuring this observable at this time"
+        )
+    probs = weights / total
+    return Distribution(tuple(zip(obs.eigenvalues, probs / probs.sum())))
 
 
 def abl_at_time(
@@ -400,33 +395,51 @@ def product_rule_report(
     )
 
 
-def _rank_one_state(proj: Operator, space: str) -> None:
-    m = proj.matrix
-    if not proj.is_hermitian:
-        raise ValueError(f"{space} projector must be Hermitian")
-    if abs(np.trace(m) - 1.0) > 1e-9 or np.max(np.abs(m @ m - m)) > 1e-9:
-        raise ValueError(f"{space} projector must be rank-1 idempotent")
+def two_time_distribution(k: TwoTimeKernel, obs_a: Observable, obs_b: Observable) -> np.ndarray:
+    """Joint outcome table of ``obs_a`` on the forward leg (rows of K) and ``obs_b`` on the backward leg.
+
+        Prob(a_m, b_n) = ||V_am^dagger K V_bn||_F^2 / ||K||_F^2
+
+    over the merged eigenspaces (eigenvector blocks ``V_am``, ``V_bn``); the
+    table sums to 1. K is first scaled by the exact power of two that puts
+    its largest real or imaginary part into [0.5, 1), so no sum of squares
+    over- or underflows and ``2**j * K`` gives the same table, bit for bit.
+
+    Raises
+    ------
+    DimensionError
+        If an observable's dimension differs from its kernel leg.
+    """
+    if obs_a.dim != k.dim_forward or obs_b.dim != k.dim_backward:
+        raise DimensionError("observable dims do not match the kernel legs")
+    m = _unit_scaled(k.matrix)
+    weights = np.abs(obs_a.eigenvectors.conj().T @ m @ obs_b.eigenvectors) ** 2
+    table = np.add.reduceat(np.add.reduceat(weights, obs_a.block_starts, axis=0), obs_b.block_starts, axis=1)
+    return table / np.sum(np.abs(m) ** 2)
 
 
 def two_time_joint(k: TwoTimeKernel, proj_a: Operator, proj_b: Operator) -> float:
-    """Joint outcome probability for one measurement on each kernel leg.
+    """Joint probability ``|<a|K|b>|^2 / ||K||_F^2`` of |a><a| on the forward leg and |b><b| on the backward.
 
-    With rank-1 projectors |a><a| on the forward leg and |b><b| on the
-    backward leg,
+    The entry of :func:`two_time_distribution` for the eigenvalue-1
+    eigenspaces of the two projectors.
 
-        Prob(a, b) = |<a|K|b>|^2 / sum_{a', b'} |<a'|K|b'>|^2,
-
-    where the sums run over full orthonormal bases. The denominator is the
-    squared Frobenius norm of K, so the choice of completing bases is
-    immaterial.
+    Raises
+    ------
+    DimensionError
+        If a projector's dimension differs from its kernel leg.
+    ValueError
+        If a projector is not a Hermitian rank-1 idempotent.
     """
-    m = k.matrix
     if proj_a.dim != k.dim_forward or proj_b.dim != k.dim_backward:
         raise DimensionError("projector dims do not match the kernel legs")
-    _rank_one_state(proj_a, "forward")
-    _rank_one_state(proj_b, "backward")
-    total = float(np.sum(np.abs(m) ** 2))
-    if total <= _NULL_WEIGHT:
-        raise NullEnsembleError("kernel has zero weight")
-    joint = float(np.real(np.trace(proj_a.matrix @ m @ proj_b.matrix @ m.conj().T)))
-    return max(joint, 0.0) / total
+    legs = []
+    for proj, leg in ((proj_a, "forward"), (proj_b, "backward")):
+        if not proj.is_hermitian:
+            raise ValueError(f"{leg} projector must be Hermitian")
+        # a rank-1 projector has eigenvalues (0, ..., 0, 1)
+        *zeros, one = proj.eigh[0].tolist()
+        if abs(one - 1.0) > 1e-9 or any(abs(z) > 1e-9 for z in zeros):
+            raise ValueError(f"{leg} projector must be rank-1 idempotent")
+        legs.append(spectral_decompose(proj))
+    return float(two_time_distribution(k, *legs)[-1, -1])

@@ -82,3 +82,28 @@ def dichotomic_case_with_certain_outcome(rng, dim):
 
 def states_match_up_to_phase(a, b, tol=1e-10):
     return abs(abs(np.vdot(a, b)) - 1.0) <= tol
+
+
+def dense_projectors(obs):
+    """Dense projectors onto the merged eigenspaces of ``obs``, ascending.
+
+    Built from a fresh ``np.linalg.eigh`` of the operator matrix, each
+    eigenvector assigned to the merged eigenvalue it lies within 1e-6 of,
+    so that no block bookkeeping of the ``Observable`` is reused.
+    """
+    w, v = np.linalg.eigh(obs.op.matrix)
+    out = []
+    for value in obs.eigenvalues:
+        cols = v[:, np.abs(w - value) <= 1e-6]
+        out.append(cols @ cols.conj().T)
+    return out
+
+
+def dense_two_time_table(k, obs_a, obs_b):
+    """Reference joint table ``trace(P_a K P_b K^dagger) / ||K||_F^2`` of a kernel."""
+    m = k.matrix
+    total = np.sum(np.abs(m) ** 2)
+    return np.array([
+        [np.trace(pa @ m @ pb @ m.conj().T).real / total for pb in dense_projectors(obs_b)]
+        for pa in dense_projectors(obs_a)
+    ])

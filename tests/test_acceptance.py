@@ -263,8 +263,8 @@ def test_criterion_09_two_time_correlation():
         obs = spectral_decompose(spin_along(direction))
         return sum(
             two_time_joint(k, pa, pb)
-            for va, pa in obs.spectrum
-            for vb, pb in obs.spectrum
+            for va, pa in zip(obs.eigenvalues, obs.projectors)
+            for vb, pb in zip(obs.eigenvalues, obs.projectors)
             if abs(va - vb) <= 1e-9
         )
 

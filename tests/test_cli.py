@@ -151,6 +151,27 @@ class TestAbl:
             outputs.add(captured.out)
         assert len(outputs) == 1
 
+    def test_generalized_weight_scale_does_not_matter(self, capsys, tmp_path):
+        # ABL and the weak value are ratios of the weights; unscaled, a weight of
+        # 1e-13 falls under the absolute empty-ensemble and orthogonality thresholds
+        outputs = set()
+        for alpha in (1e-13, 1.0, 1e300):
+            path = tmp_path / f"alpha-{alpha}.json"
+            path.write_text(json.dumps({
+                "dims": [2],
+                "generalized": [{"alpha": [alpha, 0.0], "pre": [[1.0, 0.0], [1.0, 0.0]], "post": [[1.0, 0.0], [0.0, 0.0]]}],
+                "observables": [{"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}],
+            }))
+            base = ["--file", str(path), "--observable", "z"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes = [main(["abl", *base]), main(["weak", *base])]
+            assert codes == [0, 0]
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.add(captured.out)
+        assert outputs == {"-1: 0\n1: 1\n1.0 + 0.0i\n"}
+
     def test_overflowing_evolution_phase_exits_2(self, capsys, tmp_path):
         path = tmp_path / "huge-h.json"
         path.write_text(json.dumps({

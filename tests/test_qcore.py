@@ -163,7 +163,7 @@ class TestSpectralDecompose:
             eye = np.eye(dim)
             total = np.zeros((dim, dim), dtype=complex)
             reconstructed = np.zeros((dim, dim), dtype=complex)
-            for value, proj in obs.spectrum:
+            for value, proj in zip(obs.eigenvalues, obs.projectors):
                 p = proj.matrix
                 assert np.max(np.abs(p @ p - p)) <= 1e-9
                 total += p

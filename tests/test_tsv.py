@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import (
+    dense_two_time_table,
     dichotomic_case_with_certain_outcome,
     random_bra,
     random_hermitian,
@@ -39,6 +42,7 @@ from tsvlab import (
     product_rule_report,
     spectral_decompose,
     tensor,
+    two_time_distribution,
     two_time_joint,
     weak_value,
     weak_value_generalized,
@@ -192,14 +196,16 @@ class TestAblAtTime:
 
 
 class TestGeneralized:
-    def test_huge_weights_scale_out(self):
+    def test_weight_scale_drops_out(self):
         rng = np.random.default_rng(8)
         tsv = random_tsv(rng, 3, min_overlap=0.05)
         obs = random_observable(rng, 3)
-        # |alpha * amplitude|**2 overflows for |alpha| past ~1e154
-        # and abs() itself overflows for 1.7e308 + 1.7e308j
-        for alpha in (1e300j, -1e300 + 1e300j, 1.7e308 + 1.7e308j):
+        # |alpha * amplitude|**2 overflows for |alpha| past ~1e154 and abs()
+        # itself overflows for 1.7e308 + 1.7e308j; unscaled, a 1e-13 weight puts
+        # the results under the absolute empty-ensemble and orthogonality thresholds
+        for alpha in (1e300j, -1e300 + 1e300j, 1.7e308 + 1.7e308j, 1e-13, -1e-300j, 5e-324):
             g = GeneralizedTwoStateVector(((alpha, tsv.backward, tsv.forward),))
+            assert 0.5 <= max(abs(g.terms[0][0].real), abs(g.terms[0][0].imag)) < 1.0
             np.testing.assert_allclose(
                 abl_probabilities(g, obs).probabilities,
                 abl_probabilities(tsv, obs).probabilities,
@@ -207,9 +213,10 @@ class TestGeneralized:
             )
             assert abs(weak_value(g, obs.op) - weak_value(tsv, obs.op)) <= 1e-12
         # a power-of-two weight scales exactly: the same bits as alpha = 1
-        g = GeneralizedTwoStateVector(((2.0**600, tsv.backward, tsv.forward),))
-        assert abl_probabilities(g, obs) == abl_probabilities(tsv, obs)
-        assert weak_value(g, obs.op) == weak_value(tsv, obs.op)
+        for alpha in (2.0**600, 2.0**-600):
+            g = GeneralizedTwoStateVector(((alpha, tsv.backward, tsv.forward),))
+            assert abl_probabilities(g, obs) == abl_probabilities(tsv, obs)
+            assert weak_value(g, obs.op) == weak_value(tsv, obs.op)
 
     def test_single_term_embedding(self):
         rng = np.random.default_rng(7)
@@ -489,8 +496,8 @@ class TestTwoTimeKernel:
             obs = spectral_decompose(Operator(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z))
             same = sum(
                 two_time_joint(k, pa, pb)
-                for (va, pa) in obs.spectrum
-                for (vb, pb) in obs.spectrum
+                for (va, pa) in zip(obs.eigenvalues, obs.projectors)
+                for (vb, pb) in zip(obs.eigenvalues, obs.projectors)
                 if abs(va - vb) <= 1e-9
             )
             assert same == pytest.approx(1.0, abs=1e-12)
@@ -511,8 +518,8 @@ class TestTwoTimeKernel:
             obs = spectral_decompose(Operator(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z))
             same = sum(
                 two_time_joint(k, pa, pb)
-                for (va, pa) in obs.spectrum
-                for (vb, pb) in obs.spectrum
+                for (va, pa) in zip(obs.eigenvalues, obs.projectors)
+                for (vb, pb) in zip(obs.eigenvalues, obs.projectors)
                 if abs(va - vb) <= 1e-9
             )
             deviations.append(abs(same - 1.0))
@@ -526,3 +533,97 @@ class TestTwoTimeKernel:
         k = self.correlated_kernel()
         with pytest.raises(ValueError):
             two_time_joint(k, Operator.identity(2), Operator.identity(2))
+
+    def test_scaled_kernel_neither_overflows_nor_moves(self):
+        # |1e200|**2 overflows float64: the kernel is scaled by a power of two first
+        obs = spectral_decompose(Operator(SIGMA_Z))
+        k = TwoTimeKernel(1e200 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = two_time_distribution(k, obs, obs)
+            joint = [two_time_joint(k, pa, pb) for pa in obs.projectors for pb in obs.projectors]
+        np.testing.assert_allclose(table.ravel(), [0.5, 0.0, 0.0, 0.5], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(joint, [0.5, 0.0, 0.0, 0.5], rtol=0, atol=1e-15)
+        rng = np.random.default_rng(20)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        obs = random_observable(rng, 3)
+        table = two_time_distribution(TwoTimeKernel(m), obs, obs)
+        for power in (-1000, -1, 1, 600):
+            scaled = two_time_distribution(TwoTimeKernel(2.0**power * m), obs, obs)
+            assert scaled.tobytes() == table.tobytes()
+
+
+def random_kernel(rng, dim_forward, dim_backward):
+    return TwoTimeKernel(
+        rng.normal(size=(dim_forward, dim_backward)) + 1j * rng.normal(size=(dim_forward, dim_backward))
+    )
+
+
+def degenerate_observable(rng, levels):
+    """Observable with the given eigenvalues (repeats make degenerate eigenspaces) in a random basis."""
+    dim = len(levels)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return spectral_decompose(Operator(q @ np.diag(levels) @ q.conj().T))
+
+
+class TestTwoTimeDistribution:
+    def assert_matches_dense(self, k, obs_a, obs_b):
+        table = two_time_distribution(k, obs_a, obs_b)
+        assert table.shape == (len(obs_a.eigenvalues), len(obs_b.eigenvalues))
+        np.testing.assert_allclose(table, dense_two_time_table(k, obs_a, obs_b), rtol=0, atol=1e-15)
+        assert abs(table.sum() - 1.0) <= 1e-12
+
+    def test_random_square_kernels(self):
+        rng = np.random.default_rng(21)
+        for dim in range(2, 7):
+            for _ in range(10):
+                k = random_kernel(rng, dim, dim)
+                self.assert_matches_dense(k, random_observable(rng, dim), random_observable(rng, dim))
+
+    def test_degenerate_leg(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            k = random_kernel(rng, 3, 3)
+            obs_a = degenerate_observable(rng, [1.0, 1.0, 2.0])
+            assert len(obs_a.eigenvalues) == 2
+            self.assert_matches_dense(k, obs_a, random_observable(rng, 3))
+            self.assert_matches_dense(k, random_observable(rng, 3), obs_a)
+
+    def test_non_square_kernel(self):
+        rng = np.random.default_rng(23)
+        for dim_a, dim_b in ((2, 3), (4, 2), (5, 3)):
+            k = random_kernel(rng, dim_a, dim_b)
+            obs_b = degenerate_observable(rng, [-1.0] * (dim_b - 1) + [1.0])
+            self.assert_matches_dense(k, random_observable(rng, dim_a), obs_b)
+
+    def test_rank_one_entry_is_two_time_joint(self):
+        rng = np.random.default_rng(24)
+        k = random_kernel(rng, 3, 2)
+        obs_a, obs_b = random_observable(rng, 3), random_observable(rng, 2)
+        table = two_time_distribution(k, obs_a, obs_b)
+        for m, pa in enumerate(obs_a.projectors):
+            for n, pb in enumerate(obs_b.projectors):
+                assert two_time_joint(k, pa, pb) == pytest.approx(table[m, n], abs=1e-15)
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.0, 1.0], [0.0, 0.0]],  # not Hermitian
+        [[0.5, 0.0], [0.0, 0.5]],  # trace 1, not idempotent
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],  # rank 2
+        [[0.0, 0.0], [0.0, 0.0]],  # rank 0
+    ])
+    def test_two_time_joint_rejects_non_rank_one(self, matrix):
+        proj = Operator(np.array(matrix, dtype=complex))
+        k = TwoTimeKernel(np.eye(proj.dim))
+        good = spectral_decompose(Operator(np.diag([1.0] + [0.0] * (proj.dim - 1)))).projectors[1]
+        with pytest.raises(ValueError):
+            two_time_joint(k, proj, good)
+        with pytest.raises(ValueError):
+            two_time_joint(k, good, proj)
+
+    def test_mismatched_leg_dims_rejected(self):
+        rng = np.random.default_rng(25)
+        k = random_kernel(rng, 2, 3)
+        with pytest.raises(DimensionError):
+            two_time_distribution(k, random_observable(rng, 3), random_observable(rng, 3))
+        with pytest.raises(DimensionError):
+            two_time_distribution(k, random_observable(rng, 2), random_observable(rng, 2))
