@@ -172,7 +172,11 @@ def ideal_measure(state: Ket, obs: Observable, rng: np.random.Generator) -> Meas
     projected = obs.project(state)
     probs = _born_weights(projected)
     probs /= probs.sum()
-    index = int(rng.choice(len(probs), p=probs))
+    # the draw rng.choice(len(probs), p=probs) makes: one uniform against the
+    # normalized cumulative sum, so the same index and stream position
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    index = int(cdf.searchsorted(rng.random(), side="right"))
     return MeasurementRecord(
         outcome=obs.eigenvalues[index],
         post_state=Ket(projected[:, index]),

@@ -9,6 +9,7 @@ unitary time evolution under piecewise-constant Hamiltonian schedules
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,6 +29,8 @@ NORM_TOL = 1e-12
 FLAG_TOL = 1e-10
 #: default tolerance below which adjacent eigenvalues are merged
 DEGENERACY_TOL = 1e-9
+#: np.mean of a merged block of n levels with n * max|level| below this cannot overflow
+_MEAN_LIMIT = 2.0**1023
 #: plain state norms in this range are computed without over- or underflow
 _SAFE_NORMS = (2.0**-450, 2.0**450)
 
@@ -152,7 +155,7 @@ class Operator:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(
-            self, "is_hermitian", bool(np.max(np.abs(m - m.conj().T)) <= FLAG_TOL)
+            self, "is_hermitian", bool(np.abs(m - m.conj().T).max() <= FLAG_TOL)
         )
 
     @property
@@ -202,37 +205,78 @@ def matrix_element(bra: Bra, op: Operator, ket: Ket) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator with its spectral decomposition cached.
+    """Hermitian operator whose spectral decomposition is computed on first read.
 
-    ``eigenvalues`` are sorted ascending with degenerate values merged. The
-    i-th merged eigenspace is spanned by the orthonormal columns
+    ``eigenvalues`` are sorted ascending with adjacent values at most
+    ``degeneracy_tol`` apart merged (the merged value is their ``np.mean``).
+    The i-th merged eigenspace is spanned by the orthonormal columns
     ``eigenvectors[:, block_starts[i]:block_starts[i + 1]]`` (the last block
-    runs to the final column). Use :func:`spectral_decompose` to construct one.
+    runs to the final column). The three are computed together, from the
+    operator's cached ``eigh``, the first time any of them is read, so a
+    caller that needs only ``op`` (a weak value) never decomposes.
+
+    Raises
+    ------
+    NotHermitianError
+        At construction, if the operator fails the Hermitian check.
+    RangeError
+        When the spectrum is first read, if an eigenvalue overflows float64.
     """
 
     op: Operator
-    eigenvalues: tuple
-    eigenvectors: np.ndarray
-    block_starts: np.ndarray
+    degeneracy_tol: float = DEGENERACY_TOL
+
+    def __post_init__(self):
+        if not self.op.is_hermitian:
+            raise NotHermitianError("spectral decomposition requires a Hermitian operator")
+
+    @cached_property
+    def _spectrum(self) -> tuple:
+        w, v = self.op.eigh
+        wl = w.tolist()
+        tol = self.degeneracy_tol
+        starts = [0] + [i for i in range(1, len(wl)) if wl[i] - wl[i - 1] > tol]
+        bounds = (*starts, len(wl))
+        # the mean of one nonzero level is that level on any numpy; a zero level
+        # still goes to np.mean, which decides the sign of zero. A block whose
+        # sum could pass float64 is not summed: it reads as inf, rejected below
+        eigenvalues = tuple(
+            wl[a] if b - a == 1 and wl[a]
+            else float(np.mean(w[a:b])) if max(-wl[a], wl[b - 1]) * (b - a) < _MEAN_LIMIT
+            else math.inf
+            for a, b in zip(bounds[:-1], bounds[1:])
+        )
+        if not all(map(math.isfinite, eigenvalues)):
+            raise RangeError("eigenvalues of this observable overflow float64")
+        block_starts = np.array(starts)
+        block_starts.flags.writeable = False
+        return eigenvalues, v, block_starts
+
+    @property
+    def eigenvalues(self) -> tuple:
+        return self._spectrum[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._spectrum[1]
+
+    @property
+    def block_starts(self) -> np.ndarray:
+        return self._spectrum[2]
 
     @property
     def dim(self) -> int:
         return self.op.dim
 
     @cached_property
-    def projectors(self) -> tuple:
+    def projectors(self) -> "_Projectors":
         """Dense eigenspace projectors ``V_n V_n^dagger`` as Operators, ascending.
 
-        Built on first read, for callers that want a projector as an operator
-        (a weak value of ``P_n``, :func:`~tsvlab.tsv.two_time_joint`).
+        A read-only sequence whose n-th projector is built when first indexed,
+        for callers that want a projector as an operator (a weak value of
+        ``P_n``, :func:`~tsvlab.tsv.two_time_joint`).
         """
-        v = self.eigenvectors
-        bounds = (*self.block_starts.tolist(), v.shape[1])
-        out = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            proj = v[:, a:b] @ v[:, a:b].conj().T
-            out.append(Operator((proj + proj.conj().T) / 2.0))
-        return tuple(out)
+        return _Projectors(self)
 
     @property
     def max_abs_eigenvalue(self) -> float:
@@ -249,12 +293,37 @@ class Observable:
         return np.add.reduceat(v * (v.conj().T @ ket.amplitudes), self.block_starts, axis=1)
 
 
+class _Projectors(Sequence):
+    """``Observable.projectors``: each eigenspace projector is built, then kept, on first access."""
+
+    def __init__(self, obs: Observable):
+        self._obs = obs
+        self._built = {}
+
+    def __len__(self) -> int:
+        return len(self._obs.eigenvalues)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(self[i] for i in range(len(self))[n])
+        n = range(len(self))[n]  # a negative index counts from the end; past the end raises IndexError
+        if n not in self._built:
+            v = self._obs.eigenvectors
+            bounds = (*self._obs.block_starts.tolist(), v.shape[1])
+            block = v[:, bounds[n]:bounds[n + 1]]
+            proj = block @ block.conj().T
+            self._built[n] = Operator((proj + proj.conj().T) / 2.0)
+        return self._built[n]
+
+
 def spectral_decompose(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> Observable:
-    """Decompose a Hermitian operator into merged eigenspaces.
+    """The :class:`Observable` of a Hermitian operator (an ndarray is wrapped first).
 
     Adjacent eigenvalues whose gap is at most ``degeneracy_tol`` are merged
     into a single eigenspace; the merged eigenvalue is their ``np.mean``.
-    The eigenspaces are mutually orthogonal and together span the whole space.
+    The eigenspaces are mutually orthogonal and together span the whole
+    space. Only the Hermitian check runs here; the decomposition itself runs
+    when the spectrum is first read.
 
     Raises
     ------
@@ -263,21 +332,7 @@ def spectral_decompose(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> 
     """
     if isinstance(op, np.ndarray):
         op = Operator(op)
-    if not op.is_hermitian:
-        raise NotHermitianError("spectral decomposition requires a Hermitian operator")
-    w, v = op.eigh
-    wl = w.tolist()
-    starts = [0] + [i for i in range(1, len(wl)) if wl[i] - wl[i - 1] > degeneracy_tol]
-    bounds = (*starts, len(wl))
-    # the mean of one nonzero level is that level on any numpy; a zero level
-    # still goes to np.mean, which decides the sign of zero
-    eigenvalues = tuple(
-        wl[a] if b - a == 1 and wl[a] else float(np.mean(w[a:b]))
-        for a, b in zip(bounds[:-1], bounds[1:])
-    )
-    block_starts = np.array(starts)
-    block_starts.flags.writeable = False
-    return Observable(op=op, eigenvalues=eigenvalues, eigenvectors=v, block_starts=block_starts)
+    return Observable(op, degeneracy_tol)
 
 
 def tensor(a, b):

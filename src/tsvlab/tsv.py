@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +130,12 @@ class TwoTimeKernel:
             raise NullEnsembleError("kernel must be nonzero")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        """``(K~, ||K~||_F^2)`` for ``K~`` the matrix times the power of two putting its largest real or imaginary part in [0.5, 1)."""
+        m = _unit_scaled(self.matrix)
+        return m, np.sum(np.abs(m) ** 2)
 
     @property
     def dim_forward(self) -> int:
@@ -412,17 +419,37 @@ def two_time_distribution(k: TwoTimeKernel, obs_a: Observable, obs_b: Observable
     """
     if obs_a.dim != k.dim_forward or obs_b.dim != k.dim_backward:
         raise DimensionError("observable dims do not match the kernel legs")
-    m = _unit_scaled(k.matrix)
+    m, norm2 = k._scaled
     weights = np.abs(obs_a.eigenvectors.conj().T @ m @ obs_b.eigenvectors) ** 2
     table = np.add.reduceat(np.add.reduceat(weights, obs_a.block_starts, axis=0), obs_b.block_starts, axis=1)
-    return table / np.sum(np.abs(m) ** 2)
+    return table / norm2
+
+
+def _rank_one_vector(proj: Operator, leg: str) -> np.ndarray:
+    """Unit vector ``v`` with ``proj == v v^dagger``, read from the largest diagonal column."""
+    if not proj.is_hermitian:
+        raise ValueError(f"{leg} projector must be Hermitian")
+    p = proj.matrix
+    diagonal = p.diagonal().real
+    j = int(diagonal.argmax())
+    if not diagonal[j] > 0.0:
+        raise ValueError(f"{leg} projector must be rank-1 idempotent")
+    # column j of v v^dagger is v conj(v_j), and its diagonal entry is |v_j|^2
+    v = p[:, j] / math.sqrt(diagonal[j])
+    if (abs(np.vdot(v, v).real - 1.0) > 1e-9
+            or np.abs(p - np.outer(v, v.conj())).max() > 1e-9):
+        raise ValueError(f"{leg} projector must be rank-1 idempotent")
+    return v
 
 
 def two_time_joint(k: TwoTimeKernel, proj_a: Operator, proj_b: Operator) -> float:
     """Joint probability ``|<a|K|b>|^2 / ||K||_F^2`` of |a><a| on the forward leg and |b><b| on the backward.
 
     The entry of :func:`two_time_distribution` for the eigenvalue-1
-    eigenspaces of the two projectors.
+    eigenspaces of the two projectors. Each unit vector is read from its
+    projector's largest diagonal column, ``P[:, j] / sqrt(P[j, j])``; the
+    projector passes if that vector has unit norm and reproduces it, both
+    within 1e-9. K is scaled as in :func:`two_time_distribution`.
 
     Raises
     ------
@@ -433,13 +460,7 @@ def two_time_joint(k: TwoTimeKernel, proj_a: Operator, proj_b: Operator) -> floa
     """
     if proj_a.dim != k.dim_forward or proj_b.dim != k.dim_backward:
         raise DimensionError("projector dims do not match the kernel legs")
-    legs = []
-    for proj, leg in ((proj_a, "forward"), (proj_b, "backward")):
-        if not proj.is_hermitian:
-            raise ValueError(f"{leg} projector must be Hermitian")
-        # a rank-1 projector has eigenvalues (0, ..., 0, 1)
-        *zeros, one = proj.eigh[0].tolist()
-        if abs(one - 1.0) > 1e-9 or any(abs(z) > 1e-9 for z in zeros):
-            raise ValueError(f"{leg} projector must be rank-1 idempotent")
-        legs.append(spectral_decompose(proj))
-    return float(two_time_distribution(k, *legs)[-1, -1])
+    a = _rank_one_vector(proj_a, "forward")
+    b = _rank_one_vector(proj_b, "backward")
+    m, norm2 = k._scaled
+    return float(abs(np.vdot(a, m @ b)) ** 2 / norm2)

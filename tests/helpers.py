@@ -5,6 +5,19 @@ import numpy as np
 from tsvlab import Bra, Ket, Operator, TwoStateVector, spectral_decompose
 
 
+def count_eigh(monkeypatch) -> list:
+    """Route ``np.linalg.eigh`` through a counter; the returned list gains one entry per call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 def random_ket(rng, dim):
     return Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 

@@ -459,6 +459,33 @@ class TestPointer:
         assert code == 2
 
 
+class TestOverflowingSpectrum:
+    """A finite Hermitian observable whose eigenvalues, +-2.4e308, lie past float64."""
+
+    @pytest.mark.parametrize("verb", [
+        ["abl"],
+        ["abl", "--format", "json"],
+        ["verify", "--samples", "1000"],
+        ["pointer", "--g", "1", "--sigma", "1"],
+    ])
+    def test_exits_2_without_inf(self, capsys, tmp_path, verb):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [0.0, 0.0]],
+            "post": [[1.0, 0.0], [1.0, 0.0]],
+            "observables": [{"name": "huge", "matrix": [[[1.7e308, 0.0], [1.7e308, 0.0]],
+                                                         [[1.7e308, 0.0], [-1.7e308, 0.0]]]}],
+        }))
+        csv_path = tmp_path / "pointer.csv"
+        out = ["--out", str(csv_path)] if verb[0] == "pointer" else []
+        assert main([*verb, "--file", str(path), "--observable", "huge", *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eigenvalues of this observable overflow float64\n"
+        assert "inf" not in captured.out.lower()
+        assert not csv_path.exists()
+
+
 class TestExportRoundTrip:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_bit_exact_round_trip(self, tmp_path, name):

@@ -44,6 +44,32 @@ class TestIdealMeasure:
         assert record.probability == pytest.approx(1.0)
         np.testing.assert_allclose(record.post_state.amplitudes, [1, 0], atol=1e-12)
 
+    def test_draw_matches_generator_choice(self):
+        # the outcome is the index rng.choice(n, p=probs) draws on the same
+        # stream, and the stream is left where choice leaves it
+        rng = np.random.default_rng(3)
+        zero_outcomes = 0
+        for dim in range(2, 9):
+            observables = (random_observable(rng, dim), spectral_decompose(Operator(np.diag(np.arange(dim)))))
+            for case in range(1500):
+                obs = observables[case % 2]
+                amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                if case % 4 == 1:
+                    # basis amplitudes switched off: outcomes of probability 0
+                    amps[rng.permutation(dim)[: int(rng.integers(1, dim))]] = 0.0
+                state = make_ket(amps)
+                probs = tsvlab.measure._born_weights(obs.project(state))
+                probs /= probs.sum()
+                zero_outcomes += int((probs == 0.0).sum())
+                seed = int(rng.integers(2**63))
+                mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                record = ideal_measure(state, obs, mine)
+                index = int(theirs.choice(len(probs), p=probs))
+                assert record.outcome == obs.eigenvalues[index]
+                assert probs[index] > 0.0
+                assert mine.random() == theirs.random()
+        assert zero_outcomes > 1000
+
     def test_symmetric_superposition_statistics(self):
         rng = np.random.default_rng(1)
         obs = spectral_decompose(Operator(SIGMA_Z))

@@ -18,7 +18,7 @@ from tsvlab import (
     spectral_decompose,
     weak_measure_pointer,
 )
-from tsvlab import scenarios
+from tsvlab import qcore, scenarios
 from tsvlab.qcore import DEGENERACY_TOL
 
 TOL = 1e-12
@@ -75,6 +75,25 @@ def test_lazy_projectors_are_a_resolution_of_identity(case):
     assert np.max(np.abs(sum(projectors) - np.eye(dim))) <= 1e-9
     reconstructed = sum(value * p for value, p in zip(obs.eigenvalues, projectors))
     assert np.max(np.abs(reconstructed - obs.op.matrix)) <= 1e-9
+
+
+def test_projectors_are_built_when_indexed(case, monkeypatch):
+    _, obs, expected_blocks, _, _ = case
+    built = []
+
+    class Counted(Operator):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(qcore, "Operator", Counted)
+    last = obs.projectors[-1]
+    assert built == [last] and obs.projectors[expected_blocks - 1] is last
+    assert len(obs.projectors) == expected_blocks
+    assert obs.projectors[:] == tuple(obs.projectors) and len(built) == expected_blocks
+    assert obs.projectors[::-1][0] is last and len(built) == expected_blocks
+    with pytest.raises(IndexError):
+        obs.projectors[expected_blocks]
 
 
 def test_block_formulas_match_dense_projectors(case):

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm  # independent matrix-exponential oracle
 
-from helpers import random_hermitian, random_ket, states_match_up_to_phase
+from helpers import count_eigh, random_hermitian, random_ket, states_match_up_to_phase
 from tsvlab import (
     SIGMA_X,
     SIGMA_Y,
@@ -14,7 +16,9 @@ from tsvlab import (
     HamiltonianSchedule,
     Ket,
     NotHermitianError,
+    Observable,
     Operator,
+    RangeError,
     TimeWindowError,
     ZeroStateError,
     evolve_backward,
@@ -25,6 +29,7 @@ from tsvlab import (
     spectral_decompose,
     tensor,
 )
+from tsvlab.cli import main
 
 
 class TestMakeKet:
@@ -173,6 +178,102 @@ class TestSpectralDecompose:
                     assert np.max(np.abs(pi.matrix @ pj.matrix)) <= 1e-9
             assert np.max(np.abs(total - eye)) <= 1e-9
             assert np.max(np.abs(reconstructed - obs.op.matrix)) <= 1e-9
+
+
+class TestLazySpectrum:
+    def test_construction_does_not_decompose(self, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        obs = spectral_decompose(random_hermitian(np.random.default_rng(30), 4))
+        assert obs.degeneracy_tol == 1e-9
+        assert Observable(obs.op).dim == 4
+        assert calls == []
+
+    def test_spectrum_computed_once(self, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        obs = spectral_decompose(random_hermitian(np.random.default_rng(31), 5))
+        first = (obs.eigenvalues, obs.eigenvectors, obs.block_starts)
+        second = (obs.eigenvalues, obs.eigenvectors, obs.block_starts)
+        assert all(a is b for a, b in zip(first, second))
+        assert len(calls) == 1
+
+    def test_each_field_alone_triggers_the_one_decomposition(self, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        for field in ("eigenvalues", "eigenvectors", "block_starts"):
+            obs = spectral_decompose(Operator(np.diag([2.0, 2.0, -1.0])))
+            getattr(obs, field)
+            assert obs.eigenvalues == (-1.0, 2.0) and obs.block_starts.tolist() == [0, 1]
+        assert len(calls) == 3
+
+    def test_non_hermitian_rejected_at_construction(self, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        m = Operator(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(NotHermitianError):
+            Observable(m)
+        with pytest.raises(NotHermitianError):
+            spectral_decompose(m.matrix)
+        assert calls == []
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.7e308, 1.7e308], [1.7e308, -1.7e308]],  # eigenvalues +-2.4e308
+        [[1.7e308, 0.0], [0.0, 1.7e308]],  # finite levels, but their merged mean overflows
+    ])
+    def test_overflowing_eigenvalues_raise_on_read(self, matrix):
+        obs = spectral_decompose(Operator(np.array(matrix)))
+        for _ in range(2):
+            with pytest.raises(RangeError, match="overflow float64"):
+                obs.eigenvalues
+        with pytest.raises(RangeError):
+            obs.eigenvectors
+
+
+def two_observable_file(path):
+    """Pre/post problem with two observables and two Hamiltonian segments."""
+    z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    x = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    path.write_text(json.dumps({
+        "dims": [2],
+        "pre": [[0.6, 0.0], [0.8, 0.0]],
+        "post": [[1.0, 0.0], [0.0, 0.5]],
+        "hamiltonian": [{"duration": 1.0, "matrix": x}, {"duration": 0.5, "matrix": z}],
+        "observables": [{"name": "z", "matrix": z}, {"name": "x", "matrix": x}],
+    }))
+    return str(path)
+
+
+class TestCliDecomposesOnlyWhatItReads:
+    def test_weak_never_decomposes(self, monkeypatch, tmp_path, capsys):
+        path = two_observable_file(tmp_path / "two.json")
+        calls = count_eigh(monkeypatch)
+        for name in ("z", "x"):
+            assert main(["weak", "--file", path, "--observable", name]) == 0
+        assert calls == []
+
+    def test_abl_decomposes_the_named_observable(self, monkeypatch, tmp_path, capsys):
+        path = two_observable_file(tmp_path / "two.json")
+        calls = count_eigh(monkeypatch)
+        assert main(["abl", "--file", path, "--observable", "x"]) == 0
+        assert len(calls) == 1
+        # --time 0.5 splits the first segment: its Operator serves both halves
+        assert main(["abl", "--file", path, "--observable", "x", "--time", "0.5"]) == 0
+        assert len(calls) == 1 + (1 + 2)
+
+    def test_non_hermitian_observable_exits_2_at_load(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [0.0, 0.0]],
+            "post": [[1.0, 0.0], [0.0, 0.0]],
+            "observables": [
+                {"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]},
+                {"name": "bad", "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            ],
+        }))
+        calls = count_eigh(monkeypatch)
+        # rejected while parsing, before the verb looks at which observable it names
+        assert main(["weak", "--file", str(path), "--observable", "z"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: observable 'bad': spectral decomposition requires a Hermitian operator\n"
+        assert calls == []
 
 
 class TestEvolution:

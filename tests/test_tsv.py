@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    count_eigh,
     dense_two_time_table,
     dichotomic_case_with_certain_outcome,
     random_bra,
@@ -610,6 +611,7 @@ class TestTwoTimeDistribution:
         [[0.5, 0.0], [0.0, 0.5]],  # trace 1, not idempotent
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],  # rank 2
         [[0.0, 0.0], [0.0, 0.0]],  # rank 0
+        [[0.5, 0.0], [0.0, 0.0]],  # rank 1 but half a projector: its column read has norm^2 0.5
     ])
     def test_two_time_joint_rejects_non_rank_one(self, matrix):
         proj = Operator(np.array(matrix, dtype=complex))
@@ -619,6 +621,43 @@ class TestTwoTimeDistribution:
             two_time_joint(k, proj, good)
         with pytest.raises(ValueError):
             two_time_joint(k, good, proj)
+
+    def test_two_time_joint_never_decomposes(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        k = random_kernel(rng, 4, 3)
+        pa, pb = random_observable(rng, 4).projectors[1], random_observable(rng, 3).projectors[2]
+        calls = count_eigh(monkeypatch)
+        two_time_joint(k, pa, pb)
+        assert calls == []
+
+    def test_complex_phase_rank_one_projectors(self):
+        # v v^dagger for any phase of v is the same projector: its column read
+        # gives v up to a phase, which the modulus drops
+        rng = np.random.default_rng(27)
+        for dim in range(2, 9):
+            k = random_kernel(rng, dim, dim)
+            obs_a, obs_b = random_observable(rng, dim), random_observable(rng, dim)
+            table = two_time_distribution(k, obs_a, obs_b)
+            for _ in range(3):
+                m, n = rng.integers(dim, size=2)
+                a = obs_a.eigenvectors[:, m] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                b = obs_b.eigenvectors[:, n] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                joint = two_time_joint(k, Operator(np.outer(a, a.conj())), Operator(np.outer(b, b.conj())))
+                assert abs(joint - table[m, n]) <= 1e-15
+
+    @pytest.mark.parametrize("size, accepted", [(1e-12, True), (1e-6, False)])
+    def test_perturbed_projector(self, size, accepted):
+        rng = np.random.default_rng(28)
+        k = random_kernel(rng, 5, 5)
+        good = random_observable(rng, 5).projectors[2]
+        noise = random_hermitian(rng, 5).matrix
+        perturbed = Operator(good.matrix + size * noise / np.abs(noise).max())
+        for legs in ((perturbed, good), (good, perturbed)):
+            if accepted:
+                assert two_time_joint(k, *legs) == pytest.approx(two_time_joint(k, good, good), abs=1e-10)
+            else:
+                with pytest.raises(ValueError, match="rank-1 idempotent"):
+                    two_time_joint(k, *legs)
 
     def test_mismatched_leg_dims_rejected(self):
         rng = np.random.default_rng(25)
