@@ -17,6 +17,7 @@ from .errors import ConfigError, DimensionError, NullEnsembleError
 from .qcore import Bra, Ket, Observable
 from .tsv import (
     CERTAINTY_TOL,
+    _NULL_WEIGHT,
     Distribution,
     TwoStateVector,
     _abl_amplitudes,
@@ -50,13 +51,19 @@ class MonteCarloReport:
     workers: int
 
 
+#: smallest pointer grid
+MIN_POINTER_POINTS = 4096
 #: largest pointer grid: 2**22 points is 32 MB per float64 array
 MAX_POINTER_POINTS = 2**22
+#: the automatic pointer grid spacing is at most sigma over this
+POINTS_PER_SIGMA = 32
 #: most Monte Carlo trials per run; each worker block is drawn in one call
 MAX_MC_SAMPLES = 10**7
 #: smallest resolvable shift: coupling * max|eigenvalue| below this times
 #: sigma drowns in the quadrature residue (about 6e-17 sigma)
 MIN_SHIFT_OVER_SIGMA = 1e-9
+#: a Monte Carlo frequency agrees with its probability within this many standard errors
+Z_LIMIT = 5.0
 
 
 def _require_positive_finite(**values: float) -> None:
@@ -83,10 +90,11 @@ class PointerConfig:
     these are checked on construction, before any array is allocated. The
     grid must also satisfy
     ``half_range >= 10 * (sigma + coupling * max|eigenvalue|)``,
-    ``points >= 4096`` and a spacing ``2 half_range / (points - 1)`` of at
-    most ``sigma / 2``, and the largest shift ``coupling * max|eigenvalue|``
-    must not be below ``MIN_SHIFT_OVER_SIGMA * sigma`` unless it is 0; these
-    are checked against the observable actually being measured.
+    ``points >= MIN_POINTER_POINTS`` and a spacing
+    ``2 half_range / (points - 1)`` of at most ``sigma / 2``, and the largest
+    shift ``coupling * max|eigenvalue|`` must not be below
+    ``MIN_SHIFT_OVER_SIGMA * sigma`` unless it is 0; these are checked
+    against the observable actually being measured.
     """
 
     coupling: float
@@ -106,25 +114,20 @@ class PointerConfig:
         _require_grid_within_cap(self.points)
 
     @classmethod
-    def auto(
-        cls,
-        coupling: float,
-        sigma: float,
-        max_abs_eigenvalue: float,
-        points_per_sigma: int = 32,
-    ) -> "PointerConfig":
+    def auto(cls, coupling: float, sigma: float, max_abs_eigenvalue: float) -> "PointerConfig":
         """Grid sized for the given coupling, spread, and spectral radius.
 
         The point count is chosen so the grid spacing is at most
-        ``sigma / points_per_sigma`` (never below the 4096 floor), which
-        keeps trapezoid quadrature error far below the model error.
+        ``sigma / POINTS_PER_SIGMA`` (never below ``MIN_POINTER_POINTS``
+        points), which keeps trapezoid quadrature error far below the model
+        error.
         """
         _require_positive_finite(coupling=coupling, sigma=sigma)
         half_range = 10.0 * (sigma + coupling * max_abs_eigenvalue)
-        points = np.ceil(2.0 * half_range * points_per_sigma / sigma) + 1
+        points = np.ceil(2.0 * half_range * POINTS_PER_SIGMA / sigma) + 1
         # checked as a float: an overflowing grid is inf, which int() cannot take
         _require_grid_within_cap(points)
-        points = max(4096, int(points))
+        points = max(MIN_POINTER_POINTS, int(points))
         return cls(coupling=coupling, sigma=sigma, half_range=half_range, points=points)
 
     def validate_for(self, obs: Observable) -> None:
@@ -133,8 +136,8 @@ class PointerConfig:
             raise ConfigError(
                 f"half_range {self.half_range} < required {required} for this observable"
             )
-        if self.points < 4096:
-            raise ConfigError(f"grid needs at least 4096 points, got {self.points}")
+        if self.points < MIN_POINTER_POINTS:
+            raise ConfigError(f"grid needs at least {MIN_POINTER_POINTS} points, got {self.points}")
         # trapezoid aliasing of the Gaussian density is ~exp(-2 pi^2 sigma^2 / h^2)
         spacing = 2.0 * self.half_range / (self.points - 1)
         if spacing > self.sigma / 2.0:
@@ -243,6 +246,8 @@ def monte_carlo_abl(
         raise ConfigError(f"samples {n_samples} exceeds MAX_MC_SAMPLES = {MAX_MC_SAMPLES}")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     n_outcomes = len(obs.eigenvalues)
     outcome_probs, p_post = _sequential_born(pre, post, obs)
@@ -301,7 +306,7 @@ def exact_conditional_oracle(pre: Ket, post: Bra, obs: Observable) -> Distributi
     p_outcome, p_post = _sequential_born(pre, post, obs)
     weights = p_outcome * p_post
     total = weights.sum()
-    if total <= 1e-24:
+    if total <= _NULL_WEIGHT:
         raise NullEnsembleError("post-selection is unreachable from every intermediate outcome")
     probs = weights / total
     probs = probs / probs.sum()
@@ -338,7 +343,7 @@ def weak_measure_pointer(
     wavefunction = amplitudes @ packets
     raw_density = np.abs(wavefunction) ** 2
     rate = float(np.trapezoid(raw_density, q))
-    if rate <= 1e-24:
+    if rate <= _NULL_WEIGHT:
         raise NullEnsembleError("post-selection annihilates the pointer wavefunction")
     density = raw_density / rate
     mean_shift = float(np.trapezoid(q * density, q))
@@ -387,11 +392,7 @@ class ConsistencyReport:
     passed: bool
 
 
-def strong_weak_consistency(
-    tsv: TwoStateVector,
-    obs: Observable,
-    tol: float = CERTAINTY_TOL,
-) -> ConsistencyReport:
+def strong_weak_consistency(tsv: TwoStateVector, obs: Observable) -> ConsistencyReport:
     """Check the two bridges between strong and weak measurements.
 
     If the strong outcome is certain, the weak value must equal it; and for
@@ -400,19 +401,19 @@ def strong_weak_consistency(
     certainty. Implications whose premise does not apply are reported as
     None and count as passing.
     """
-    report = element_of_reality(tsv, obs, tol=tol)
+    report = element_of_reality(tsv, obs)
     wv = weak_value(tsv, obs.op)
     strong_implies_weak = None
     if report.certain:
-        strong_implies_weak = bool(abs(wv - report.value) <= tol)
+        strong_implies_weak = bool(abs(wv - report.value) <= CERTAINTY_TOL)
     dichotomic = len(obs.eigenvalues) == 2
     weak_implies_strong = None
     if dichotomic:
-        matched = [e for e in obs.eigenvalues if abs(wv - e) <= tol]
+        matched = [e for e in obs.eigenvalues if abs(wv - e) <= CERTAINTY_TOL]
         if matched:
             dist = abl_probabilities(tsv, obs)
             prob = dict(dist.entries)[matched[0]]
-            weak_implies_strong = bool(prob >= 1.0 - tol)
+            weak_implies_strong = bool(prob >= 1.0 - CERTAINTY_TOL)
     passed = all(flag is not False for flag in (strong_implies_weak, weak_implies_strong))
     return ConsistencyReport(
         certain=report.certain,

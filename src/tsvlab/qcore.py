@@ -27,7 +27,7 @@ from .errors import (
 NORM_TOL = 1e-12
 #: tolerance for the hermitian / unitary operator checks
 FLAG_TOL = 1e-10
-#: default tolerance below which adjacent eigenvalues are merged
+#: adjacent eigenvalues at most this far apart are merged
 DEGENERACY_TOL = 1e-9
 #: np.mean of a merged block of n levels with n * max|level| below this cannot overflow
 _MEAN_LIMIT = 2.0**1023
@@ -208,7 +208,7 @@ class Observable:
     """Hermitian operator whose spectral decomposition is computed on first read.
 
     ``eigenvalues`` are sorted ascending with adjacent values at most
-    ``degeneracy_tol`` apart merged (the merged value is their ``np.mean``).
+    ``DEGENERACY_TOL`` apart merged (the merged value is their ``np.mean``).
     The i-th merged eigenspace is spanned by the orthonormal columns
     ``eigenvectors[:, block_starts[i]:block_starts[i + 1]]`` (the last block
     runs to the final column). The three are computed together, from the
@@ -224,7 +224,6 @@ class Observable:
     """
 
     op: Operator
-    degeneracy_tol: float = DEGENERACY_TOL
 
     def __post_init__(self):
         if not self.op.is_hermitian:
@@ -234,8 +233,7 @@ class Observable:
     def _spectrum(self) -> tuple:
         w, v = self.op.eigh
         wl = w.tolist()
-        tol = self.degeneracy_tol
-        starts = [0] + [i for i in range(1, len(wl)) if wl[i] - wl[i - 1] > tol]
+        starts = [0] + [i for i in range(1, len(wl)) if wl[i] - wl[i - 1] > DEGENERACY_TOL]
         bounds = (*starts, len(wl))
         # the mean of one nonzero level is that level on any numpy; a zero level
         # still goes to np.mean, which decides the sign of zero. A block whose
@@ -316,10 +314,10 @@ class _Projectors(Sequence):
         return self._built[n]
 
 
-def spectral_decompose(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> Observable:
+def spectral_decompose(op: Operator) -> Observable:
     """The :class:`Observable` of a Hermitian operator (an ndarray is wrapped first).
 
-    Adjacent eigenvalues whose gap is at most ``degeneracy_tol`` are merged
+    Adjacent eigenvalues whose gap is at most ``DEGENERACY_TOL`` are merged
     into a single eigenspace; the merged eigenvalue is their ``np.mean``.
     The eigenspaces are mutually orthogonal and together span the whole
     space. Only the Hermitian check runs here; the decomposition itself runs
@@ -332,7 +330,7 @@ def spectral_decompose(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> 
     """
     if isinstance(op, np.ndarray):
         op = Operator(op)
-    return Observable(op, degeneracy_tol)
+    return Observable(op)
 
 
 def tensor(a, b):
@@ -399,7 +397,7 @@ class HamiltonianSchedule:
             If ``t`` lies outside the schedule's time window.
         """
         total = self.total_duration
-        if t < -1e-12 or t > total + 1e-12:
+        if not -1e-12 <= t <= total + 1e-12:
             raise TimeWindowError(f"time {t} outside schedule window [0, {total}]")
         t = min(max(t, 0.0), total)
         before = []

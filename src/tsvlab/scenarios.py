@@ -150,9 +150,9 @@ def _certainty_check(selection, obs, expected_value, description, provenance="ex
     return Check(description=description, provenance=provenance, run=run)
 
 
-def _weak_value_check(selection_weak, op, expected, description):
+def _weak_value_check(selection, op, expected, description):
     def run():
-        actual = selection_weak(op)
+        actual = weak_value(selection, op)
         return expected, actual, abs(actual - expected) <= 1e-10
 
     return Check(description=description, provenance="cross-check", run=run)
@@ -173,13 +173,14 @@ def _monte_carlo_check(tsv, obs, description):
             tsv.forward, tsv.backward, obs, _MC_SAMPLES, seed=_MC_SEED
         )
         if report.samples_postselected == 0:
-            return "frequencies within 5 standard errors", "no post-selected samples", False
+            expected = f"frequencies within {measure.Z_LIMIT:g} standard errors"
+            return expected, "no post-selected samples", False
         worst = 0.0
         for outcome, prob in dist.entries:
             freq = report.conditional_frequencies[outcome]
             se = report.standard_errors[outcome]
             worst = max(worst, abs(freq - prob) / se)
-        return "max |z| <= 5", f"max |z| = {worst:.3g}", worst <= 5.0
+        return f"max |z| <= {measure.Z_LIMIT:g}", f"max |z| = {worst:.3g}", worst <= measure.Z_LIMIT
 
     return Check(description=description, provenance="statistical", run=run)
 
@@ -238,7 +239,7 @@ def scenario_spin_box(include_empty_direction: bool = True) -> Scenario:
             run=product_check,
         ),
         _weak_value_check(
-            lambda op: weak_value(tsv, op),
+            tsv,
             observables["P_B_up"].op,
             -1.0 + 0.0j,
             "weak value of the box-B spin-up projection lies outside [0, 1]",
@@ -271,7 +272,7 @@ def scenario_three_box() -> Scenario:
             tsv, observables["P_B"], 1.0, "opening box B (instead) always finds the particle"
         ),
         _weak_value_check(
-            lambda op: weak_value(tsv, op),
+            tsv,
             observables["P_C"].op,
             -1.0 + 0.0j,
             "weak value of the box-C projection is -1",

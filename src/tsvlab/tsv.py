@@ -42,8 +42,10 @@ from .qcore import (
 
 #: |<phi|psi>| at or below this counts as an orthogonal selection
 ORTHOGONALITY_THRESHOLD = 1e-10
-#: default tolerance for calling an outcome certain
+#: an outcome whose conditional probability is at least 1 minus this is certain
 CERTAINTY_TOL = 1e-10
+#: certain values closer than this satisfy the product rule
+PRODUCT_VALUE_TOL = 1e-8
 #: squared-amplitude mass below which an ensemble is considered empty
 _NULL_WEIGHT = 1e-24
 
@@ -98,9 +100,9 @@ class GeneralizedTwoStateVector:
         top = max(max(abs(a.real), abs(a.imag)) for a, _, _ in terms)
         if not 0.5 <= top <= 2.0:
             # ABL probabilities and weak values are ratios, unchanged by a common
-            # factor; a power of two scales exactly, and ldexp neither over- nor underflows it
-            e = -math.frexp(top)[1]
-            terms = tuple((complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)), b, f) for a, b, f in terms)
+            # factor, which a power of two applies exactly
+            alphas = _unit_scaled(np.array([a for a, _, _ in terms]))
+            terms = tuple((a, b, f) for a, (_, b, f) in zip(alphas.tolist(), terms))
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -294,11 +296,7 @@ def gtsv_from_ancilla(
     return GeneralizedTwoStateVector(tuple(terms))
 
 
-def weak_value(
-    selection,
-    op: Operator,
-    threshold: float = ORTHOGONALITY_THRESHOLD,
-) -> complex:
+def weak_value(selection, op: Operator) -> complex:
     """Weak value sum_i alpha_i <phi_i|O|psi_i> / sum_i alpha_i <phi_i|psi_i>.
 
     For a TwoStateVector this is <phi|O|psi> / <phi|psi>, complex in
@@ -310,13 +308,14 @@ def weak_value(
     Raises
     ------
     OrthogonalSelectionError
-        If the (effective) overlap is at or below ``threshold``; the ratio is
-        undefined for orthogonal selections.
+        If the (effective) overlap is at or below
+        ``ORTHOGONALITY_THRESHOLD``; the ratio is undefined for orthogonal
+        selections.
     RangeError
         If the ratio overflows float64.
     """
     denom = sum(a * overlap(b, f) for a, b, f in selection.terms)
-    if abs(denom) <= threshold:
+    if abs(denom) <= ORTHOGONALITY_THRESHOLD:
         raise OrthogonalSelectionError(
             f"pre/post overlap {abs(denom):.3e} is below the weak-value threshold"
         )
@@ -331,22 +330,17 @@ abl_probabilities_generalized = abl_probabilities
 weak_value_generalized = weak_value
 
 
-def element_of_reality(
-    selection,
-    obs: Observable,
-    tol: float = CERTAINTY_TOL,
-    label: str = "observable",
-) -> CertaintyReport:
+def element_of_reality(selection, obs: Observable, label: str = "observable") -> CertaintyReport:
     """Report whether the observable's outcome is known with certainty.
 
     An observable whose intermediate-measurement outcome has conditional
-    probability >= 1 - tol is dispersion-free for this selection; its value
-    is then an element of reality in the operational sense.
+    probability >= 1 - CERTAINTY_TOL is dispersion-free for this selection;
+    its value is then an element of reality in the operational sense.
 
     ``selection`` may be a TwoStateVector or a GeneralizedTwoStateVector.
     """
     outcome, prob = abl_probabilities(selection, obs).max_entry()
-    if prob >= 1.0 - tol:
+    if prob >= 1.0 - CERTAINTY_TOL:
         return CertaintyReport(label=label, certain=True, value=outcome, probability=prob)
     return CertaintyReport(label=label, certain=False, value=None, probability=prob)
 
@@ -362,20 +356,15 @@ class ProductRuleReport:
     product_rule_holds: bool | None  # None unless all three are certain
 
 
-def product_rule_report(
-    selection,
-    obs_a: Observable,
-    obs_b: Observable,
-    tol: float = CERTAINTY_TOL,
-    value_tol: float = 1e-8,
-) -> ProductRuleReport:
+def product_rule_report(selection, obs_a: Observable, obs_b: Observable) -> ProductRuleReport:
     """Check the product rule on a pre/post-selected system.
 
     Evaluates certainty of A, B, and of the product operator AB (which must
     be Hermitian to be measurable), then compares value(AB) against
-    value(A) * value(B) when all three are certain. For pre/post-selected
-    systems the comparison can fail even though each factor is certain; for
-    purely pre-selected systems it always holds.
+    value(A) * value(B), within ``PRODUCT_VALUE_TOL``, when all three are
+    certain. For pre/post-selected systems the comparison can fail even
+    though each factor is certain; for purely pre-selected systems it
+    always holds.
 
     Raises
     ------
@@ -386,13 +375,13 @@ def product_rule_report(
     if not product_op.is_hermitian:
         raise NotMeasurableError("product of the observables is not Hermitian")
     product_obs = spectral_decompose(product_op)
-    report_a = element_of_reality(selection, obs_a, tol=tol, label="A")
-    report_b = element_of_reality(selection, obs_b, tol=tol, label="B")
-    report_ab = element_of_reality(selection, product_obs, tol=tol, label="AB")
+    report_a = element_of_reality(selection, obs_a, label="A")
+    report_b = element_of_reality(selection, obs_b, label="B")
+    report_ab = element_of_reality(selection, product_obs, label="AB")
     all_certain = report_a.certain and report_b.certain and report_ab.certain
     holds = None
     if all_certain:
-        holds = bool(abs(report_ab.value - report_a.value * report_b.value) <= value_tol)
+        holds = bool(abs(report_ab.value - report_a.value * report_b.value) <= PRODUCT_VALUE_TOL)
     return ProductRuleReport(
         a=report_a,
         b=report_b,

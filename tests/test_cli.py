@@ -129,6 +129,20 @@ class TestAbl:
         }))
         assert main(["abl", "--file", str(path), "--observable", "z", "--time", "5.0"]) == 2
 
+    def test_nan_time_is_outside_window(self, capsys, tmp_path):
+        path = tmp_path / "evolve.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [0.0, 0.0]],
+            "post": [[1.0, 0.0], [1.0, 0.0]],
+            "hamiltonian": [{"duration": 1.0, "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}],
+            "observables": [{"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}],
+        }))
+        assert main(["abl", "--file", str(path), "--observable", "z", "--time", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: time nan outside schedule window [0, 1.0]\n"
+
     def test_state_scale_does_not_matter(self, capsys, tmp_path):
         # the norm of a 1e300 state overflows a plain sum of squares and that of a
         # 1e-200 state underflows it; both must read as the unit-scale state
@@ -290,6 +304,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: samples 1000000000000 exceeds MAX_MC_SAMPLES = 10000000\n"
+
+    def test_negative_seed_exits_2(self, capsys):
+        code = main([
+            "verify",
+            "--file", str(FIXTURES / "random_dim3.json"),
+            "--observable", "obs_a",
+            "--seed", "-1",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
 
     def test_deterministic_output(self, capsys, spin_box_file):
         argv = [

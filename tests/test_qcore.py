@@ -152,7 +152,7 @@ class TestSpectralDecompose:
         np.testing.assert_allclose(obs.projectors[0].matrix, np.eye(3), atol=1e-12)
 
     def test_merge_rule(self):
-        obs = spectral_decompose(Operator(np.diag([1.0, 1.0 + 1e-12, 2.0])), degeneracy_tol=1e-9)
+        obs = spectral_decompose(Operator(np.diag([1.0, 1.0 + 1e-12, 2.0])))
         assert len(obs.eigenvalues) == 2
         assert round(np.trace(obs.projectors[0].matrix).real) == 2
 
@@ -184,7 +184,6 @@ class TestLazySpectrum:
     def test_construction_does_not_decompose(self, monkeypatch):
         calls = count_eigh(monkeypatch)
         obs = spectral_decompose(random_hermitian(np.random.default_rng(30), 4))
-        assert obs.degeneracy_tol == 1e-9
         assert Observable(obs.op).dim == 4
         assert calls == []
 

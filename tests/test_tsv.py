@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -25,8 +26,10 @@ from tsvlab import (
     Ket,
     NotMeasurableError,
     NullEnsembleError,
+    Observable,
     Operator,
     OrthogonalSelectionError,
+    PointerConfig,
     RangeError,
     TimeWindowError,
     TwoStateVector,
@@ -42,6 +45,7 @@ from tsvlab import (
     make_ket,
     product_rule_report,
     spectral_decompose,
+    strong_weak_consistency,
     tensor,
     two_time_distribution,
     two_time_joint,
@@ -666,3 +670,10 @@ class TestTwoTimeDistribution:
             two_time_distribution(k, random_observable(rng, 3), random_observable(rng, 3))
         with pytest.raises(DimensionError):
             two_time_distribution(k, random_observable(rng, 2), random_observable(rng, 2))
+
+
+def test_thresholds_are_module_constants_not_parameters():
+    functions = (spectral_decompose, Observable, weak_value, element_of_reality,
+                 product_rule_report, strong_weak_consistency, PointerConfig.auto)
+    params = {name for f in functions for name in inspect.signature(f).parameters}
+    assert not params & {"degeneracy_tol", "threshold", "tol", "value_tol", "points_per_sigma"}
