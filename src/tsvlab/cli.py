@@ -157,14 +157,10 @@ def cmd_verify(args) -> int:
         )
         return EXIT_NO_SAMPLES
     dist = abl_probabilities(tsv, obs)
-    rows = []
-    all_ok = True
-    for outcome, prob in dist.entries:
-        freq = report.conditional_frequencies[outcome]
-        se = report.standard_errors[outcome]
-        z = (freq - prob) / se
-        all_ok = all_ok and abs(z) <= measure.Z_LIMIT
-        rows.append((outcome, prob, freq, se, z))
+    z = measure.z_scores(report, dist)
+    rows = [(o, p, report.conditional_frequencies[o], report.standard_errors[o], z[o])
+            for o, p in dist.entries]
+    all_ok = all(abs(score) <= measure.Z_LIMIT for score in z.values())
     if args.format == "json":
         print(json.dumps({
             "samples_total": report.samples_total,

@@ -46,9 +46,5 @@ class ConfigError(TsvLabError):
     """A pointer grid configuration violates its sizing requirements."""
 
 
-class SearchFailedError(TsvLabError):
-    """A scenario construction failed to produce a verified artifact."""
-
-
 class ProblemFileError(TsvLabError):
     """A problem file is malformed or internally inconsistent."""

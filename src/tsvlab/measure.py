@@ -295,6 +295,12 @@ def monte_carlo_abl(
     )
 
 
+def z_scores(report: MonteCarloReport, dist: Distribution) -> dict:
+    """``(frequency - probability) / standard error`` per outcome of ``dist``; a run agrees iff each is within ``Z_LIMIT``."""
+    freqs, errors = report.conditional_frequencies, report.standard_errors
+    return {outcome: (freqs[outcome] - prob) / errors[outcome] for outcome, prob in dist.entries}
+
+
 def exact_conditional_oracle(pre: Ket, post: Bra, obs: Observable) -> Distribution:
     """Conditional probabilities via two sequential Born rules.
 

@@ -193,18 +193,10 @@ def load(path) -> ProblemFile:
 # document construction and 17-significant-digit serialization
 
 
-def complex_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def vector_pairs(vec) -> list:
-    return [complex_pair(z) for z in np.asarray(vec).reshape(-1)]
-
-
-def matrix_pairs(matrix) -> list:
-    m = np.asarray(matrix)
-    return [[complex_pair(z) for z in row] for row in m]
+def _pairs(values) -> list:
+    """Complex ``values`` (a scalar, vector or matrix) as nested [re, im] float pairs."""
+    v = np.asarray(values, dtype=complex)
+    return np.stack((v.real, v.imag), axis=-1).tolist()
 
 
 def document_from_parts(dims, selection, observables=None, hamiltonian=None) -> dict:
@@ -217,23 +209,23 @@ def document_from_parts(dims, selection, observables=None, hamiltonian=None) -> 
     """
     doc = {"dims": [int(d) for d in dims]}
     if isinstance(selection, TwoStateVector):
-        doc["pre"] = vector_pairs(selection.forward.amplitudes)
-        doc["post"] = vector_pairs(selection.backward.amplitudes)
+        doc["pre"] = _pairs(selection.forward.amplitudes)
+        doc["post"] = _pairs(selection.backward.amplitudes)
     elif isinstance(selection, GeneralizedTwoStateVector):
         doc["generalized"] = [
-            {"alpha": complex_pair(alpha), "pre": vector_pairs(fwd.amplitudes),
-             "post": vector_pairs(bwd.amplitudes)}
+            {"alpha": _pairs(alpha), "pre": _pairs(fwd.amplitudes),
+             "post": _pairs(bwd.amplitudes)}
             for alpha, bwd, fwd in selection.terms
         ]
     else:
-        doc["kernel"] = matrix_pairs(selection.matrix)
+        doc["kernel"] = _pairs(selection.matrix)
     if hamiltonian is not None:
         doc["hamiltonian"] = [
-            {"duration": float(duration), "matrix": matrix_pairs(h)}
+            {"duration": float(duration), "matrix": _pairs(h)}
             for duration, h in hamiltonian
         ]
     doc["observables"] = [
-        {"name": name, "matrix": matrix_pairs(matrix)}
+        {"name": name, "matrix": _pairs(matrix)}
         for name, matrix in (observables or {}).items()
     ]
     return doc

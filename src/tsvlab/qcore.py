@@ -29,6 +29,8 @@ NORM_TOL = 1e-12
 FLAG_TOL = 1e-10
 #: adjacent eigenvalues at most this far apart are merged
 DEGENERACY_TOL = 1e-9
+#: a time within this fraction of a schedule's total duration of a segment boundary falls on it
+TIME_TOL = 1e-12
 #: np.mean of a merged block of n levels with n * max|level| below this cannot overflow
 _MEAN_LIMIT = 2.0**1023
 #: plain state norms in this range are computed without over- or underflow
@@ -109,24 +111,6 @@ class Bra:
     def dagger(self) -> Ket:
         """The underlying ket |phi>."""
         return Ket(self.amplitudes)
-
-
-def make_ket(amplitudes) -> Ket:
-    """Build a normalized Ket from a sequence of complex amplitudes.
-
-    Raises
-    ------
-    DimensionError
-        If the sequence is empty.
-    ZeroStateError
-        If the amplitudes have zero (or non-finite) norm.
-    """
-    return Ket(amplitudes)
-
-
-def make_bra(amplitudes) -> Bra:
-    """Build a normalized Bra from the components of its underlying ket."""
-    return Bra(amplitudes)
 
 
 def overlap(bra: Bra, ket: Ket) -> complex:
@@ -361,10 +345,10 @@ class HamiltonianSchedule:
 
     def __post_init__(self):
         cleaned = []
-        for duration, h in self.segments:
+        for i, (duration, h) in enumerate(self.segments):
             duration = float(duration)
-            if duration < 0.0:
-                raise ValueError("segment durations must be non-negative")
+            if not 0.0 <= duration < math.inf:
+                raise ValueError(f"segment {i} duration must be finite and non-negative, got {duration}")
             if isinstance(h, np.ndarray):
                 h = Operator(h)
             if not h.is_hermitian:
@@ -391,13 +375,17 @@ class HamiltonianSchedule:
     def split_at(self, t: float):
         """Split into schedules spanning [0, t] and [t, total_duration].
 
+        A time within ``TIME_TOL * total_duration`` of a window end or a
+        segment boundary falls on it, so the split does not depend on the time unit.
+
         Raises
         ------
         TimeWindowError
             If ``t`` lies outside the schedule's time window.
         """
         total = self.total_duration
-        if not -1e-12 <= t <= total + 1e-12:
+        slack = TIME_TOL * total
+        if not -slack <= t <= total + slack:
             raise TimeWindowError(f"time {t} outside schedule window [0, {total}]")
         t = min(max(t, 0.0), total)
         before = []
@@ -405,9 +393,9 @@ class HamiltonianSchedule:
         elapsed = 0.0
         for duration, h in self.segments:
             seg_end = elapsed + duration
-            if seg_end <= t + 1e-12:
+            if seg_end <= t + slack:
                 before.append((duration, h))
-            elif elapsed >= t - 1e-12:
+            elif elapsed >= t - slack:
                 after.append((duration, h))
             else:
                 before.append((t - elapsed, h))

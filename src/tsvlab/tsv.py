@@ -109,10 +109,6 @@ class GeneralizedTwoStateVector:
     def dim(self) -> int:
         return self.terms[0][2].dim
 
-    @classmethod
-    def from_two_state_vector(cls, tsv: TwoStateVector) -> "GeneralizedTwoStateVector":
-        return cls(tsv.terms)
-
 
 @dataclass(frozen=True, eq=False)
 class TwoTimeKernel:
@@ -325,9 +321,8 @@ def weak_value(selection, op: Operator) -> complex:
     return value
 
 
-#: the generalized names of the one selection calculus
+#: the generalized name of the one ABL rule, kept for the benchmark's callers
 abl_probabilities_generalized = abl_probabilities
-weak_value_generalized = weak_value
 
 
 def element_of_reality(selection, obs: Observable, label: str = "observable") -> CertaintyReport:

@@ -37,7 +37,6 @@ from tsvlab import (
     two_time_joint,
     weak_measure_pointer,
     weak_value,
-    weak_value_generalized,
 )
 from tsvlab.scenarios import SCENARIOS, spin_along
 
@@ -95,7 +94,7 @@ def test_criterion_03_weak_values():
             if isinstance(s.selection, TwoStateVector):
                 total = sum(weak_value(s.selection, proj) for proj in obs.projectors)
             elif isinstance(s.selection, GeneralizedTwoStateVector):
-                total = sum(weak_value_generalized(s.selection, proj) for proj in obs.projectors)
+                total = sum(weak_value(s.selection, proj) for proj in obs.projectors)
             else:
                 continue
             worst = max(worst, abs(total - 1.0))
@@ -219,7 +218,7 @@ def test_criterion_07_ancilla_consistency():
                 worst_abl,
                 max(abs(x - y) for x, y in zip(reduced.probabilities, full.probabilities)),
             )
-            wv_reduced = weak_value_generalized(g, obs.op)
+            wv_reduced = weak_value(g, obs.op)
             wv_full = weak_value(
                 TwoStateVector(pre, post), tensor(obs.op, Operator.identity(ancilla_dim))
             )

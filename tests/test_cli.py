@@ -15,7 +15,6 @@ from tsvlab import (
     get_scenario,
     weak_measure_pointer,
     weak_value,
-    weak_value_generalized,
 )
 from tsvlab.cli import main
 from tsvlab.problemfile import load
@@ -200,6 +199,33 @@ class TestAbl:
             assert main(["abl", "--file", str(path), "--observable", "z", "--time", "1.0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: phase of exp(-i H t) overflows float64") and err.count("\n") == 1
+
+    def test_time_window_scales_with_the_schedule(self, capsys, tmp_path):
+        # two sigma_x flips of quarter turn each: |0> is |1> between them. Scaling
+        # the durations by 2**-43 and H by 2**43 leaves every phase bit-identical,
+        # so the output must be too, and 3 * 2**-43 lies past the window
+        def flip_file(scale):
+            h = [[[0.0, 0.0], [np.pi / 2 / scale, 0.0]], [[np.pi / 2 / scale, 0.0], [0.0, 0.0]]]
+            path = tmp_path / f"flip-{scale}.json"
+            path.write_text(json.dumps({
+                "dims": [2],
+                "pre": [[1.0, 0.0], [0.0, 0.0]],
+                "post": [[1.0, 0.0], [0.0, 0.0]],
+                "hamiltonian": [{"duration": scale, "matrix": h}] * 2,
+                "observables": [{"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}],
+            }))
+            return ["abl", "--file", str(path), "--observable", "z"]
+
+        outputs = {}
+        for scale in (1.0, 2.0**-43):
+            base = flip_file(scale)
+            assert [main([*base, f"--time={t * scale!r}"]) for t in (0.5, 1.0, 2.0)] == [0, 0, 0]
+            outputs[scale] = capsys.readouterr()
+            assert main([*base, f"--time={3.0 * scale!r}"]) == 2
+            assert capsys.readouterr().err == f"error: time {3.0 * scale} outside schedule window [0, {2.0 * scale}]\n"
+        assert outputs[1.0].err == ""
+        assert outputs[1.0].out.splitlines()[2] == "-1: 1"  # between the flips
+        assert outputs[2.0**-43] == outputs[1.0]
 
     @pytest.mark.parametrize("time, code", [("-1e-13", 0), ("-1e-05", 2), ("-inf", 2), ("-2.5E+3", 2)])
     def test_negative_time_as_separate_argument(self, capsys, tmp_path, time, code):
@@ -542,7 +568,7 @@ class TestExportRoundTrip:
                     problem.selection, problem.observables[obs_name]
                 )
                 assert direct.entries == via_file.entries
-                assert weak_value_generalized(scenario.selection, obs.op) == weak_value_generalized(
+                assert weak_value(scenario.selection, obs.op) == weak_value(
                     problem.selection, problem.observables[obs_name].op
                 )
         else:

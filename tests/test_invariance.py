@@ -196,6 +196,30 @@ def test_abl_at_time_matches_expm(data):
 
 @SETTINGS
 @given(st.data())
+def test_time_rescaling(data):
+    # exp(-i H dt) depends on H dt alone: durations and the time times c, with
+    # every H over c, give the same ABL distribution at any c
+    dim = data.draw(dims)
+    psi, phi = data.draw(vectors(dim)), data.draw(vectors(dim))
+    n = data.draw(st.integers(1, 3))
+    segments = [(data.draw(st.floats(0.0, 2.0)), data.draw(hermitians(dim))) for _ in range(n)]
+    # a time on a segment boundary (rounded the same way the schedule sums it) or inside one
+    boundaries = np.cumsum([0.0] + [duration for duration, _ in segments]).tolist()
+    t = data.draw(st.sampled_from(boundaries) | st.floats(0.0, 1.0).map(lambda x: x * boundaries[-1]))
+    total = boundaries[-1]
+    assume(well_conditioned([(1.0, propagator(segments, t, total).conj().T @ phi, propagator(segments, 0.0, t) @ psi)]))
+    obs = spectral_decompose(Operator(data.draw(hermitians(dim))))
+    c = data.draw(st.integers(-60, 60).map(lambda k: 2.0**k) | st.floats(-15.0, 15.0).map(lambda x: 10.0**x))
+
+    def distribution(scale):
+        schedule = HamiltonianSchedule(tuple((scale * duration, Operator(h / scale)) for duration, h in segments))
+        return abl_at_time(Ket(psi), Bra(phi), schedule, scale * t, obs)
+
+    assert_same_distribution(distribution(c), distribution(1.0))
+
+
+@SETTINGS
+@given(st.data())
 def test_ancilla_reduction_matches_joint_system(data):
     system_dim = data.draw(st.integers(2, 6))
     ancilla_dim = data.draw(st.integers(1, 4))

@@ -15,7 +15,9 @@ from test_tsv import boxed_spin_tsv, diagonal_projector
 from tsvlab import (
     SIGMA_X,
     SIGMA_Z,
+    Bra,
     ConfigError,
+    Ket,
     NullEnsembleError,
     Observable,
     Operator,
@@ -25,8 +27,6 @@ from tsvlab import (
     exact_conditional_oracle,
     get_scenario,
     ideal_measure,
-    make_bra,
-    make_ket,
     monte_carlo_abl,
     pointer_bump_masses,
     spectral_decompose,
@@ -39,7 +39,7 @@ from tsvlab import (
 class TestIdealMeasure:
     def test_eigenstate(self):
         rng = np.random.default_rng(0)
-        record = ideal_measure(make_ket([1, 0]), spectral_decompose(Operator(SIGMA_Z)), rng)
+        record = ideal_measure(Ket([1, 0]), spectral_decompose(Operator(SIGMA_Z)), rng)
         assert record.outcome == pytest.approx(1.0)
         assert record.probability == pytest.approx(1.0)
         np.testing.assert_allclose(record.post_state.amplitudes, [1, 0], atol=1e-12)
@@ -57,7 +57,7 @@ class TestIdealMeasure:
                 if case % 4 == 1:
                     # basis amplitudes switched off: outcomes of probability 0
                     amps[rng.permutation(dim)[: int(rng.integers(1, dim))]] = 0.0
-                state = make_ket(amps)
+                state = Ket(amps)
                 probs = tsvlab.measure._born_weights(obs.project(state))
                 probs /= probs.sum()
                 zero_outcomes += int((probs == 0.0).sum())
@@ -73,7 +73,7 @@ class TestIdealMeasure:
     def test_symmetric_superposition_statistics(self):
         rng = np.random.default_rng(1)
         obs = spectral_decompose(Operator(SIGMA_Z))
-        up_x = make_ket([1, 1])
+        up_x = Ket([1, 1])
         n = 100_000
         hits = sum(ideal_measure(up_x, obs, rng).outcome > 0 for _ in range(n))
         freq = hits / n
@@ -82,7 +82,7 @@ class TestIdealMeasure:
 
     def test_degenerate_identity(self):
         rng = np.random.default_rng(2)
-        state = make_ket([0.6, 0.8j])
+        state = Ket([0.6, 0.8j])
         record = ideal_measure(state, spectral_decompose(Operator.identity(2)), rng)
         assert record.outcome == pytest.approx(1.0)
         assert record.probability == pytest.approx(1.0)
@@ -109,8 +109,8 @@ class TestMonteCarloAbl:
 
     def test_impossible_postselection(self):
         report = monte_carlo_abl(
-            make_ket([1, 0]),
-            make_bra([0, 1]),
+            Ket([1, 0]),
+            Bra([0, 1]),
             spectral_decompose(Operator(SIGMA_Z)),
             5000,
             seed=7,
@@ -137,7 +137,7 @@ class TestMonteCarloAbl:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_surplus_workers_draw_nothing(self, seed):
-        pre, post = make_ket([1, 1]), make_bra([1, 1])
+        pre, post = Ket([1, 1]), Bra([1, 1])
         obs = spectral_decompose(Operator(SIGMA_Z))
         many = monte_carlo_abl(pre, post, obs, 3, seed=seed, workers=10**12)
         few = monte_carlo_abl(pre, post, obs, 3, seed=seed, workers=3)
@@ -147,7 +147,7 @@ class TestMonteCarloAbl:
         assert many.standard_errors == few.standard_errors
 
     def test_sample_cap_checked_before_allocation(self):
-        pre, post = make_ket([1, 1]), make_bra([1, 1])
+        pre, post = Ket([1, 1]), Bra([1, 1])
         obs = spectral_decompose(Operator(SIGMA_Z))
         cap = tsvlab.measure.MAX_MC_SAMPLES
         assert cap >= 1_000_000  # the benchmark probe draws 1e6 trials
@@ -167,6 +167,15 @@ class TestMonteCarloAbl:
         obs = random_observable(rng, 4)
         report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 30_000, seed=19)
         assert abs(sum(report.conditional_frequencies.values()) - 1.0) <= 1e-12
+
+    def test_z_scores(self):
+        report = tsvlab.measure.MonteCarloReport(
+            samples_total=400, samples_postselected=100,
+            conditional_frequencies={-1.0: 0.25, 1.0: 0.75}, standard_errors={-1.0: 0.05, 1.0: 0.05},
+            seed=0, workers=1,
+        )
+        dist = tsvlab.tsv.Distribution(((-1.0, 0.5), (1.0, 0.5)))
+        assert tsvlab.measure.z_scores(report, dist) == {-1.0: (0.25 - 0.5) / 0.05, 1.0: (0.75 - 0.5) / 0.05}
 
 
 def kept_counts(report):
@@ -198,7 +207,7 @@ class TestMonteCarloGolden:
 class TestExactConditionalOracle:
     def test_eigenstate_pre(self):
         dist = exact_conditional_oracle(
-            make_ket([0, 1]), make_bra([1, 1]), spectral_decompose(Operator(SIGMA_Z))
+            Ket([0, 1]), Bra([1, 1]), spectral_decompose(Operator(SIGMA_Z))
         )
         assert dict(dist.entries)[-1.0] == pytest.approx(1.0, abs=1e-12)
 
@@ -232,7 +241,7 @@ class TestExactConditionalOracle:
     def test_null_ensemble(self):
         with pytest.raises(NullEnsembleError):
             exact_conditional_oracle(
-                make_ket([1, 0]), make_bra([0, 1]), spectral_decompose(Operator(SIGMA_Z))
+                Ket([1, 0]), Bra([0, 1]), spectral_decompose(Operator(SIGMA_Z))
             )
 
 
@@ -404,7 +413,7 @@ class TestWeakMeasurePointer:
         matrix = (basis * levels) @ basis.conj().T
         pre = rng.normal(size=4) + 1j * rng.normal(size=4)
         post = rng.normal(size=4) + 1j * rng.normal(size=4)
-        weak = weak_value(TwoStateVector(make_ket(pre), make_bra(post)), Operator(matrix))
+        weak = weak_value(TwoStateVector(Ket(pre), Bra(post)), Operator(matrix))
         assert weak.imag < -1.0
 
         eigenvalues, vectors = np.linalg.eigh(matrix)
@@ -440,7 +449,7 @@ class TestStrongWeakConsistency:
         assert report.passed
 
     def test_z_then_x_selection(self):
-        tsv = TwoStateVector(make_ket([1, 0]), make_bra([1, 1]))
+        tsv = TwoStateVector(Ket([1, 0]), Bra([1, 1]))
         report = strong_weak_consistency(tsv, spectral_decompose(Operator(SIGMA_Z)))
         assert report.certain and report.certain_value == pytest.approx(1.0)
         assert abs(report.weak - 1.0) <= 1e-10

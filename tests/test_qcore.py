@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,8 +24,6 @@ from tsvlab import (
     ZeroStateError,
     evolve_backward,
     evolve_forward,
-    make_bra,
-    make_ket,
     overlap,
     spectral_decompose,
     tensor,
@@ -32,26 +31,26 @@ from tsvlab import (
 from tsvlab.cli import main
 
 
-class TestMakeKet:
+class TestKet:
     def test_already_normalized(self):
-        k = make_ket([1, 0])
+        k = Ket([1, 0])
         assert k.dim == 2
         np.testing.assert_allclose(k.amplitudes, [1, 0])
 
     def test_uniform_normalization(self):
-        k = make_ket([1, 1, 1])
+        k = Ket([1, 1, 1])
         np.testing.assert_allclose(k.amplitudes, np.full(3, 1 / np.sqrt(3)), atol=1e-15)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroStateError):
-            make_ket([0, 0])
+            Ket([0, 0])
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
-            make_ket([])
+            Ket([])
 
     def test_scale_discarded_phase_kept(self):
-        k = make_ket([5j, 0])
+        k = Ket([5j, 0])
         np.testing.assert_allclose(k.amplitudes, [1j, 0])
 
     @settings(deadline=None)
@@ -68,28 +67,28 @@ class TestMakeKet:
     def test_unit_norm_after_construction(self, pairs):
         amps = [complex(re, im) for re, im in pairs]
         assume(np.linalg.norm(amps) > 1e-6)
-        k = make_ket(amps)
+        k = Ket(amps)
         assert abs(np.linalg.norm(k.amplitudes) - 1.0) <= 1e-12
 
     def test_amplitudes_read_only(self):
-        k = make_ket([1, 0])
+        k = Ket([1, 0])
         with pytest.raises(ValueError):
             k.amplitudes[0] = 5
 
 
 class TestBra:
     def test_pairing_conjugates_the_bra(self):
-        b = make_bra([1j, 0])
-        k = make_ket([1j, 0])
+        b = Bra([1j, 0])
+        k = Ket([1j, 0])
         assert overlap(b, k) == pytest.approx(1.0)
 
     def test_dagger_round_trip(self):
-        k = make_ket([0.6, 0.8j])
+        k = Ket([0.6, 0.8j])
         np.testing.assert_allclose(k.dagger().dagger().amplitudes, k.amplitudes)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            overlap(make_bra([1, 0]), make_ket([1, 0, 0]))
+            overlap(Bra([1, 0]), Ket([1, 0, 0]))
 
 
 class TestOperator:
@@ -107,7 +106,7 @@ class TestOperator:
 
 class TestTensor:
     def test_basis_bookkeeping(self):
-        out = tensor(make_ket([1, 0]), make_ket([0, 1]))
+        out = tensor(Ket([1, 0]), Ket([0, 1]))
         np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0])
 
     def test_identity(self):
@@ -135,7 +134,7 @@ class TestTensor:
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
-            tensor(make_ket([1, 0]), Operator.identity(2))
+            tensor(Ket([1, 0]), Operator.identity(2))
 
 
 class TestSpectralDecompose:
@@ -278,13 +277,13 @@ class TestCliDecomposesOnlyWhatItReads:
 class TestEvolution:
     def test_zero_hamiltonian_is_identity(self):
         schedule = HamiltonianSchedule.constant(Operator(np.zeros((2, 2))), 1.0)
-        k = make_ket([0.6, 0.8])
+        k = Ket([0.6, 0.8])
         np.testing.assert_allclose(evolve_forward(k, schedule).amplitudes, k.amplitudes)
 
     def test_pi_rotation_about_y(self):
         # generator (pi/2) sigma_y for unit time flips up to down
         schedule = HamiltonianSchedule.constant(Operator((np.pi / 2) * SIGMA_Y), 1.0)
-        evolved = evolve_forward(make_ket([1, 0]), schedule)
+        evolved = evolve_forward(Ket([1, 0]), schedule)
         assert states_match_up_to_phase(evolved.amplitudes, np.array([0, 1.0]))
         oracle = expm(-1j * (np.pi / 2) * SIGMA_Y) @ np.array([1.0, 0.0])
         np.testing.assert_allclose(evolved.amplitudes, oracle, atol=1e-12)
@@ -292,7 +291,7 @@ class TestEvolution:
     def test_segment_order_matters(self):
         sched_xz = HamiltonianSchedule(((1.0, Operator(SIGMA_X)), (1.0, Operator(SIGMA_Z))))
         sched_zx = HamiltonianSchedule(((1.0, Operator(SIGMA_Z)), (1.0, Operator(SIGMA_X))))
-        k = make_ket([1, 0])
+        k = Ket([1, 0])
         a = evolve_forward(k, sched_xz).amplitudes
         b = evolve_forward(k, sched_zx).amplitudes
         assert not states_match_up_to_phase(a, b, tol=1e-3)
@@ -347,15 +346,17 @@ class TestEvolution:
     def test_dim_mismatch(self):
         schedule = HamiltonianSchedule.constant(Operator(SIGMA_X), 1.0)
         with pytest.raises(DimensionError):
-            evolve_forward(make_ket([1, 0, 0]), schedule)
+            evolve_forward(Ket([1, 0, 0]), schedule)
 
     def test_non_hermitian_segment_rejected(self):
         with pytest.raises(NotHermitianError):
             HamiltonianSchedule.constant(Operator(np.array([[0, 1], [0, 0]], dtype=complex)), 1.0)
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            HamiltonianSchedule.constant(Operator(SIGMA_X), -1.0)
+    @pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf, -math.inf])
+    def test_invalid_duration_rejected(self, duration):
+        # caught here, not later as an overflowing phase or a [0, nan] window
+        with pytest.raises(ValueError, match=r"^segment 1 duration must be finite and non-negative"):
+            HamiltonianSchedule(((1.0, Operator(SIGMA_X)), (duration, Operator(SIGMA_Z))))
 
 
 class TestScheduleSplit:
@@ -364,20 +365,23 @@ class TestScheduleSplit:
         before, after = schedule.split_at(0.5)
         assert before.total_duration == pytest.approx(0.5)
         assert after.total_duration == pytest.approx(2.5)
-        k = make_ket([1, 1j])
+        k = Ket([1, 1j])
         whole = evolve_forward(k, schedule)
         stitched = evolve_forward(evolve_forward(k, before), after)
         np.testing.assert_allclose(whole.amplitudes, stitched.amplitudes, atol=1e-12)
 
-    def test_split_at_boundary(self):
-        schedule = HamiltonianSchedule(((2.0, Operator(SIGMA_X)), (1.0, Operator(SIGMA_Z))))
-        before, after = schedule.split_at(2.0)
-        assert len(before.segments) == 1
-        assert len(after.segments) == 1
+    # the time window and segment boundaries are relative to the schedule's length
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-43, 2.0**40])
+    def test_split_at_boundary(self, scale):
+        schedule = HamiltonianSchedule(((2.0 * scale, Operator(SIGMA_X)), (scale, Operator(SIGMA_Z))))
+        before, after = schedule.split_at(2.0 * scale)
+        assert before.segments == schedule.segments[:1]
+        assert after.segments == schedule.segments[1:]
 
-    def test_outside_window(self):
-        schedule = HamiltonianSchedule.constant(Operator(SIGMA_X), 1.0)
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-43, 2.0**40])
+    def test_outside_window(self, scale):
+        schedule = HamiltonianSchedule.constant(Operator(SIGMA_X), scale)
         with pytest.raises(TimeWindowError):
-            schedule.split_at(1.5)
+            schedule.split_at(1.5 * scale)
         with pytest.raises(TimeWindowError):
-            schedule.split_at(-0.5)
+            schedule.split_at(-0.5 * scale)

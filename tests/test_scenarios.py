@@ -1,6 +1,11 @@
+import types
+
 import numpy as np
 import pytest
 
+import tsvlab
+import tsvlab.problemfile
+import tsvlab.scenarios
 from tsvlab import abl_probabilities_generalized, get_scenario, run_scenario
 from tsvlab.scenarios import SCENARIOS, scenario_spin_box
 
@@ -57,6 +62,23 @@ def test_mean_king_value_table():
         assert dist.max_entry()[1] >= 1.0 - 1e-10
 
 
+def test_mean_king_checks_measure_the_values_they_print(monkeypatch):
+    # claim the sign triples in reverse order: the basis is still orthonormal,
+    # but each outcome's measured values now contradict its claimed row
+    sign_triples, states = tsvlab.scenarios._mean_king_candidate_basis()
+    monkeypatch.setattr(
+        tsvlab.scenarios, "_mean_king_candidate_basis", lambda: (sign_triples[::-1], states)
+    )
+    report = run_scenario(get_scenario("mean-king"))
+    assert not report.passed
+    basis, *outcomes = report.results
+    assert basis.passed
+    for k, result in enumerate(outcomes):
+        assert not result.passed
+        assert result.expected == f"values {sign_triples[::-1][k]}, each with probability 1"
+        assert result.actual.startswith(f"values {sign_triples[k]}, min probability ")
+
+
 def test_mean_king_royal_basis_is_entangled():
     scenario = get_scenario("mean-king")
     for vec in scenario.details["royal_basis"]:
@@ -68,3 +90,22 @@ def test_mean_king_royal_basis_is_entangled():
 def test_unknown_scenario():
     with pytest.raises(KeyError):
         get_scenario("nosuch")
+
+
+def test_public_names_are_exactly_all():
+    bound = {
+        name for name, value in vars(tsvlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(tsvlab.__all__) == len(set(tsvlab.__all__))
+    assert set(tsvlab.__all__) == bound
+    for name in tsvlab.__all__:
+        assert getattr(tsvlab, name) is not None
+    # second spellings of Ket, Bra, weak_value and GeneralizedTwoStateVector,
+    # and an error nothing raises
+    for gone in ("make_ket", "make_bra", "weak_value_generalized", "SearchFailedError"):
+        assert not hasattr(tsvlab, gone)
+        assert gone not in tsvlab.__all__
+    assert not hasattr(tsvlab.GeneralizedTwoStateVector, "from_two_state_vector")
+    for gone in ("complex_pair", "vector_pairs", "matrix_pairs"):
+        assert not hasattr(tsvlab.problemfile, gone)
