@@ -234,13 +234,8 @@ def cmd_export_scenario(args) -> int:
         scenario = scenarios.get_scenario(args.scenario)
     except KeyError as exc:
         return _fail(str(exc.args[0]), EXIT_USAGE)
-    doc = problemfile.document_from_parts(
-        scenario.dims,
-        scenario.selection,
-        observables={name: obs.op.matrix for name, obs in scenario.observables.items()},
-    )
     out = args.out or f"{scenario.name}.json"
-    problemfile.save(doc, out)
+    problemfile.save(scenario, out)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -59,6 +59,8 @@ MAX_POINTER_POINTS = 2**22
 POINTS_PER_SIGMA = 32
 #: most Monte Carlo trials per run; each worker block is drawn in one call
 MAX_MC_SAMPLES = 10**7
+#: most Monte Carlo seed streams per run; spawning one takes about 0.25 ms
+MAX_MC_WORKERS = 1024
 #: smallest resolvable shift: coupling * max|eigenvalue| below this times
 #: sigma drowns in the quadrature residue (about 6e-17 sigma)
 MIN_SHIFT_OVER_SIGMA = 1e-9
@@ -233,7 +235,8 @@ def monte_carlo_abl(
     The workers run one after another in this process; ``workers`` only
     selects how the seed stream is partitioned. At most ``n_samples``
     blocks are drawn, since surplus workers would get no trials. At most
-    ``MAX_MC_SAMPLES`` trials are allowed, since each block is drawn at once.
+    ``MAX_MC_SAMPLES`` trials are allowed, since each block is drawn at once,
+    and at most ``MAX_MC_WORKERS`` blocks, since each spawns a seed stream.
 
     Standard errors are binomial, with +1 smoothing at degenerate counts so
     acceptance bands never have zero width. If no trial survives the
@@ -246,6 +249,8 @@ def monte_carlo_abl(
         raise ConfigError(f"samples {n_samples} exceeds MAX_MC_SAMPLES = {MAX_MC_SAMPLES}")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    if min(workers, n_samples) > MAX_MC_WORKERS:
+        raise ConfigError(f"workers {workers} exceeds MAX_MC_WORKERS = {MAX_MC_WORKERS}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
@@ -342,11 +347,12 @@ def weak_measure_pointer(
     amplitudes = _abl_amplitudes(tsv, obs)
     cfg.validate_for(obs)
     q = np.linspace(-cfg.half_range, cfg.half_range, cfg.points)
-    centers = cfg.coupling * np.asarray(obs.eigenvalues)
-    packets = (2.0 * np.pi * cfg.sigma**2) ** (-0.25) * np.exp(
-        -((q[None, :] - centers[:, None]) ** 2) / (4.0 * cfg.sigma**2)
-    )
-    wavefunction = amplitudes @ packets
+    norm = (2.0 * np.pi * cfg.sigma**2) ** (-0.25)
+    # one packet at a time, so memory is O(points) whatever the eigenspace count
+    wavefunction = np.zeros(cfg.points, dtype=complex)
+    for amplitude, eigenvalue in zip(amplitudes, obs.eigenvalues):
+        packet = norm * np.exp(-((q - cfg.coupling * eigenvalue) ** 2) / (4.0 * cfg.sigma**2))
+        wavefunction += amplitude * packet
     raw_density = np.abs(wavefunction) ** 2
     rate = float(np.trapezoid(raw_density, q))
     if rate <= _NULL_WEIGHT:

@@ -8,7 +8,8 @@ arrays; the leftmost subsystem is the most significant tensor index.
 
 Floats are written with 17 significant decimal digits, which round-trips
 IEEE doubles exactly: re-ingesting an exported file reproduces bit-identical
-numbers and therefore bit-identical results.
+numbers and therefore bit-identical results. The one exception is a negative
+zero: it is written ``-0``, which JSON reads as the integer 0.
 """
 
 from __future__ import annotations
@@ -149,8 +150,6 @@ def parse_document(doc) -> ProblemFile:
             where = f"hamiltonian segment {i}"
             duration = float(_parse_numbers(seg["duration"], (), f"{where} duration",
                                             "a non-negative number"))
-            if duration < 0:
-                raise ProblemFileError(f"{where}: duration must be a non-negative number")
             matrix = _parse_complex(seg["matrix"], (total, total), where)
             segments.append((duration, Operator(matrix)))
         try:
@@ -190,7 +189,7 @@ def load(path) -> ProblemFile:
 
 
 # ---------------------------------------------------------------------------
-# document construction and 17-significant-digit serialization
+# problem documents and 17-significant-digit serialization
 
 
 def _pairs(values) -> list:
@@ -199,15 +198,10 @@ def _pairs(values) -> list:
     return np.stack((v.real, v.imag), axis=-1).tolist()
 
 
-def document_from_parts(dims, selection, observables=None, hamiltonian=None) -> dict:
-    """Assemble a problem document; the inverse of :func:`parse_document`.
-
-    ``selection`` is a :class:`TwoStateVector`, a
-    :class:`GeneralizedTwoStateVector` or a :class:`TwoTimeKernel`;
-    ``observables`` maps names to matrices and ``hamiltonian`` is a sequence
-    of ``(duration, matrix)`` segments.
-    """
-    doc = {"dims": [int(d) for d in dims]}
+def to_document(problem: ProblemFile) -> dict:
+    """The JSON document of ``problem``; the inverse of :func:`parse_document`."""
+    selection = problem.selection
+    doc = {"dims": [int(d) for d in problem.dims]}
     if isinstance(selection, TwoStateVector):
         doc["pre"] = _pairs(selection.forward.amplitudes)
         doc["post"] = _pairs(selection.backward.amplitudes)
@@ -219,14 +213,14 @@ def document_from_parts(dims, selection, observables=None, hamiltonian=None) -> 
         ]
     else:
         doc["kernel"] = _pairs(selection.matrix)
-    if hamiltonian is not None:
+    if problem.hamiltonian is not None:
         doc["hamiltonian"] = [
-            {"duration": float(duration), "matrix": _pairs(h)}
-            for duration, h in hamiltonian
+            {"duration": duration, "matrix": _pairs(h.matrix)}
+            for duration, h in problem.hamiltonian.segments
         ]
     doc["observables"] = [
-        {"name": name, "matrix": _pairs(matrix)}
-        for name, matrix in (observables or {}).items()
+        {"name": name, "matrix": _pairs(obs.op.matrix)}
+        for name, obs in problem.observables.items()
     ]
     return doc
 
@@ -263,6 +257,7 @@ def dumps_document(doc: dict) -> str:
     return _encode(doc, 0) + "\n"
 
 
-def save(doc: dict, path) -> None:
+def save(problem: ProblemFile, path) -> None:
+    """Write ``problem`` as a problem file; the inverse of :func:`load`."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_document(doc))
+        handle.write(dumps_document(to_document(problem)))

@@ -25,7 +25,7 @@ from .errors import (
 
 #: construction-time tolerance for state normalization
 NORM_TOL = 1e-12
-#: tolerance for the hermitian / unitary operator checks
+#: tolerance for the Hermitian operator check
 FLAG_TOL = 1e-10
 #: adjacent eigenvalues at most this far apart are merged
 DEGENERACY_TOL = 1e-9
@@ -124,9 +124,8 @@ def overlap(bra: Bra, ket: Ket) -> complex:
 class Operator:
     """Square matrix on the Hilbert space with a verified Hermitian flag.
 
-    ``is_hermitian`` is computed (not user asserted) at construction and
-    ``is_unitary`` on each access, both with tolerance ``FLAG_TOL`` on the
-    max-abs deviation.
+    ``is_hermitian`` is computed (not user asserted) at construction, with
+    tolerance ``FLAG_TOL`` on the max-abs deviation.
     """
 
     matrix: np.ndarray
@@ -141,11 +140,6 @@ class Operator:
         object.__setattr__(
             self, "is_hermitian", bool(np.abs(m - m.conj().T).max() <= FLAG_TOL)
         )
-
-    @property
-    def is_unitary(self) -> bool:
-        m = self.matrix
-        return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= FLAG_TOL)
 
     @cached_property
     def eigh(self) -> tuple:
@@ -164,9 +158,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):

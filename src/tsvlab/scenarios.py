@@ -31,7 +31,6 @@ from .qcore import (
 )
 from .tsv import (
     CERTAINTY_TOL,
-    GeneralizedTwoStateVector,
     TwoStateVector,
     TwoTimeKernel,
     abl_probabilities,
@@ -42,6 +41,7 @@ from .tsv import (
     weak_value,
 )
 from . import measure
+from .problemfile import ProblemFile
 
 _MC_SAMPLES = 100_000
 _MC_SEED = 424242
@@ -92,9 +92,9 @@ class CheckResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A named system plus its executable checks.
+@dataclass(frozen=True, kw_only=True)
+class Scenario(ProblemFile):
+    """A named problem plus its executable checks.
 
     ``dims`` are the subsystem dimensions of the space ``selection`` acts on:
     for mean-king the spin alone (the ancilla is folded into the generalized
@@ -103,10 +103,7 @@ class Scenario:
 
     name: str
     description: str
-    dims: tuple
-    observables: dict
     checks: tuple
-    selection: TwoStateVector | GeneralizedTwoStateVector | TwoTimeKernel
     details: dict = field(default_factory=dict)
 
 

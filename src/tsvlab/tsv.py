@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,16 +52,14 @@ _NULL_WEIGHT = 1e-24
 
 @dataclass(frozen=True, eq=False)
 class TwoStateVector:
-    """The pair <phi| |psi> with the overlap <phi|psi> cached."""
+    """The pair <phi| |psi>."""
 
     forward: Ket
     backward: Bra
-    overlap: complex = field(init=False)
 
     def __post_init__(self):
         if self.forward.dim != self.backward.dim:
             raise DimensionError("forward and backward states must share a dimension")
-        object.__setattr__(self, "overlap", overlap(self.backward, self.forward))
 
     @property
     def dim(self) -> int:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tsvlab import Bra, Ket, Operator, TwoStateVector, spectral_decompose
+from tsvlab import Bra, Ket, Operator, TwoStateVector, overlap, spectral_decompose
 
 
 def count_eigh(monkeypatch) -> list:
@@ -39,7 +39,7 @@ def random_tsv(rng, dim, min_overlap=0.0):
     """Random selection pair, resampled until the overlap clears min_overlap."""
     while True:
         tsv = TwoStateVector(random_ket(rng, dim), random_bra(rng, dim))
-        if abs(tsv.overlap) > min_overlap:
+        if abs(overlap(tsv.backward, tsv.forward)) > min_overlap:
             return tsv
 
 
@@ -88,7 +88,7 @@ def dichotomic_case_with_certain_outcome(rng, dim):
         backward = Bra(raw)
         tsv = TwoStateVector(forward, backward)
         live_amp = np.vdot(backward.amplitudes, obs.projectors[keep].matrix @ forward.amplitudes)
-        if abs(tsv.overlap) < 1e-3 or abs(live_amp) < 1e-3:
+        if abs(overlap(tsv.backward, tsv.forward)) < 1e-3 or abs(live_amp) < 1e-3:
             continue
         return tsv, obs, obs.eigenvalues[keep]
 

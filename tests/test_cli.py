@@ -331,6 +331,22 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: samples 1000000000000 exceeds MAX_MC_SAMPLES = 10000000\n"
 
+    @pytest.mark.parametrize("workers, code", [(1024, 0), (1025, 2)])
+    def test_workers_cap(self, capsys, workers, code):
+        assert main([
+            "verify",
+            "--file", str(FIXTURES / "random_dim3.json"),
+            "--observable", "obs_a",
+            "--samples", "20000",
+            "--workers", str(workers),
+        ]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == "error: workers 1025 exceeds MAX_MC_WORKERS = 1024\n"
+        else:
+            assert "workers 1024" in captured.out
+
     def test_negative_seed_exits_2(self, capsys):
         code = main([
             "verify",

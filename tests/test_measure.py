@@ -396,6 +396,31 @@ class TestWeakMeasurePointer:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_memory_independent_of_eigenspace_count(self):
+        rng = np.random.default_rng(8)
+        tsv = random_tsv(rng, 32, min_overlap=0.05)
+        cfg = PointerConfig(coupling=0.01, sigma=1.0, half_range=20.0, points=65_536)
+        peaks = {}
+        for count in (4, 32):
+            levels = np.arange(32) % count
+            obs = spectral_decompose(Operator(np.diag(levels).astype(complex)))
+            assert len(obs.eigenvalues) == count  # decomposed before tracing starts
+            tracemalloc.start()
+            try:
+                result = weak_measure_pointer(tsv, obs, cfg)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # reference: every packet on the grid at once, summed by one product
+            terms = tsv.backward.amplitudes.conj() * tsv.forward.amplitudes
+            amplitudes = np.array([terms[levels == n].sum() for n in range(count)])
+            q = result.positions
+            packets = np.exp(-((q - cfg.coupling * np.arange(count)[:, None]) ** 2) / 4.0)
+            density = np.abs(amplitudes @ packets) ** 2
+            density /= np.trapezoid(density, q)
+            assert np.max(np.abs(result.density - density)) <= 1e-13 * density.max()
+        assert peaks[32] < 1.5 * peaks[4]
+
     def test_momentum_shift_matches_imaginary_weak_value(self):
         """Pointer momentum mean against Im(weak value) (Jozsa 2007, PRA 76, 044103).
 

@@ -11,16 +11,19 @@ from tsvlab import (
     Bra,
     GeneralizedTwoStateVector,
     Ket,
+    Operator,
     ProblemFileError,
     TwoStateVector,
     TwoTimeKernel,
+    spectral_decompose,
 )
 from tsvlab.problemfile import (
-    document_from_parts,
+    ProblemFile,
     dumps_document,
     load,
     parse_document,
     save,
+    to_document,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -160,8 +163,10 @@ class TestValidation:
         doc["hamiltonian"] = [
             {"duration": -1.0, "matrix": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
         ]
-        with pytest.raises(ProblemFileError):
+        message = "hamiltonian: segment 0 duration must be finite and non-negative, got -1.0"
+        with pytest.raises(ProblemFileError) as info:
             parse_document(doc)
+        assert str(info.value) == message
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -364,26 +369,59 @@ class TestSerialization:
         post /= np.linalg.norm(post)
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = (h + h.conj().T) / 2
-        doc = document_from_parts(
+        problem = ProblemFile(
             dims=(3,),
             selection=TwoStateVector(Ket(pre), Bra(post)),
-            observables={"h": h},
+            observables={"h": spectral_decompose(Operator(h))},
         )
         path = tmp_path / "prob.json"
-        save(doc, path)
+        save(problem, path)
         problem = load(path)
         assert np.array_equal(problem.selection.forward.amplitudes, pre)
         assert np.array_equal(problem.selection.backward.amplitudes, post)
         assert np.array_equal(problem.observables["h"].op.matrix, h)
 
     def test_dumps_is_valid_json(self):
-        doc = document_from_parts(
+        doc = to_document(ProblemFile(
             dims=(2,),
             selection=TwoStateVector(
                 Ket(np.array([1.0, 0.0], dtype=complex)), Bra(np.array([0.6, 0.8], dtype=complex))
             ),
-            observables={"z": np.diag([1.0, -1.0]).astype(complex)},
-        )
+            observables={"z": spectral_decompose(Operator(np.diag([1.0, -1.0])))},
+        ))
         parsed = json.loads(dumps_document(doc))
         assert parsed["dims"] == [2]
         assert parsed["observables"][0]["name"] == "z"
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(valid_documents))
+def test_to_document_and_save_invert_parsing(tmp_path_factory, doc):
+    try:
+        problem = parse_document(doc)
+    except ProblemFileError:
+        return
+    expected = parsed_arrays(problem)
+    again = parsed_arrays(parse_document(to_document(problem)))
+    assert len(again) == len(expected)
+    assert all(same_bits(a, b) for a, b in zip(expected, again))
+
+    path = tmp_path_factory.mktemp("round-trip") / "problem.json"
+    save(problem, path)
+    loaded = parsed_arrays(load(path))
+    assert len(loaded) == len(expected)
+    # a negative zero is written "-0", which JSON reads as the integer 0; adding
+    # 0.0 makes every zero positive and leaves all other bits as they are
+    assert all(same_bits(a + 0.0, b + 0.0) for a, b in zip(expected, loaded))
+
+
+def test_saved_negative_zero_reads_back_positive(tmp_path):
+    doc = {"dims": [2], "pre": [[-0.0, 0.0], [1.0, 0.0]], "post": [[1.0, 0.0], [1.0, 0.0]]}
+    path = tmp_path / "problem.json"
+    save(parse_document(doc), path)
+    assert '"pre": [[-0, 0], [1, 0]]' in path.read_text()
+    assert not np.signbit(load(path).selection.forward.amplitudes[0].real)

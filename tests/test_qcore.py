@@ -94,10 +94,8 @@ class TestBra:
 class TestOperator:
     def test_flags_verified(self):
         assert Operator(SIGMA_X).is_hermitian
-        assert Operator(SIGMA_X).is_unitary
         upper = Operator(np.array([[0, 1], [0, 0]], dtype=complex))
         assert not upper.is_hermitian
-        assert not upper.is_unitary
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
