@@ -13,6 +13,7 @@ post-selected Monte Carlo samples.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -52,11 +53,13 @@ def _format_complex(z: complex) -> str:
     return f"{float(z.real)} {sign} {abs(float(z.imag))}i"
 
 
-def _lookup_observable(problem, name: str):
-    if name not in problem.observables:
+def _load(args):
+    """The problem of ``--file`` and its observable named by ``--observable``."""
+    problem = problemfile.load(args.file)
+    if args.observable not in problem.observables:
         known = ", ".join(sorted(problem.observables)) or "(none)"
-        raise ProblemFileError(f"unknown observable {name!r}; file defines: {known}")
-    return problem.observables[name]
+        raise ProblemFileError(f"unknown observable {args.observable!r}; file defines: {known}")
+    return problem, problem.observables[args.observable]
 
 
 def _selection(problem, kinds, message: str):
@@ -76,16 +79,7 @@ def cmd_run(args) -> int:
         doc = {
             "scenario": report.scenario,
             "passed": report.passed,
-            "checks": [
-                {
-                    "description": r.description,
-                    "provenance": r.provenance,
-                    "expected": r.expected,
-                    "actual": r.actual,
-                    "passed": r.passed,
-                }
-                for r in report.results
-            ],
+            "checks": [dataclasses.asdict(r) for r in report.results],
             "details": report.details,
         }
         # a complex number in the details is written as [real, imag]
@@ -106,8 +100,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_abl(args) -> int:
-    problem = problemfile.load(args.file)
-    obs = _lookup_observable(problem, args.observable)
+    problem, obs = _load(args)
     if args.time is None:
         dist = abl_probabilities(_selection(problem, _SELECTIONS, _NO_SELECTION), obs)
     else:
@@ -127,8 +120,7 @@ def cmd_abl(args) -> int:
 
 
 def cmd_weak(args) -> int:
-    problem = problemfile.load(args.file)
-    obs = _lookup_observable(problem, args.observable)
+    problem, obs = _load(args)
     value = weak_value(_selection(problem, _SELECTIONS, _NO_SELECTION), obs.op)
     if args.format == "json":
         print(json.dumps({"observable": args.observable, "weak_value": [value.real, value.imag]}))
@@ -138,8 +130,7 @@ def cmd_weak(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = problemfile.load(args.file)
-    obs = _lookup_observable(problem, args.observable)
+    problem, obs = _load(args)
     tsv = _selection(problem, TwoStateVector, "verify needs a pre/post problem file")
     report = measure.monte_carlo_abl(
         tsv.forward,
@@ -185,8 +176,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pointer(args) -> int:
-    problem = problemfile.load(args.file)
-    obs = _lookup_observable(problem, args.observable)
+    problem, obs = _load(args)
     tsv = _selection(problem, TwoStateVector, "pointer needs a pre/post problem file")
     if args.half_range is not None or args.points is not None:
         if args.half_range is None or args.points is None:
@@ -246,40 +236,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze pre- and post-selected quantum systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    problem_flags = argparse.ArgumentParser(add_help=False)
+    problem_flags.add_argument("--file", required=True, help="problem file (JSON)")
+    problem_flags.add_argument("--observable", required=True, help="observable name from the file")
+    format_flag = argparse.ArgumentParser(add_help=False)
+    format_flag.add_argument("--format", choices=("table", "json"), default="table")
 
-    run = sub.add_parser("run", help="run a named scenario's checks")
+    run = sub.add_parser("run", parents=[format_flag], help="run a named scenario's checks")
     run.add_argument("scenario", help="one of: " + ", ".join(sorted(scenarios.SCENARIOS)))
-    run.add_argument("--format", choices=("table", "json"), default="table")
     run.set_defaults(func=cmd_run)
 
-    abl = sub.add_parser("abl", help="conditional outcome probabilities")
-    abl.add_argument("--file", required=True, help="problem file (JSON)")
-    abl.add_argument("--observable", required=True, help="observable name from the file")
+    abl = sub.add_parser("abl", parents=[problem_flags, format_flag],
+                         help="conditional outcome probabilities")
     abl.add_argument("--time", type=float, default=None,
                      help="evaluate at this time inside the file's hamiltonian schedule")
-    abl.add_argument("--format", choices=("table", "json"), default="table")
     abl.set_defaults(func=cmd_abl)
 
-    weak = sub.add_parser("weak", help="weak value of an observable")
-    weak.add_argument("--file", required=True)
-    weak.add_argument("--observable", required=True)
-    weak.add_argument("--format", choices=("table", "json"), default="table")
+    weak = sub.add_parser("weak", parents=[problem_flags, format_flag],
+                          help="weak value of an observable")
     weak.set_defaults(func=cmd_weak)
 
-    verify = sub.add_parser("verify", help="Monte Carlo check of the conditional probabilities")
-    verify.add_argument("--file", required=True)
-    verify.add_argument("--observable", required=True)
+    verify = sub.add_parser("verify", parents=[problem_flags, format_flag],
+                            help="Monte Carlo check of the conditional probabilities")
     verify.add_argument("--samples", type=int, default=100_000,
                         help=f"trials to draw, at most {measure.MAX_MC_SAMPLES}")
     verify.add_argument("--seed", type=int, default=measure.DEFAULT_SEED)
     verify.add_argument("--workers", type=int, default=1,
                         help="seed-stream partitions, drawn one after another in this process")
-    verify.add_argument("--format", choices=("table", "json"), default="table")
     verify.set_defaults(func=cmd_verify)
 
-    pointer = sub.add_parser("pointer", help="Gaussian-pointer measurement simulation")
-    pointer.add_argument("--file", required=True)
-    pointer.add_argument("--observable", required=True)
+    pointer = sub.add_parser("pointer", parents=[problem_flags],
+                             help="Gaussian-pointer measurement simulation")
     pointer.add_argument("--g", type=float, required=True, help="coupling strength")
     pointer.add_argument("--sigma", type=float, required=True, help="pointer spread")
     pointer.add_argument("--half-range", type=float, default=None, dest="half_range")

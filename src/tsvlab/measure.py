@@ -21,7 +21,6 @@ from .tsv import (
     Distribution,
     TwoStateVector,
     _abl_amplitudes,
-    abl_probabilities,
     element_of_reality,
     weak_value,
 )
@@ -270,19 +269,10 @@ def monte_carlo_abl(
         counts += np.bincount(kept, minlength=n_outcomes)
         kept_total += kept.size
 
-    if kept_total == 0:
-        return MonteCarloReport(
-            samples_total=n_samples,
-            samples_postselected=0,
-            conditional_frequencies={},
-            standard_errors={},
-            seed=seed,
-            workers=workers,
-        )
-
     frequencies = {}
     errors = {}
-    for eig, count in zip(obs.eigenvalues, counts):
+    # with no kept trial the tables stay empty and nothing divides by zero
+    for eig, count in zip(obs.eigenvalues, counts) if kept_total else ():
         freq = count / kept_total
         se = float(np.sqrt(freq * (1.0 - freq) / kept_total))
         if se == 0.0:
@@ -423,9 +413,7 @@ def strong_weak_consistency(tsv: TwoStateVector, obs: Observable) -> Consistency
     if dichotomic:
         matched = [e for e in obs.eigenvalues if abs(wv - e) <= CERTAINTY_TOL]
         if matched:
-            dist = abl_probabilities(tsv, obs)
-            prob = dict(dist.entries)[matched[0]]
-            weak_implies_strong = bool(prob >= 1.0 - CERTAINTY_TOL)
+            weak_implies_strong = report.certain and report.value == matched[0]
     passed = all(flag is not False for flag in (strong_implies_weak, weak_implies_strong))
     return ConsistencyReport(
         certain=report.certain,

@@ -8,8 +8,8 @@ arrays; the leftmost subsystem is the most significant tensor index.
 
 Floats are written with 17 significant decimal digits, which round-trips
 IEEE doubles exactly: re-ingesting an exported file reproduces bit-identical
-numbers and therefore bit-identical results. The one exception is a negative
-zero: it is written ``-0``, which JSON reads as the integer 0.
+numbers and therefore bit-identical results; a negative zero is written
+``-0`` and :func:`load` reads it back as -0.0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NullEnsembleError, ProblemFileError, ZeroStateError
+from .errors import ProblemFileError, TsvLabError
 from .qcore import Bra, HamiltonianSchedule, Ket, Operator, spectral_decompose
 from .tsv import GeneralizedTwoStateVector, TwoStateVector, TwoTimeKernel
 
@@ -72,11 +72,20 @@ def _parse_complex(value, shape: tuple, where: str) -> np.ndarray:
     return _parse_numbers(value, (*shape, 2), where, expected).view(complex)[..., 0]
 
 
-def _parse_state(cls, value, dim: int, where: str):
+#: the top-level keys of a problem document
+_KEYS = ("dims", "pre", "post", "generalized", "kernel", "hamiltonian", "observables")
+
+
+def _built(where: str, make, *args):
+    """``make(*args)``, with a construction error reported as a ProblemFileError at ``where``."""
     try:
-        return cls(_parse_complex(value, (dim,), where))
-    except ZeroStateError as exc:
+        return make(*args)
+    except (TsvLabError, ValueError) as exc:
         raise ProblemFileError(f"{where}: {exc}") from exc
+
+
+def _parse_state(cls, value, dim: int, where: str):
+    return _built(where, cls, _parse_complex(value, (dim,), where))
 
 
 def parse_document(doc) -> ProblemFile:
@@ -89,6 +98,10 @@ def parse_document(doc) -> ProblemFile:
     """
     if not isinstance(doc, dict):
         raise ProblemFileError("problem document must be a JSON object")
+    for key in doc:
+        if key not in _KEYS:
+            raise ProblemFileError(
+                f"unknown top-level key {key!r}; expected only {', '.join(_KEYS)}")
     dims = doc.get("dims")
     if (
         not isinstance(dims, list)
@@ -128,15 +141,10 @@ def parse_document(doc) -> ProblemFile:
             fwd = _parse_state(Ket, term["pre"], total, f"generalized term {i} pre")
             bwd = _parse_state(Bra, term["post"], total, f"generalized term {i} post")
             terms.append((alpha, bwd, fwd))
-        try:
-            selection = GeneralizedTwoStateVector(tuple(terms))
-        except NullEnsembleError as exc:
-            raise ProblemFileError(f"generalized: {exc}") from exc
+        selection = _built("generalized", GeneralizedTwoStateVector, tuple(terms))
     else:
-        try:
-            selection = TwoTimeKernel(_parse_complex(doc["kernel"], (total, total), "kernel"))
-        except NullEnsembleError as exc:
-            raise ProblemFileError(f"kernel: {exc}") from exc
+        selection = _built("kernel", TwoTimeKernel,
+                           _parse_complex(doc["kernel"], (total, total), "kernel"))
 
     schedule = None
     if "hamiltonian" in doc:
@@ -152,10 +160,7 @@ def parse_document(doc) -> ProblemFile:
                                             "a non-negative number"))
             matrix = _parse_complex(seg["matrix"], (total, total), where)
             segments.append((duration, Operator(matrix)))
-        try:
-            schedule = HamiltonianSchedule(tuple(segments))
-        except Exception as exc:
-            raise ProblemFileError(f"hamiltonian: {exc}") from exc
+        schedule = _built("hamiltonian", HamiltonianSchedule, tuple(segments))
 
     observables = {}
     raw_obs = doc.get("observables", [])
@@ -169,11 +174,9 @@ def parse_document(doc) -> ProblemFile:
             raise ProblemFileError(f"observable {i}: name must be a non-empty string")
         if name in observables:
             raise ProblemFileError(f"duplicate observable name {name!r}")
-        matrix = _parse_complex(entry["matrix"], (total, total), f"observable {name!r}")
-        try:
-            observables[name] = spectral_decompose(Operator(matrix))
-        except Exception as exc:
-            raise ProblemFileError(f"observable {name!r}: {exc}") from exc
+        where = f"observable {name!r}"
+        matrix = _parse_complex(entry["matrix"], (total, total), where)
+        observables[name] = _built(where, lambda: spectral_decompose(Operator(matrix)))
 
     return ProblemFile(dims=dims, observables=observables, selection=selection, hamiltonian=schedule)
 
@@ -182,8 +185,9 @@ def load(path) -> ProblemFile:
     """Read and parse a problem file from disk."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+            # "-0", which _encode writes for -0.0, reads back as -0.0 and not as the integer 0
+            doc = json.load(handle, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        except (ValueError, RecursionError) as exc:
             raise ProblemFileError(f"{path}: invalid JSON: {exc}") from exc
     return parse_document(doc)
 

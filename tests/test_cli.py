@@ -554,6 +554,27 @@ class TestOverflowingSpectrum:
         assert not csv_path.exists()
 
 
+class TestBadFiles:
+    """A file that cannot be read as a problem ends in one error line and exit 2."""
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe", "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        (b'{"dims": [2], "pre": [[1, 0], [0, 0]], "post": [[1, 0], [0, 0]], "observable": []}',
+         "unknown top-level key 'observable'"),
+        (b'{"dims": [2], "pre": [[1, 0], [0, 0]], "post": [[1, 0], [0, 0]], "hamiltonain": []}',
+         "unknown top-level key 'hamiltonain'"),
+    ], ids=["not-utf-8", "nested-too-deep", "observable-misspelled", "hamiltonian-misspelled"])
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["abl", "--file", str(path), "--observable", "z"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestExportRoundTrip:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_bit_exact_round_trip(self, tmp_path, name):

@@ -233,7 +233,7 @@ class TestExactConditionalOracle:
         monkeypatch.setattr(Observable, "amplitudes", forbidden)
         for module in (tsvlab.tsv, tsvlab.measure):
             for name in ("_abl_amplitudes", "abl_probabilities", "weak_value", "element_of_reality"):
-                monkeypatch.setattr(module, name, forbidden)
+                monkeypatch.setattr(module, name, forbidden, raising=False)
         tsv = boxed_spin_tsv()
         dist = exact_conditional_oracle(tsv.forward, tsv.backward, diagonal_projector(4, 1))
         assert dict(dist.entries)[1.0] == pytest.approx(1.0, abs=1e-12)

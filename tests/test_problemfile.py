@@ -17,6 +17,7 @@ from tsvlab import (
     TwoTimeKernel,
     spectral_decompose,
 )
+from tsvlab import problemfile
 from tsvlab.problemfile import (
     ProblemFile,
     dumps_document,
@@ -167,6 +168,21 @@ class TestValidation:
         with pytest.raises(ProblemFileError) as info:
             parse_document(doc)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("key", ["observable", "hamiltonain", "Dims"])
+    def test_unknown_top_level_key(self, key):
+        doc = minimal_doc()
+        doc[key] = []
+        with pytest.raises(ProblemFileError, match=f"unknown top-level key '{key}'"):
+            parse_document(doc)
+
+    def test_construction_bug_is_not_a_file_error(self, monkeypatch):
+        def broken(op):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(problemfile, "spectral_decompose", broken)
+        with pytest.raises(RuntimeError, match="internal fault"):
+            parse_document(minimal_doc())
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -414,14 +430,12 @@ def test_to_document_and_save_invert_parsing(tmp_path_factory, doc):
     save(problem, path)
     loaded = parsed_arrays(load(path))
     assert len(loaded) == len(expected)
-    # a negative zero is written "-0", which JSON reads as the integer 0; adding
-    # 0.0 makes every zero positive and leaves all other bits as they are
-    assert all(same_bits(a + 0.0, b + 0.0) for a, b in zip(expected, loaded))
+    assert all(same_bits(a, b) for a, b in zip(expected, loaded))
 
 
-def test_saved_negative_zero_reads_back_positive(tmp_path):
+def test_saved_negative_zero_reads_back_negative(tmp_path):
     doc = {"dims": [2], "pre": [[-0.0, 0.0], [1.0, 0.0]], "post": [[1.0, 0.0], [1.0, 0.0]]}
     path = tmp_path / "problem.json"
     save(parse_document(doc), path)
     assert '"pre": [[-0, 0], [1, 0]]' in path.read_text()
-    assert not np.signbit(load(path).selection.forward.amplitudes[0].real)
+    assert np.signbit(load(path).selection.forward.amplitudes[0].real)
