@@ -178,17 +178,24 @@ def cmd_verify(args) -> int:
 def cmd_pointer(args) -> int:
     problem, obs = _load(args)
     tsv = _selection(problem, TwoStateVector, "pointer needs a pre/post problem file")
-    if args.half_range is not None or args.points is not None:
-        if args.half_range is None or args.points is None:
-            return _fail("--half-range and --points must be given together", EXIT_USAGE)
-        cfg = measure.PointerConfig(
-            coupling=args.g, sigma=args.sigma, half_range=args.half_range, points=args.points
-        )
-    else:
-        cfg = measure.PointerConfig.auto(args.g, args.sigma, obs.max_abs_eigenvalue)
+    cfg = measure.PointerConfig(args.g, args.sigma, obs.max_abs_eigenvalue)
     result = measure.weak_measure_pointer(tsv, obs, cfg)
+    try:
+        wv_text = f"{weak_value(tsv, obs.op).real:.12g}"
+    except OrthogonalSelectionError:
+        wv_text = "undefined (orthogonal selection)"
+    eigs = obs.eigenvalues
+    gaps = [b - a for a, b in zip(eigs[:-1], eigs[1:])]
+    strong_lines = []
+    if gaps and args.g * min(gaps) >= 8.0 * args.sigma:
+        masses = measure.pointer_bump_masses(result, obs, args.g)
+        dist = dict(abl_probabilities(tsv, obs).entries)
+        strong_lines = ["strong regime: bump masses vs ABL"] + [
+            f"  outcome {eig:.6g}: mass {masses[eig]:.9g}  abl {dist[eig]:.9g}" for eig in eigs
+        ]
 
-    # One %-format call and one write per block of rows; O(block) extra memory.
+    # everything that can fail is computed before the CSV is opened, so an
+    # error leaves no file; one %-format call and one write per block of rows
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("position,density\n")
         for start in range(0, len(result.positions), CSV_BLOCK_ROWS):
@@ -196,26 +203,13 @@ def cmd_pointer(args) -> int:
             block = np.column_stack((result.positions[rows], result.density[rows]))
             handle.write(("%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
 
-    try:
-        wv = weak_value(tsv, obs.op)
-        wv_text = f"{wv.real:.12g}"
-    except OrthogonalSelectionError:
-        wv = None
-        wv_text = "undefined (orthogonal selection)"
     print(f"pointer density written to {args.out} ({cfg.points} points)")
     print(f"mean_shift          : {result.mean_shift:.12g}")
     print(f"mean_shift / g      : {result.mean_shift / args.g:.12g}")
     print(f"Re(weak value)      : {wv_text}")
     print(f"post-selection rate : {result.postselection_rate:.12g}")
-
-    eigs = obs.eigenvalues
-    gaps = [b - a for a, b in zip(eigs[:-1], eigs[1:])]
-    if gaps and args.g * min(gaps) >= 8.0 * args.sigma:
-        print("strong regime: bump masses vs ABL")
-        masses = measure.pointer_bump_masses(result, obs, args.g)
-        dist = dict(abl_probabilities(tsv, obs).entries)
-        for eig in eigs:
-            print(f"  outcome {eig:.6g}: mass {masses[eig]:.9g}  abl {dist[eig]:.9g}")
+    for line in strong_lines:
+        print(line)
     return EXIT_OK
 
 
@@ -269,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="Gaussian-pointer measurement simulation")
     pointer.add_argument("--g", type=float, required=True, help="coupling strength")
     pointer.add_argument("--sigma", type=float, required=True, help="pointer spread")
-    pointer.add_argument("--half-range", type=float, default=None, dest="half_range")
-    pointer.add_argument("--points", type=int, default=None)
     pointer.add_argument("--out", required=True, help="CSV output path (position, density)")
     pointer.set_defaults(func=cmd_pointer)
 

@@ -9,7 +9,7 @@ measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class MonteCarloReport:
 MIN_POINTER_POINTS = 4096
 #: largest pointer grid: 2**22 points is 32 MB per float64 array
 MAX_POINTER_POINTS = 2**22
-#: the automatic pointer grid spacing is at most sigma over this
+#: the pointer grid spacing is at most sigma over this
 POINTS_PER_SIGMA = 32
 #: most Monte Carlo trials per run; each worker block is drawn in one call
 MAX_MC_SAMPLES = 10**7
@@ -67,92 +67,62 @@ MIN_SHIFT_OVER_SIGMA = 1e-9
 Z_LIMIT = 5.0
 
 
-def _require_positive_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not (np.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
-
-
-def _require_grid_within_cap(points) -> None:
-    if not points <= MAX_POINTER_POINTS:
-        raise ConfigError(
-            f"pointer grid of {points} points exceeds MAX_POINTER_POINTS = {MAX_POINTER_POINTS}"
-        )
-
-
 @dataclass(frozen=True)
 class PointerConfig:
-    """Gaussian pointer parameters and evaluation grid.
+    """Gaussian pointer parameters and the evaluation grid they determine.
 
     ``coupling`` is the pointer shift per unit eigenvalue, ``sigma`` the
-    initial position spread of the pointer wavefunction. All three lengths
-    must be positive and finite, ``2 pi sigma^2`` must be a nonzero finite
-    float64, and the grid may have at most ``MAX_POINTER_POINTS`` points;
-    these are checked on construction, before any array is allocated. The
-    grid must also satisfy
-    ``half_range >= 10 * (sigma + coupling * max|eigenvalue|)``,
-    ``points >= MIN_POINTER_POINTS`` and a spacing
-    ``2 half_range / (points - 1)`` of at most ``sigma / 2``, and the largest
-    shift ``coupling * max|eigenvalue|`` must not be below
-    ``MIN_SHIFT_OVER_SIGMA * sigma`` unless it is 0; these are checked
-    against the observable actually being measured.
+    initial position spread of the pointer wavefunction, and
+    ``max_abs_eigenvalue`` the spectral radius of the observable the grid is
+    built for. The grid spans ``+-half_range`` with
+    ``half_range = 10 * (sigma + coupling * max_abs_eigenvalue)``, and has
+    ``points`` chosen so its spacing is at most ``sigma / POINTS_PER_SIGMA``
+    (never below ``MIN_POINTER_POINTS`` points), which keeps trapezoid
+    quadrature error far below the model error. Construction checks, in this
+    order and before any array is allocated, that ``coupling`` and ``sigma``
+    are positive and finite and ``max_abs_eigenvalue`` non-negative and
+    finite, that ``2 pi sigma^2`` is a nonzero finite float64, that the
+    largest shift ``coupling * max_abs_eigenvalue`` is not below
+    ``MIN_SHIFT_OVER_SIGMA * sigma`` unless it is 0, and that the grid has
+    at most ``MAX_POINTER_POINTS`` points.
     """
 
     coupling: float
     sigma: float
-    half_range: float
-    points: int
+    max_abs_eigenvalue: float
+    half_range: float = field(init=False)
+    points: int = field(init=False)
 
     def __post_init__(self):
-        _require_positive_finite(
-            coupling=self.coupling, sigma=self.sigma, half_range=self.half_range
-        )
+        for name in ("coupling", "sigma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not (np.isfinite(self.max_abs_eigenvalue) and self.max_abs_eigenvalue >= 0.0):
+            raise ConfigError(
+                f"max_abs_eigenvalue must be non-negative and finite, got {self.max_abs_eigenvalue}"
+            )
         if not 0.0 < 2.0 * np.pi * self.sigma * self.sigma < np.inf:
             raise ConfigError(
                 f"sigma {self.sigma} puts the pointer normalization (2 pi sigma^2)^(-1/4) "
                 "outside the float64 range"
             )
-        _require_grid_within_cap(self.points)
-
-    @classmethod
-    def auto(cls, coupling: float, sigma: float, max_abs_eigenvalue: float) -> "PointerConfig":
-        """Grid sized for the given coupling, spread, and spectral radius.
-
-        The point count is chosen so the grid spacing is at most
-        ``sigma / POINTS_PER_SIGMA`` (never below ``MIN_POINTER_POINTS``
-        points), which keeps trapezoid quadrature error far below the model
-        error.
-        """
-        _require_positive_finite(coupling=coupling, sigma=sigma)
-        half_range = 10.0 * (sigma + coupling * max_abs_eigenvalue)
-        points = np.ceil(2.0 * half_range * POINTS_PER_SIGMA / sigma) + 1
-        # checked as a float: an overflowing grid is inf, which int() cannot take
-        _require_grid_within_cap(points)
-        points = max(MIN_POINTER_POINTS, int(points))
-        return cls(coupling=coupling, sigma=sigma, half_range=half_range, points=points)
-
-    def validate_for(self, obs: Observable) -> None:
-        required = 10.0 * (self.sigma + self.coupling * obs.max_abs_eigenvalue)
-        if self.half_range < required * (1.0 - 1e-12):
-            raise ConfigError(
-                f"half_range {self.half_range} < required {required} for this observable"
-            )
-        if self.points < MIN_POINTER_POINTS:
-            raise ConfigError(f"grid needs at least {MIN_POINTER_POINTS} points, got {self.points}")
-        # trapezoid aliasing of the Gaussian density is ~exp(-2 pi^2 sigma^2 / h^2)
-        spacing = 2.0 * self.half_range / (self.points - 1)
-        if spacing > self.sigma / 2.0:
-            raise ConfigError(
-                f"grid spacing {spacing:.6g} exceeds sigma / 2 = {self.sigma / 2.0:.6g}; "
-                "use more points or a smaller half_range"
-            )
-        shift = self.coupling * obs.max_abs_eigenvalue
+        shift = self.coupling * self.max_abs_eigenvalue
         if 0.0 < shift < MIN_SHIFT_OVER_SIGMA * self.sigma:
             raise ConfigError(
                 f"pointer shift coupling * max|eigenvalue| = {shift:.6g} is below "
                 f"{MIN_SHIFT_OVER_SIGMA:g} * sigma = {MIN_SHIFT_OVER_SIGMA * self.sigma:.6g}, "
                 "where quadrature error swamps it"
             )
+        half_range = 10.0 * (self.sigma + shift)
+        points = np.ceil(2.0 * half_range * POINTS_PER_SIGMA / self.sigma) + 1
+        # checked as a float: an overflowing grid is inf, which int() cannot take
+        if not points <= MAX_POINTER_POINTS:
+            raise ConfigError(
+                f"pointer grid of {points} points exceeds MAX_POINTER_POINTS = {MAX_POINTER_POINTS}"
+            )
+        object.__setattr__(self, "half_range", half_range)
+        object.__setattr__(self, "points", max(MIN_POINTER_POINTS, int(points)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,16 +302,25 @@ def weak_measure_pointer(
     post-selection rate are returned. In the weak regime the mean shift
     approaches ``coupling * Re(weak value)``; in the strong regime the
     density splits into bumps at the scaled eigenvalues carrying the
-    conditional (ABL) masses.
+    conditional (ABL) masses. ``cfg`` must be built for this observable's
+    ``max_abs_eigenvalue``; another spectral radius raises ``ConfigError``.
     """
     amplitudes = _abl_amplitudes(tsv, obs)
-    cfg.validate_for(obs)
+    if obs.max_abs_eigenvalue != cfg.max_abs_eigenvalue:
+        raise ConfigError(
+            f"pointer grid built for max|eigenvalue| {cfg.max_abs_eigenvalue}, "
+            f"observable has {obs.max_abs_eigenvalue}"
+        )
     q = np.linspace(-cfg.half_range, cfg.half_range, cfg.points)
     norm = (2.0 * np.pi * cfg.sigma**2) ** (-0.25)
+    # offsets are divided by a power of two within a factor 2 of sigma before squaring,
+    # so no square overflows, and the exponent keeps the bits of (q - g o_n)^2 / 4 sigma^2
+    scale = 2.0 ** np.frexp(cfg.sigma)[1]
+    width = 4.0 * (cfg.sigma / scale) ** 2
     # one packet at a time, so memory is O(points) whatever the eigenspace count
     wavefunction = np.zeros(cfg.points, dtype=complex)
     for amplitude, eigenvalue in zip(amplitudes, obs.eigenvalues):
-        packet = norm * np.exp(-((q - cfg.coupling * eigenvalue) ** 2) / (4.0 * cfg.sigma**2))
+        packet = norm * np.exp(-(((q - cfg.coupling * eigenvalue) / scale) ** 2) / width)
         wavefunction += amplitude * packet
     raw_density = np.abs(wavefunction) ** 2
     rate = float(np.trapezoid(raw_density, q))

@@ -179,13 +179,13 @@ def test_criterion_06_pointer_laws():
     obs = scenario.observables["P_B_up"]
     errors = {}
     for g in (2e-3, 1e-3):
-        cfg = PointerConfig.auto(g, 1.0, obs.max_abs_eigenvalue)
+        cfg = PointerConfig(g, 1.0, obs.max_abs_eigenvalue)
         result = weak_measure_pointer(tsv, obs, cfg)
         errors[g] = abs(result.mean_shift / g - (-1.0))
     first_order = errors[1e-3] <= 0.5 * errors[2e-3]
 
     g = 1000.0
-    cfg = PointerConfig.auto(g, 1.0, obs.max_abs_eigenvalue)
+    cfg = PointerConfig(g, 1.0, obs.max_abs_eigenvalue)
     result = weak_measure_pointer(tsv, obs, cfg)
     masses = pointer_bump_masses(result, obs, g)
     dist = dict(abl_probabilities(tsv, obs).entries)

@@ -445,29 +445,27 @@ class TestPointer:
         out = capsys.readouterr().out
         assert "strong regime: bump masses vs ABL" in out
         expected, result = per_row_pointer_csv(
-            spin_box_file, "P_B_up", PointerConfig.auto(1000.0, 1.0, 1.0)
+            spin_box_file, "P_B_up", PointerConfig(1000.0, 1.0, 1.0)
         )
         assert result.positions.size == 640_641
         assert csv_path.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("points", [4096, 4097, 8193])
-    def test_csv_bytes_match_per_row_format(self, capsys, spin_box_file, tmp_path, points):
-        # half-range 61.3 reaches far enough into the Gaussian tails that the
-        # density underflows to subnormals and then to exact zeros
+    @pytest.mark.parametrize("g,points", [(5.39, 4096), (5.4, 4097), (11.8, 8193)])
+    def test_csv_bytes_match_per_row_format(self, capsys, spin_box_file, tmp_path, g, points):
+        # the grid reaches far enough into the Gaussian tails that the density
+        # underflows to subnormals and then to exact zeros
         csv_path = tmp_path / "pointer.csv"
         code = main([
             "pointer",
             "--file", str(spin_box_file),
             "--observable", "P_B_up",
-            "--g", "0.001",
+            "--g", repr(g),
             "--sigma", "1.0",
-            "--half-range", "61.3",
-            "--points", str(points),
             "--out", str(csv_path),
         ])
         assert code == 0
-        cfg = PointerConfig(coupling=0.001, sigma=1.0, half_range=61.3, points=points)
-        expected, result = per_row_pointer_csv(spin_box_file, "P_B_up", cfg)
+        expected, result = per_row_pointer_csv(spin_box_file, "P_B_up", PointerConfig(g, 1.0, 1.0))
+        assert result.positions.size == points
         assert np.any(result.density == 0.0)
         assert np.any((result.density > 0.0) & (result.density < np.finfo(float).tiny))
         assert csv_path.read_bytes() == expected.encode()
@@ -480,18 +478,6 @@ class TestPointer:
         (["--g", "1e300", "--sigma", "1.0"], "MAX_POINTER_POINTS"),
         # 640,000,000,641 points, ~10 TB for two float64 arrays
         (["--g", "1e9", "--sigma", "1.0"], "MAX_POINTER_POINTS"),
-        (["--g", "0.001", "--sigma", "1.0", "--half-range", "20", "--points", str(2**22 + 1)],
-         "MAX_POINTER_POINTS"),
-        (["--g", "0.001", "--sigma", "1.0", "--half-range", "inf", "--points", "5000"],
-         "half_range"),
-        (["--g", "0.001", "--sigma", "1.0", "--half-range", "nan", "--points", "5000"],
-         "half_range"),
-        # spacing 4.9 sigma: printed mean_shift / g = -5.96 where Re A_w = -1
-        (["--g", "0.001", "--sigma", "1.0", "--half-range", "1e4", "--points", "4096"],
-         "spacing"),
-        # spacing 488 sigma: the squared offsets overflowed to an empty pointer
-        (["--g", "0.001", "--sigma", "1.0", "--half-range", "1e6", "--points", "4096"],
-         "spacing"),
         # printed mean_shift / g = 5.55e+303: quadrature noise over a subnormal g
         (["--g", "1e-320", "--sigma", "1.0"], "coupling * max|eigenvalue| = 9.99989e-321"),
         (["--g", "1e-14", "--sigma", "1.0"], "1e-09 * sigma = 1e-09"),
@@ -513,18 +499,54 @@ class TestPointer:
         assert "nan" not in captured.out
         assert not csv_path.exists()
 
-    def test_bad_grid_exits_2(self, capsys, spin_box_file, tmp_path):
-        code = main([
-            "pointer",
-            "--file", str(spin_box_file),
-            "--observable", "P_B_up",
-            "--g", "0.001",
-            "--sigma", "1.0",
-            "--half-range", "1.0",
-            "--points", "4096",
-            "--out", str(tmp_path / "x.csv"),
-        ])
+    @pytest.mark.parametrize("flag", [
+        ["--half-range", "1.0", "--points", "4096"],
+        ["--half-range", "20"],
+        ["--points", "4096"],
+    ])
+    def test_bad_grid_exits_2(self, capsys, spin_box_file, tmp_path, flag):
+        # the grid is worked out from --g, --sigma and the spectrum; it has no flags
+        csv_path = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["pointer", "--file", str(spin_box_file), "--observable", "P_B_up",
+                  "--g", "0.001", "--sigma", "1.0", *flag, "--out", str(csv_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    def test_overflowing_weak_value_leaves_no_csv(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [1.0, 0.0]],
+            "post": [[1.0, 0.0], [-0.999999996, 0.0]],
+            "observables": [{"name": "huge", "matrix": [[[1e300, 0.0], [1e300, 0.0]],
+                                                         [[1e300, 0.0], [-1e300, 0.0]]]}],
+        }))
+        csv_path = tmp_path / "pointer.csv"
+        code = main(["pointer", "--file", str(path), "--observable", "huge",
+                     "--g", "1e-299", "--sigma", "1", "--out", str(csv_path)])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: weak value overflows float64")
+        assert captured.out == ""
+        assert not csv_path.exists()
+
+    def test_wide_pointer_matches_unit_pointer(self, capsys, three_box_file, tmp_path):
+        # past |q| = 1.34e154 a squared offset overflows; g = sigma = 5e153 reaches 1e155
+        capsys.readouterr()  # drop fixture output
+        summaries = []
+        for scale in ("1", "5e153"):
+            code = main(["pointer", "--file", str(three_box_file), "--observable", "P_A",
+                         "--g", scale, "--sigma", scale, "--out", str(tmp_path / "p.csv")])
+            assert code == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            summaries.append([line for line in captured.out.splitlines()
+                              if not line.startswith("mean_shift  ")])
+        assert summaries[0] == summaries[1]
+        assert "mean_shift / g      : 1" in summaries[0]
+        assert "post-selection rate : 0.111111111111" in summaries[0]
 
 
 class TestOverflowingSpectrum:

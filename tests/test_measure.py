@@ -271,14 +271,14 @@ class TestWeakMeasurePointer:
         rng = np.random.default_rng(7)
         tsv = random_tsv(rng, 3, min_overlap=0.1)
         obs = spectral_decompose(Operator.identity(3))
-        cfg = PointerConfig.auto(0.5, 1.0, obs.max_abs_eigenvalue)
+        cfg = PointerConfig(0.5, 1.0, obs.max_abs_eigenvalue)
         result = weak_measure_pointer(tsv, obs, cfg)
         assert result.mean_shift == pytest.approx(0.5, abs=1e-9)
 
     def test_density_normalized_and_rate_bounded(self):
         tsv = boxed_spin_tsv()
         obs = diagonal_projector(4, 2)
-        cfg = PointerConfig.auto(0.3, 1.0, obs.max_abs_eigenvalue)
+        cfg = PointerConfig(0.3, 1.0, obs.max_abs_eigenvalue)
         result = weak_measure_pointer(tsv, obs, cfg)
         assert abs(np.trapezoid(result.density, result.positions) - 1.0) <= 1e-9
         assert 0.0 <= result.postselection_rate <= 1.0
@@ -287,7 +287,7 @@ class TestWeakMeasurePointer:
         tsv = boxed_spin_tsv()
         obs = diagonal_projector(4, 2)
         for g in (1e-3, 1e-2):
-            cfg = PointerConfig.auto(g, 1.0, obs.max_abs_eigenvalue)
+            cfg = PointerConfig(g, 1.0, obs.max_abs_eigenvalue)
             result = weak_measure_pointer(tsv, obs, cfg)
             assert result.mean_shift == pytest.approx(
                 analytic_mean_shift(tsv, obs, g, 1.0), abs=1e-9
@@ -297,7 +297,7 @@ class TestWeakMeasurePointer:
         tsv = boxed_spin_tsv()
         obs = diagonal_projector(4, 2)
         g = 1e-3
-        cfg = PointerConfig.auto(g, 1.0, obs.max_abs_eigenvalue)
+        cfg = PointerConfig(g, 1.0, obs.max_abs_eigenvalue)
         result = weak_measure_pointer(tsv, obs, cfg)
         assert abs(result.mean_shift / g - (-1.0)) <= 0.01
 
@@ -306,7 +306,7 @@ class TestWeakMeasurePointer:
         obs = diagonal_projector(4, 2)
         errors = {}
         for g in (2e-3, 1e-3):
-            cfg = PointerConfig.auto(g, 1.0, obs.max_abs_eigenvalue)
+            cfg = PointerConfig(g, 1.0, obs.max_abs_eigenvalue)
             result = weak_measure_pointer(tsv, obs, cfg)
             errors[g] = abs(result.mean_shift / g - (-1.0))
         assert errors[1e-3] <= 0.5 * errors[2e-3]
@@ -315,7 +315,7 @@ class TestWeakMeasurePointer:
         tsv = boxed_spin_tsv()
         obs = diagonal_projector(4, 2)
         g = 1000.0
-        cfg = PointerConfig.auto(g, 1.0, obs.max_abs_eigenvalue)
+        cfg = PointerConfig(g, 1.0, obs.max_abs_eigenvalue)
         result = weak_measure_pointer(tsv, obs, cfg)
         masses = pointer_bump_masses(result, obs, g)
         dist = dict(abl_probabilities(tsv, obs).entries)
@@ -325,72 +325,94 @@ class TestWeakMeasurePointer:
     def test_undersized_grid_rejected(self):
         tsv = boxed_spin_tsv()
         obs = diagonal_projector(4, 2)
-        cfg = PointerConfig(coupling=0.1, sigma=1.0, half_range=2.0, points=4096)
-        with pytest.raises(ConfigError):
-            weak_measure_pointer(tsv, obs, cfg)
-        cfg = PointerConfig(coupling=0.1, sigma=1.0, half_range=20.0, points=128)
-        with pytest.raises(ConfigError):
+        assert obs.max_abs_eigenvalue == 1.0
+        cfg = PointerConfig(coupling=0.1, sigma=1.0, max_abs_eigenvalue=0.5)
+        with pytest.raises(ConfigError, match=r"max\|eigenvalue\| 0.5"):
             weak_measure_pointer(tsv, obs, cfg)
 
-    def test_grid_spacing_over_half_sigma_rejected(self):
+    def test_grid_for_larger_radius_rejected(self):
+        # a wider grid than the observable needs is still another observable's grid
         tsv = boxed_spin_tsv()
         obs = diagonal_projector(4, 2)
-        # spacing 2 * 10000 / 4095 = 4.9 sigma; the mean shift read -5.96 g, not -g
-        for half_range in (1e4, 1e6):
-            cfg = PointerConfig(coupling=0.001, sigma=1.0, half_range=half_range, points=4096)
-            with pytest.raises(ConfigError, match="spacing"):
-                weak_measure_pointer(tsv, obs, cfg)
-        # exactly sigma / 2 is still accepted
-        cfg = PointerConfig(coupling=0.001, sigma=1.0, half_range=0.25 * 4095, points=4096)
-        result = weak_measure_pointer(tsv, obs, cfg)
-        assert abs(result.mean_shift / 0.001 - (-1.0)) <= 0.01
+        cfg = PointerConfig(coupling=0.1, sigma=1.0, max_abs_eigenvalue=2.0)
+        with pytest.raises(ConfigError, match=r"max\|eigenvalue\| 2.0"):
+            weak_measure_pointer(tsv, obs, cfg)
+
+    @pytest.mark.parametrize("scale", [1e-100, 0.7, 1e100, 5e153])
+    def test_scaled_pointer_matches_unit_pointer(self, scale):
+        # g and sigma scaled together scale the grid and leave the pointer's shape;
+        # past |q| = 1.34e154 a squared offset would overflow and cut the packets short
+        tsv = boxed_spin_tsv()
+        obs = diagonal_projector(4, 2)
+        unit = weak_measure_pointer(tsv, obs, PointerConfig(1.0, 1.0, 1.0))
+        with np.errstate(all="raise"):
+            result = weak_measure_pointer(tsv, obs, PointerConfig(scale, scale, 1.0))
+        assert result.positions.size == unit.positions.size
+        assert result.mean_shift / scale == pytest.approx(unit.mean_shift, rel=1e-12)
+        assert result.postselection_rate == pytest.approx(unit.postselection_rate, rel=1e-12)
+        # the far tails of a density shrunk by 1e-100 underflow, so compare against its peak
+        error = np.max(np.abs(result.density * scale - unit.density))
+        assert error <= 1e-12 * unit.density.max()
+
+    def test_grid_derived_from_inputs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            sigma = 10.0 ** rng.uniform(-3.0, 3.0)
+            coupling = sigma * 10.0 ** rng.uniform(-3.0, 2.0)
+            radius = rng.uniform(0.5, 10.0)
+            cfg = PointerConfig(coupling, sigma, radius)
+            assert cfg.half_range == 10.0 * (sigma + coupling * radius)
+            assert tsvlab.measure.MIN_POINTER_POINTS <= cfg.points <= tsvlab.measure.MAX_POINTER_POINTS
+            assert 2.0 * cfg.half_range / (cfg.points - 1) <= sigma / tsvlab.measure.POINTS_PER_SIGMA
 
     @pytest.mark.parametrize("coupling", [1e-320, 1e-14, 0.99e-9])
     def test_shift_below_quadrature_resolution_rejected(self, coupling):
         tsv = boxed_spin_tsv()
         obs = diagonal_projector(4, 2)
         with pytest.raises(ConfigError, match=r"max\|eigenvalue\| = .* 1e-09 \* sigma = 1e-09"):
-            weak_measure_pointer(tsv, obs, PointerConfig.auto(coupling, 1.0, obs.max_abs_eigenvalue))
+            weak_measure_pointer(tsv, obs, PointerConfig(coupling, 1.0, obs.max_abs_eigenvalue))
 
     def test_shift_floor_scales_with_sigma_and_spares_zero_spectrum(self):
         tsv = boxed_spin_tsv()
         obs = diagonal_projector(4, 2)
-        result = weak_measure_pointer(tsv, obs, PointerConfig.auto(1e-9, 1.0, 1.0))
+        result = weak_measure_pointer(tsv, obs, PointerConfig(1e-9, 1.0, 1.0))
         assert np.isfinite(result.mean_shift)
         with pytest.raises(ConfigError, match="sigma"):
-            weak_measure_pointer(tsv, obs, PointerConfig.auto(1e-9, 2.0, 1.0))
+            weak_measure_pointer(tsv, obs, PointerConfig(1e-9, 2.0, 1.0))
         zero = spectral_decompose(Operator(np.zeros((4, 4), dtype=complex)))
-        result = weak_measure_pointer(tsv, zero, PointerConfig.auto(1e-320, 1.0, 0.0))
+        result = weak_measure_pointer(tsv, zero, PointerConfig(1e-320, 1.0, 0.0))
         assert result.mean_shift == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("field,value", [
         (field, value)
-        for field in ("coupling", "sigma", "half_range")
+        for field in ("coupling", "sigma")
         for value in (np.inf, -np.inf, np.nan, 0.0, -1.0)
     ] + [("sigma", 1e300), ("sigma", 1e-300)])
     def test_non_finite_or_non_positive_lengths_rejected(self, field, value):
-        kwargs = dict(coupling=0.1, sigma=1.0, half_range=20.0, points=4096)
+        kwargs = dict(coupling=0.1, sigma=1.0, max_abs_eigenvalue=1.0)
         kwargs[field] = value
         with pytest.raises(ConfigError, match=field):
             PointerConfig(**kwargs)
-        if field != "half_range":
-            auto = dict(coupling=0.1, sigma=1.0)
-            auto[field] = value
-            with pytest.raises(ConfigError):
-                PointerConfig.auto(auto["coupling"], auto["sigma"], 1.0)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -1.0])
+    def test_non_finite_or_negative_radius_rejected(self, value):
+        # a negative radius shrank half_range; nan reported a grid of "nan points"
+        with pytest.raises(ConfigError, match="max_abs_eigenvalue must be non-negative"):
+            PointerConfig(coupling=0.1, sigma=1.0, max_abs_eigenvalue=value)
 
     def test_grid_cap_checked_before_allocation(self):
         cap = tsvlab.measure.MAX_POINTER_POINTS
         assert cap > 640_641  # the strong-regime g=1000 grid stays legal
-        assert PointerConfig(coupling=0.1, sigma=1.0, half_range=20.0, points=cap).points == cap
+        # g=6552.598 asks for exactly the cap, g=6552.599 for one point more
+        assert PointerConfig(6552.598, 1.0, 1.0).points == cap == 4_194_304
         tracemalloc.start()
         try:
             # g=1e9 asks for 640,000,000,641 points, g=1e300 for an infinite count
             for coupling in (1e9, 1e300):
                 with pytest.raises(ConfigError, match="MAX_POINTER_POINTS"):
-                    PointerConfig.auto(coupling, 1.0, 1.0)
-            with pytest.raises(ConfigError, match="MAX_POINTER_POINTS"):
-                PointerConfig(coupling=0.1, sigma=1.0, half_range=20.0, points=cap + 1)
+                    PointerConfig(coupling, 1.0, 1.0)
+            with pytest.raises(ConfigError, match="4194305.0 points exceeds MAX_POINTER_POINTS"):
+                PointerConfig(6552.599, 1.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -399,10 +421,12 @@ class TestWeakMeasurePointer:
     def test_memory_independent_of_eigenspace_count(self):
         rng = np.random.default_rng(8)
         tsv = random_tsv(rng, 32, min_overlap=0.05)
-        cfg = PointerConfig(coupling=0.01, sigma=1.0, half_range=20.0, points=65_536)
+        # both spectra span [0, 1], so both use this 64,641-point grid
+        cfg = PointerConfig(coupling=100.0, sigma=1.0, max_abs_eigenvalue=1.0)
         peaks = {}
         for count in (4, 32):
-            levels = np.arange(32) % count
+            spectrum = np.linspace(0.0, 1.0, count)
+            levels = spectrum[np.arange(32) % count]
             obs = spectral_decompose(Operator(np.diag(levels).astype(complex)))
             assert len(obs.eigenvalues) == count  # decomposed before tracing starts
             tracemalloc.start()
@@ -413,9 +437,9 @@ class TestWeakMeasurePointer:
                 tracemalloc.stop()
             # reference: every packet on the grid at once, summed by one product
             terms = tsv.backward.amplitudes.conj() * tsv.forward.amplitudes
-            amplitudes = np.array([terms[levels == n].sum() for n in range(count)])
+            amplitudes = np.array([terms[levels == level].sum() for level in spectrum])
             q = result.positions
-            packets = np.exp(-((q - cfg.coupling * np.arange(count)[:, None]) ** 2) / 4.0)
+            packets = np.exp(-((q - cfg.coupling * spectrum[:, None]) ** 2) / 4.0)
             density = np.abs(amplitudes @ packets) ** 2
             density /= np.trapezoid(density, q)
             assert np.max(np.abs(result.density - density)) <= 1e-13 * density.max()

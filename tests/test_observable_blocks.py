@@ -128,7 +128,7 @@ def test_block_formulas_match_dense_projectors(case):
 def test_pointer_density_matches_dense_amplitudes(case):
     _, obs, _, pre, post = case
     tsv = TwoStateVector(pre, post)
-    cfg = PointerConfig.auto(0.2, 1.0, obs.max_abs_eigenvalue)
+    cfg = PointerConfig(0.2, 1.0, obs.max_abs_eigenvalue)
     result = weak_measure_pointer(tsv, obs, cfg)
     q = result.positions
     centers = cfg.coupling * np.asarray(obs.eigenvalues)

@@ -666,6 +666,6 @@ class TestTwoTimeDistribution:
 
 def test_thresholds_are_module_constants_not_parameters():
     functions = (spectral_decompose, Observable, weak_value, element_of_reality,
-                 product_rule_report, strong_weak_consistency, PointerConfig.auto)
+                 product_rule_report, strong_weak_consistency, PointerConfig)
     params = {name for f in functions for name in inspect.signature(f).parameters}
     assert not params & {"degeneracy_tol", "threshold", "tol", "value_tol", "points_per_sigma"}
