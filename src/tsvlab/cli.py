@@ -195,13 +195,22 @@ def cmd_pointer(args) -> int:
         ]
 
     # everything that can fail is computed before the CSV is opened, so an
-    # error leaves no file; one %-format call and one write per block of rows
+    # error leaves no file; one %-format call and one write per block of rows.
+    # "%.17g" % 0.0 is "0" (a density is never -0.0), so the template writes a
+    # zero density as that literal and only the other values are formatted
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("position,density\n")
         for start in range(0, len(result.positions), CSV_BLOCK_ROWS):
             rows = slice(start, start + CSV_BLOCK_ROWS)
+            nonzero = result.density[rows] != 0.0
+            runs = [0, *(np.flatnonzero(nonzero[1:] != nonzero[:-1]) + 1).tolist(), len(nonzero)]
+            template = "".join(
+                ("%.17g,%.17g\n" if nonzero[a] else "%.17g,0\n") * (b - a)
+                for a, b in zip(runs[:-1], runs[1:])
+            )
             block = np.column_stack((result.positions[rows], result.density[rows]))
-            handle.write(("%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
+            formatted = np.column_stack((np.ones_like(nonzero), nonzero))
+            handle.write(template % tuple(block[formatted].tolist()))
 
     print(f"pointer density written to {args.out} ({cfg.points} points)")
     print(f"mean_shift          : {result.mean_shift:.12g}")

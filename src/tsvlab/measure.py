@@ -63,6 +63,9 @@ MAX_MC_WORKERS = 1024
 #: smallest resolvable shift: coupling * max|eigenvalue| below this times
 #: sigma drowns in the quadrature residue (about 6e-17 sigma)
 MIN_SHIFT_OVER_SIGMA = 1e-9
+#: a pointer packet is computed only where its exponent is below this; past
+#: about 745.13, exp underflows to exactly 0, so the skipped points add nothing
+PACKET_EXPONENT_CUT = 800.0
 #: a Monte Carlo frequency agrees with its probability within this many standard errors
 Z_LIMIT = 5.0
 
@@ -317,11 +320,16 @@ def weak_measure_pointer(
     # so no square overflows, and the exponent keeps the bits of (q - g o_n)^2 / 4 sigma^2
     scale = 2.0 ** np.frexp(cfg.sigma)[1]
     width = 4.0 * (cfg.sigma / scale) ** 2
-    # one packet at a time, so memory is O(points) whatever the eigenspace count
+    reach = scale * np.sqrt(PACKET_EXPONENT_CUT * width)
+    # one packet at a time, so memory is O(points) whatever the eigenspace count, and
+    # each on the window where it is nonzero: the wavefunction starts at +0, so the
+    # exact zeros skipped outside it would have left every bit unchanged
     wavefunction = np.zeros(cfg.points, dtype=complex)
     for amplitude, eigenvalue in zip(amplitudes, obs.eigenvalues):
-        packet = norm * np.exp(-(((q - cfg.coupling * eigenvalue) / scale) ** 2) / width)
-        wavefunction += amplitude * packet
+        center = cfg.coupling * eigenvalue
+        lo, hi = np.searchsorted(q, (center - reach, center + reach))
+        packet = norm * np.exp(-(((q[lo:hi] - center) / scale) ** 2) / width)
+        wavefunction[lo:hi] += amplitude * packet
     raw_density = np.abs(wavefunction) ** 2
     rate = float(np.trapezoid(raw_density, q))
     if rate <= _NULL_WEIGHT:
@@ -352,11 +360,12 @@ def pointer_bump_masses(result: PointerResult, obs: Observable, coupling: float)
     q = result.positions
     masses = {}
     for eig, lo, hi in zip(obs.eigenvalues, edges[:-1], edges[1:]):
-        window = (q >= lo) & (q < hi)
-        if window.sum() < 2:
+        # q is sorted, so q[a:b] is exactly the points with lo <= q < hi
+        a, b = np.searchsorted(q, (lo, hi))
+        if b - a < 2:
             masses[eig] = 0.0
             continue
-        masses[eig] = float(np.trapezoid(result.density[window], q[window]))
+        masses[eig] = float(np.trapezoid(result.density[a:b], q[a:b]))
     return masses
 
 

@@ -16,7 +16,7 @@ from tsvlab import (
     weak_measure_pointer,
     weak_value,
 )
-from tsvlab.cli import main
+from tsvlab.cli import CSV_BLOCK_ROWS, main
 from tsvlab.problemfile import load
 from tsvlab.scenarios import SCENARIOS
 
@@ -468,6 +468,32 @@ class TestPointer:
         assert result.positions.size == points
         assert np.any(result.density == 0.0)
         assert np.any((result.density > 0.0) & (result.density < np.finfo(float).tiny))
+        assert csv_path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("g,points", [(100.0, 64_641), (200.0, 128_641)])
+    def test_strong_regime_csv_bytes_match_per_row_format(
+        self, capsys, spin_box_file, tmp_path, g, points
+    ):
+        # mostly exact-zero densities, written as the literal "0" that %.17g gives
+        csv_path = tmp_path / "pointer.csv"
+        code = main([
+            "pointer",
+            "--file", str(spin_box_file),
+            "--observable", "P_B_up",
+            "--g", repr(g),
+            "--sigma", "1.0",
+            "--out", str(csv_path),
+        ])
+        assert code == 0
+        expected, result = per_row_pointer_csv(spin_box_file, "P_B_up", PointerConfig(g, 1.0, 1.0))
+        assert result.positions.size == points
+        rows = expected.splitlines()[1:]
+        assert sum(row.endswith(",0") for row in rows) >= 0.9 * len(rows)
+        # both a zero run and a nonzero run span a block boundary
+        nonzero = result.density != 0.0
+        boundaries = np.arange(CSV_BLOCK_ROWS, points, CSV_BLOCK_ROWS)
+        for value in (False, True):
+            assert np.any((nonzero[boundaries - 1] == value) & (nonzero[boundaries] == value))
         assert csv_path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("flags,named", [

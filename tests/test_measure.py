@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -266,6 +267,70 @@ def analytic_mean_shift(tsv, obs, coupling, sigma):
     return float(np.real(num / den))
 
 
+def full_grid_pointer(tsv, obs, cfg):
+    """``(density, mean_shift, postselection_rate)`` as the all-grid loop computed
+    them: every eigenspace packet evaluated on every grid point."""
+    amplitudes = tsvlab.tsv._abl_amplitudes(tsv, obs)
+    q = np.linspace(-cfg.half_range, cfg.half_range, cfg.points)
+    norm = (2.0 * np.pi * cfg.sigma**2) ** (-0.25)
+    scale = 2.0 ** np.frexp(cfg.sigma)[1]
+    width = 4.0 * (cfg.sigma / scale) ** 2
+    wavefunction = np.zeros(cfg.points, dtype=complex)
+    for amplitude, eigenvalue in zip(amplitudes, obs.eigenvalues):
+        packet = norm * np.exp(-(((q - cfg.coupling * eigenvalue) / scale) ** 2) / width)
+        wavefunction += amplitude * packet
+    raw_density = np.abs(wavefunction) ** 2
+    rate = float(np.trapezoid(raw_density, q))
+    density = raw_density / rate
+    return density, float(np.trapezoid(q * density, q)), min(rate, 1.0)
+
+
+def masked_bump_masses(result, obs, coupling):
+    """:func:`pointer_bump_masses` as a full-grid mask per eigenvalue computed it."""
+    centers = [coupling * e for e in obs.eigenvalues]
+    edges = [-np.inf] + [(a + b) / 2.0 for a, b in zip(centers[:-1], centers[1:])] + [np.inf]
+    q = result.positions
+    masses = {}
+    for eig, lo, hi in zip(obs.eigenvalues, edges[:-1], edges[1:]):
+        window = (q >= lo) & (q < hi)
+        if window.sum() < 2:
+            masses[eig] = 0.0
+            continue
+        masses[eig] = float(np.trapezoid(result.density[window], q[window]))
+    return masses
+
+
+def _random_levels_case(g, sigma):
+    rng = np.random.default_rng(52)
+    return random_tsv(rng, 8, min_overlap=0.05), random_observable(rng, 8), g, sigma
+
+
+#: name -> (tsv, observable, coupling, sigma); the boxed spin's projector has
+#: eigenvalues 0 and 1, and each packet reaches 2 sqrt(PACKET_EXPONENT_CUT) sigma
+WINDOW_CASES = {
+    # the grid spans +-10.01 sigma, so every window is the whole grid
+    "weak": lambda: (boxed_spin_tsv(), diagonal_projector(4, 2), 0.001, 1.0),
+    # bumps at 0 and 100 on a +-1010 grid: both windows are interior
+    "strong": lambda: (boxed_spin_tsv(), diagonal_projector(4, 2), 100.0, 1.0),
+    # the packet at 4.7 is cut by the grid's top edge at 57 only, the one at 0 by neither
+    "clipped-one-edge": lambda: (boxed_spin_tsv(), diagonal_projector(4, 2), 4.7, 1.0),
+    # 8 eigenspaces of both signs, some windows clipped and some interior
+    "random-levels": lambda: _random_levels_case(0.33, 0.3),
+    "random-levels-strong": lambda: _random_levels_case(52.0, 1.0),
+    # one eigenvalue, 0: a single packet centred on the grid
+    "zero-eigenvalue": lambda: (
+        boxed_spin_tsv(), spectral_decompose(Operator(np.zeros((4, 4), dtype=complex))), 1.0, 1.0
+    ),
+    # sigma_z at g=5.5 puts the bump-mass edge 0 on the middle of a 4161-point grid
+    "edge-on-grid-point": lambda: (
+        TwoStateVector(Ket([1, 1]), Bra([1, 2])), spectral_decompose(Operator(SIGMA_Z)), 5.5, 1.0
+    ),
+    "scale-1e-100": lambda: (boxed_spin_tsv(), diagonal_projector(4, 2), 1e-100, 1e-100),
+    "scale-1e100": lambda: (boxed_spin_tsv(), diagonal_projector(4, 2), 1e100, 1e100),
+    "scale-5e153": lambda: (boxed_spin_tsv(), diagonal_projector(4, 2), 5e153, 5e153),
+}
+
+
 class TestWeakMeasurePointer:
     def test_identity_shifts_by_coupling(self):
         rng = np.random.default_rng(7)
@@ -444,6 +509,40 @@ class TestWeakMeasurePointer:
             density /= np.trapezoid(density, q)
             assert np.max(np.abs(result.density - density)) <= 1e-13 * density.max()
         assert peaks[32] < 1.5 * peaks[4]
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_windowed_packets_match_full_grid_bit_for_bit(self, case):
+        tsv, obs, g, sigma = WINDOW_CASES[case]()
+        cfg = PointerConfig(g, sigma, obs.max_abs_eigenvalue)
+        with np.errstate(all="raise") if case.startswith("scale") else contextlib.nullcontext():
+            result = weak_measure_pointer(tsv, obs, cfg)
+            density, mean_shift, rate = full_grid_pointer(tsv, obs, cfg)
+        assert result.density.tobytes() == density.tobytes()
+        assert result.mean_shift.hex() == mean_shift.hex()
+        assert result.postselection_rate.hex() == rate.hex()
+        # |psi|^2 / rate is never -0.0, which the CSV writer's literal "0" relies on
+        assert not np.signbit(result.density).any()
+        assert pointer_bump_masses(result, obs, g) == masked_bump_masses(result, obs, g)
+
+    def test_packet_window_reaches_past_exp_underflow(self, monkeypatch):
+        cut = tsvlab.measure.PACKET_EXPONENT_CUT
+        # exp(-745) is the smallest subnormal; past the cut exp is exactly 0
+        assert np.exp(-cut) == 0.0 < np.exp(-745.0)
+        tsv, obs, g, sigma = WINDOW_CASES["strong"]()
+        cfg = PointerConfig(g, sigma, obs.max_abs_eigenvalue)
+        q = np.linspace(-cfg.half_range, cfg.half_range, cfg.points)
+        for center in (0.0, g):
+            # every nonzero value of the full-grid packet lies inside its window, down to
+            # the subnormals just before exp underflows
+            packet = np.exp(-((q - center) ** 2) / (4.0 * sigma**2))
+            support = q[packet > 0.0]
+            assert np.max(np.abs(support - center)) < 2.0 * sigma * np.sqrt(cut)
+            assert packet[packet > 0.0].min() < np.finfo(float).tiny
+        density, _, _ = full_grid_pointer(tsv, obs, cfg)
+        assert 0.0 < density[density > 0.0].min() < np.finfo(float).tiny
+        # the bit-for-bit check above sees a cut that drops nonzero density tails
+        monkeypatch.setattr(tsvlab.measure, "PACKET_EXPONENT_CUT", 300.0)
+        assert weak_measure_pointer(tsv, obs, cfg).density.tobytes() != density.tobytes()
 
     def test_momentum_shift_matches_imaginary_weak_value(self):
         """Pointer momentum mean against Im(weak value) (Jozsa 2007, PRA 76, 044103).
