@@ -14,8 +14,10 @@ numbers and therefore bit-identical results; a negative zero is written
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,19 +43,22 @@ class ProblemFile:
 
 def _parse_numbers(value, shape: tuple, where: str, expected: str) -> np.ndarray:
     """Nested JSON numbers of exactly ``shape`` as a finite float array."""
-    try:
-        raw = np.array(value, dtype=object)
-    except ValueError:
-        raw = None
-    if raw is None or raw.shape != shape:
+    # flatten one level at a time: every node a list of the length ``shape`` asks for
+    nodes = [value]
+    for length in shape:
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {length}:
+            raise ProblemFileError(f"{where}: expected {expected}")
+        nodes = list(chain.from_iterable(nodes))
+    types = set(map(type, nodes))
+    # leaves that are all lists of one length nest too deep; a mix is reported by type
+    if types == {list} and len(set(map(len, nodes))) == 1:
         raise ProblemFileError(f"{where}: expected {expected}")
-    # numpy would silently read true/false and numeric strings as numbers
-    bad = sorted(t.__name__ for t in set(map(type, raw.flat))
-                 if t is bool or not issubclass(t, (int, float)))
+    # bool is an int, and numpy would read numeric strings as numbers
+    bad = sorted(t.__name__ for t in types if t is bool or not issubclass(t, (int, float)))
     if bad:
         raise ProblemFileError(f"{where}: expected {expected}, found {', '.join(bad)} entries")
     try:
-        numbers = raw.astype(float)
+        numbers = np.array(nodes, dtype=float).reshape(shape)
     except OverflowError:
         raise ProblemFileError(f"{where}: number too large for a double") from None
     if not np.isfinite(numbers).all():
@@ -182,14 +187,26 @@ def parse_document(doc) -> ProblemFile:
 
 
 def load(path) -> ProblemFile:
-    """Read and parse a problem file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            # "-0", which _encode writes for -0.0, reads back as -0.0 and not as the integer 0
-            doc = json.load(handle, parse_int=lambda s: -0.0 if s == "-0" else int(s))
-        except (ValueError, RecursionError) as exc:
-            raise ProblemFileError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_document(doc)
+    """Read and parse a problem file from disk.
+
+    The cyclic garbage collector is paused while the file is decoded and
+    parsed, and re-enabled afterwards if it was enabled on entry. A decoded
+    document holds only dicts, lists, strings and numbers, so the passes it
+    would trigger find nothing to free; collection is deferred, not skipped.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                # "-0", which _encode writes for -0.0, reads back as -0.0 and not as the integer 0
+                doc = json.load(handle, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+            except (ValueError, RecursionError) as exc:
+                raise ProblemFileError(f"{path}: invalid JSON: {exc}") from exc
+        return parse_document(doc)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tsvlab import Bra, Ket, Operator, TwoStateVector, overlap, spectral_decompose
+from tsvlab import Bra, Ket, Operator, ProblemFileError, TwoStateVector, overlap, spectral_decompose
 
 
 def count_eigh(monkeypatch) -> list:
@@ -16,6 +16,32 @@ def count_eigh(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
+
+
+def reference_parse_numbers(value, shape: tuple, where: str, expected: str) -> np.ndarray:
+    """The object-array number parser that ``problemfile._parse_numbers`` replaced.
+
+    numpy discovers the nesting, so any sequence counts as a level and any
+    other value as a leaf; the checks, their order and their messages are the
+    ones the flat parser must reproduce.
+    """
+    try:
+        raw = np.array(value, dtype=object)
+    except ValueError:
+        raw = None
+    if raw is None or raw.shape != shape:
+        raise ProblemFileError(f"{where}: expected {expected}")
+    bad = sorted(t.__name__ for t in set(map(type, raw.flat))
+                 if t is bool or not issubclass(t, (int, float)))
+    if bad:
+        raise ProblemFileError(f"{where}: expected {expected}, found {', '.join(bad)} entries")
+    try:
+        numbers = raw.astype(float)
+    except OverflowError:
+        raise ProblemFileError(f"{where}: number too large for a double") from None
+    if not np.isfinite(numbers).all():
+        raise ProblemFileError(f"{where}: numbers must be finite, got NaN or Infinity")
+    return numbers
 
 
 def random_ket(rng, dim):

@@ -1,12 +1,16 @@
+import gc
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_bra, random_hermitian, random_ket, reference_parse_numbers
 from tsvlab import (
     Bra,
     GeneralizedTwoStateVector,
@@ -366,6 +370,137 @@ def test_any_document_parses_finite_or_is_rejected(doc):
     except ProblemFileError:
         return
     assert all(np.isfinite(a).all() for a in parsed_arrays(problem))
+
+
+def arrays_or_message(parse, *args):
+    """``parse(*args)`` as the exact bytes of every parsed array, or the error message."""
+    try:
+        result = parse(*args)
+    except ProblemFileError as exc:
+        return "error", str(exc)
+    arrays = parsed_arrays(result) if isinstance(result, ProblemFile) else [result]
+    return "ok", [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents())
+def test_flat_parser_matches_the_object_array_reference(doc):
+    flat = arrays_or_message(parse_document, doc)
+    with mock.patch.object(problemfile, "_parse_numbers", reference_parse_numbers):
+        reference = arrays_or_message(parse_document, doc)
+    assert flat == reference
+
+
+EDGE_LEAVES = {
+    "-0.0": -0.0, "2**53 + 1": 2**53 + 1, "-2**64": -2**64, "10**400": 10**400, "5e-324": 5e-324,
+    "true": True, "false": False, '"1.0"': "1.0", "null": None, "dict": {"re": 1.0},
+}
+EDGE_SHAPES = {
+    '"ab" as a pair': (["ab", Z], (2, 2)),
+    '"ab" as every pair': (["ab", "ab"], (2, 2)),
+    '"ab" as a matrix pair': ([["ab", Z], [Z, Z]], (2, 2, 2)),
+    '"ab" as a row': ([[Z, Z], "ab"], (2, 2, 2)),
+    '"ab" as the vector': ("ab", (2, 2)),
+    "ragged row": ([[Z, Z], [Z]], (2, 2, 2)),
+    "vector one level too deep": ([[[1.0], [0.0]], [[0.0], [0.0]]], (2, 2)),
+    "matrix one level too deep": ([[[Z], [Z]], [[Z], [Z]]], (2, 2, 2)),
+    "one pair too deep": ([[[1.0], [0.0]], Z], (2, 2)),
+    "list beside a number": ([[1.0, [0.0]], Z], (2, 2)),
+    "list of lists as a duration": ([[1.0]], ()),
+    "empty list as a duration": ([], ()),
+}
+
+
+def edge_cases():
+    for name, leaf in EDGE_LEAVES.items():
+        yield f"{name} as a duration", leaf, ()
+        yield f"{name} in a pair", [0.5, leaf], (2,)
+        yield f"{name} in a vector", [[0.5, 0.0], [leaf, 0.0]], (2, 2)
+        yield f"{name} in a matrix", [[[1.0, leaf], Z], [Z, [-1.0, 0.0]]], (2, 2, 2)
+    for name, (value, shape) in EDGE_SHAPES.items():
+        yield name, value, shape
+
+
+@pytest.mark.parametrize("name, value, shape", list(edge_cases()),
+                         ids=[case[0] for case in edge_cases()])
+def test_flat_parser_matches_the_reference_on_edge_cases(name, value, shape):
+    args = (value, shape, "field", "the expected shape")
+    assert (arrays_or_message(problemfile._parse_numbers, *args)
+            == arrays_or_message(reference_parse_numbers, *args))
+
+
+@pytest.mark.parametrize("container", [tuple, np.array], ids=["tuple", "ndarray"])
+def test_only_json_lists_nest(container):
+    doc = minimal_doc()
+    doc["pre"] = container([container(pair) for pair in doc["pre"]])
+    with pytest.raises(ProblemFileError) as info:
+        parse_document(doc)
+    assert str(info.value) == "pre: expected a vector of 2 [re, im] pairs"
+
+
+NON_HERMITIAN = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+GC_CASES = {
+    "valid": json.dumps(minimal_doc()),
+    "invalid JSON": "{not json",
+    "malformed field": json.dumps(set_at(minimal_doc(), ("pre", 0), "ab")),
+    "non-Hermitian observable": json.dumps(
+        set_at(minimal_doc(), ("observables", 0, "matrix"), NON_HERMITIAN)),
+}
+
+
+class TestGarbageCollectorState:
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", GC_CASES)
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, case, enabled):
+        path = tmp_path / "problem.json"
+        path.write_text(GC_CASES[case])
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        try:
+            load(path)
+        except ProblemFileError:
+            assert case != "valid"
+        else:
+            assert case == "valid"
+        assert gc.isenabled() is enabled
+
+    def test_paused_load_reads_the_same_bits(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(15)
+        path = tmp_path / "problem.json"
+        save(ProblemFile(dims=(8, 8), selection=TwoStateVector(random_ket(rng, 64), random_bra(rng, 64)),
+                         observables={"h": spectral_decompose(random_hermitian(rng, 64))}), path)
+        gc.enable()
+        states = []
+        parse = problemfile.parse_document
+        monkeypatch.setattr(problemfile, "parse_document",
+                            lambda doc: states.append(gc.isenabled()) or parse(doc))
+        collections = []
+
+        def count(phase, info):
+            collections.append(phase)
+
+        gc.callbacks.append(count)
+        try:
+            paused = load(path)
+            assert states == [False] and collections == []
+            monkeypatch.setattr(problemfile, "gc", SimpleNamespace(
+                isenabled=gc.isenabled, disable=lambda: None, enable=gc.enable))
+            throughout = load(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert states == [False, True] and collections
+        assert arrays_or_message(lambda: paused) == arrays_or_message(lambda: throughout)
 
 
 class TestSerialization:
