@@ -16,13 +16,10 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NullEnsembleError
 from .qcore import Bra, Ket, Observable
 from .tsv import (
-    CERTAINTY_TOL,
     _NULL_WEIGHT,
     Distribution,
     TwoStateVector,
     _abl_amplitudes,
-    element_of_reality,
-    weak_value,
 )
 
 #: documented default master seed for randomized commands
@@ -367,48 +364,3 @@ def pointer_bump_masses(result: PointerResult, obs: Observable, coupling: float)
             continue
         masses[eig] = float(np.trapezoid(result.density[a:b], q[a:b]))
     return masses
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Strong/weak measurement agreement for one selection and observable."""
-
-    certain: bool
-    certain_value: float | None
-    weak: complex
-    dichotomic: bool
-    strong_implies_weak: bool | None
-    weak_implies_strong: bool | None
-    passed: bool
-
-
-def strong_weak_consistency(tsv: TwoStateVector, obs: Observable) -> ConsistencyReport:
-    """Check the two bridges between strong and weak measurements.
-
-    If the strong outcome is certain, the weak value must equal it; and for
-    a dichotomic observable whose weak value equals one of the two
-    eigenvalues, the strong measurement must give that outcome with
-    certainty. Implications whose premise does not apply are reported as
-    None and count as passing.
-    """
-    report = element_of_reality(tsv, obs)
-    wv = weak_value(tsv, obs.op)
-    strong_implies_weak = None
-    if report.certain:
-        strong_implies_weak = bool(abs(wv - report.value) <= CERTAINTY_TOL)
-    dichotomic = len(obs.eigenvalues) == 2
-    weak_implies_strong = None
-    if dichotomic:
-        matched = [e for e in obs.eigenvalues if abs(wv - e) <= CERTAINTY_TOL]
-        if matched:
-            weak_implies_strong = report.certain and report.value == matched[0]
-    passed = all(flag is not False for flag in (strong_implies_weak, weak_implies_strong))
-    return ConsistencyReport(
-        certain=report.certain,
-        certain_value=report.value,
-        weak=wv,
-        dichotomic=dichotomic,
-        strong_implies_weak=strong_implies_weak,
-        weak_implies_strong=weak_implies_strong,
-        passed=passed,
-    )

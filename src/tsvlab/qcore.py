@@ -1,7 +1,7 @@
 """Finite-dimensional complex Hilbert-space primitives.
 
-States (kets and bras), operators with a verified Hermitian flag, tensor
-products, spectral decomposition into eigenvector blocks, and
+States (kets and bras), operators with a verified Hermitian flag,
+spectral decomposition into eigenvector blocks, and
 unitary time evolution under piecewise-constant Hamiltonian schedules
 (hbar = 1 throughout).
 """
@@ -86,10 +86,6 @@ class Ket:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def dagger(self) -> "Bra":
-        """Adjoint covector <psi| of this state."""
-        return Bra(self.amplitudes)
-
 
 @dataclass(frozen=True, eq=False)
 class Bra:
@@ -107,10 +103,6 @@ class Bra:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def dagger(self) -> Ket:
-        """The underlying ket |phi>."""
-        return Ket(self.amplitudes)
 
 
 def overlap(bra: Bra, ket: Ket) -> complex:
@@ -165,10 +157,6 @@ class Operator:
         if self.dim != other.dim:
             raise DimensionError("operator dims differ")
         return Operator(self.matrix @ other.matrix)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(np.eye(dim, dtype=complex))
 
 
 def matrix_element(bra: Bra, op: Operator, ket: Ket) -> complex:
@@ -308,21 +296,6 @@ def spectral_decompose(op: Operator) -> Observable:
     return Observable(op)
 
 
-def tensor(a, b):
-    """Kronecker product of two kets, two bras, or two operators.
-
-    The left factor is the slow (most significant) index: basis state
-    ``|i>`` of ``a`` and ``|j>`` of ``b`` map to index ``i * b.dim + j``.
-    """
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Bra) and isinstance(b, Bra):
-        return Bra(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.matrix, b.matrix))
-    raise TypeError(f"tensor operands must be two Kets, two Bras, or two Operators, got {type(a).__name__} and {type(b).__name__}")
-
-
 @dataclass(frozen=True, eq=False)
 class HamiltonianSchedule:
     """Piecewise-constant Hamiltonian over an ordered list of time segments.
@@ -350,10 +323,6 @@ class HamiltonianSchedule:
             if len(dims) != 1:
                 raise DimensionError("all segment Hamiltonians must share one dimension")
         object.__setattr__(self, "segments", tuple(cleaned))
-
-    @classmethod
-    def constant(cls, h, duration: float) -> "HamiltonianSchedule":
-        return cls(((duration, h),))
 
     @property
     def total_duration(self) -> float:

@@ -2,7 +2,18 @@
 
 import numpy as np
 
-from tsvlab import Bra, Ket, Operator, ProblemFileError, TwoStateVector, overlap, spectral_decompose
+from tsvlab import (
+    Bra,
+    Ket,
+    Operator,
+    ProblemFileError,
+    TwoStateVector,
+    element_of_reality,
+    overlap,
+    spectral_decompose,
+    weak_value,
+)
+from tsvlab.tsv import CERTAINTY_TOL
 
 
 def count_eigh(monkeypatch) -> list:
@@ -117,6 +128,22 @@ def dichotomic_case_with_certain_outcome(rng, dim):
         if abs(overlap(tsv.backward, tsv.forward)) < 1e-3 or abs(live_amp) < 1e-3:
             continue
         return tsv, obs, obs.eigenvalues[keep]
+
+
+def strong_weak_bridges(tsv, obs) -> tuple:
+    """``(strong_implies_weak, weak_implies_strong)``; ``None`` where the premise fails.
+
+    A certain outcome equals the weak value; for a dichotomic observable, a
+    weak value at an eigenvalue makes that outcome certain.
+    """
+    report = element_of_reality(tsv, obs)
+    wv = weak_value(tsv, obs.op)
+    strong = abs(wv - report.value) <= CERTAINTY_TOL if report.certain else None
+    matched = [e for e in obs.eigenvalues if abs(wv - e) <= CERTAINTY_TOL]
+    weak = None
+    if len(obs.eigenvalues) == 2 and matched:
+        weak = report.certain and report.value == matched[0]
+    return strong, weak
 
 
 def states_match_up_to_phase(a, b, tol=1e-10):

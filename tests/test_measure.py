@@ -11,6 +11,7 @@ from helpers import (
     dichotomic_case_with_certain_outcome,
     random_observable,
     random_tsv,
+    strong_weak_bridges,
 )
 from test_tsv import boxed_spin_tsv, diagonal_projector
 from tsvlab import (
@@ -25,13 +26,13 @@ from tsvlab import (
     PointerConfig,
     TwoStateVector,
     abl_probabilities,
+    element_of_reality,
     exact_conditional_oracle,
     get_scenario,
     ideal_measure,
     monte_carlo_abl,
     pointer_bump_masses,
     spectral_decompose,
-    strong_weak_consistency,
     weak_measure_pointer,
     weak_value,
 )
@@ -84,7 +85,7 @@ class TestIdealMeasure:
     def test_degenerate_identity(self):
         rng = np.random.default_rng(2)
         state = Ket([0.6, 0.8j])
-        record = ideal_measure(state, spectral_decompose(Operator.identity(2)), rng)
+        record = ideal_measure(state, spectral_decompose(Operator(np.eye(2))), rng)
         assert record.outcome == pytest.approx(1.0)
         assert record.probability == pytest.approx(1.0)
         np.testing.assert_allclose(record.post_state.amplitudes, state.amplitudes, atol=1e-12)
@@ -335,7 +336,7 @@ class TestWeakMeasurePointer:
     def test_identity_shifts_by_coupling(self):
         rng = np.random.default_rng(7)
         tsv = random_tsv(rng, 3, min_overlap=0.1)
-        obs = spectral_decompose(Operator.identity(3))
+        obs = spectral_decompose(Operator(np.eye(3)))
         cfg = PointerConfig(0.5, 1.0, obs.max_abs_eigenvalue)
         result = weak_measure_pointer(tsv, obs, cfg)
         assert result.mean_shift == pytest.approx(0.5, abs=1e-9)
@@ -591,26 +592,25 @@ class TestWeakMeasurePointer:
 
 class TestStrongWeakConsistency:
     def test_boxed_spin_projection(self):
-        report = strong_weak_consistency(boxed_spin_tsv(), diagonal_projector(4, 0))
-        assert report.certain and report.certain_value == pytest.approx(1.0)
-        assert abs(report.weak - 1.0) <= 1e-10
-        assert report.passed
+        tsv, obs = boxed_spin_tsv(), diagonal_projector(4, 0)
+        report = element_of_reality(tsv, obs)
+        assert report.certain and report.value == pytest.approx(1.0)
+        assert abs(weak_value(tsv, obs.op) - 1.0) <= 1e-10
+        assert strong_weak_bridges(tsv, obs) == (True, True)
 
     def test_z_then_x_selection(self):
         tsv = TwoStateVector(Ket([1, 0]), Bra([1, 1]))
-        report = strong_weak_consistency(tsv, spectral_decompose(Operator(SIGMA_Z)))
-        assert report.certain and report.certain_value == pytest.approx(1.0)
-        assert abs(report.weak - 1.0) <= 1e-10
-        assert report.passed
+        obs = spectral_decompose(Operator(SIGMA_Z))
+        report = element_of_reality(tsv, obs)
+        assert report.certain and report.value == pytest.approx(1.0)
+        assert abs(weak_value(tsv, obs.op) - 1.0) <= 1e-10
+        assert strong_weak_bridges(tsv, obs) == (True, True)
 
     def test_randomized_dichotomic_sweep(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):
             tsv, obs, _ = dichotomic_case_with_certain_outcome(rng, int(rng.integers(2, 6)))
-            report = strong_weak_consistency(tsv, obs)
-            assert report.passed
-            assert report.strong_implies_weak is True
-            assert report.weak_implies_strong is True
+            assert strong_weak_bridges(tsv, obs) == (True, True)
 
     def test_vacuous_when_uncertain(self):
         rng = np.random.default_rng(9)
@@ -620,8 +620,5 @@ class TestStrongWeakConsistency:
             wv = weak_value(tsv, obs.op)
             if all(abs(wv - e) > 1e-6 for e in obs.eigenvalues):
                 break
-        report = strong_weak_consistency(tsv, obs)
-        assert not report.certain
-        assert report.strong_implies_weak is None
-        assert report.weak_implies_strong is None
-        assert report.passed
+        assert not element_of_reality(tsv, obs).certain
+        assert strong_weak_bridges(tsv, obs) == (None, None)

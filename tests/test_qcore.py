@@ -26,7 +26,6 @@ from tsvlab import (
     evolve_forward,
     overlap,
     spectral_decompose,
-    tensor,
 )
 from tsvlab.cli import main
 
@@ -82,13 +81,25 @@ class TestBra:
         k = Ket([1j, 0])
         assert overlap(b, k) == pytest.approx(1.0)
 
-    def test_dagger_round_trip(self):
-        k = Ket([0.6, 0.8j])
-        np.testing.assert_allclose(k.dagger().dagger().amplitudes, k.amplitudes)
-
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             overlap(Bra([1, 0]), Ket([1, 0, 0]))
+
+    def test_ket_bra_round_trip_is_bit_exact(self):
+        # Bra(k.amplitudes) is the adjoint of k: a stored unit state is not rescaled
+        rng = np.random.default_rng(7)
+        for dim in (1, 2, 5):
+            k = random_ket(rng, dim)
+            b = Bra(k.amplitudes)
+            assert np.array_equal(Ket(b.amplitudes).amplitudes, k.amplitudes)
+            assert overlap(b, k) == pytest.approx(1.0, abs=1e-14)
+
+    def test_normalized_like_a_ket(self):
+        np.testing.assert_allclose(Bra([3j, 4]).amplitudes, [0.6j, 0.8], atol=1e-15)
+        with pytest.raises(ZeroStateError):
+            Bra([0, 0])
+        with pytest.raises(DimensionError):
+            Bra([])
 
 
 class TestOperator:
@@ -101,41 +112,23 @@ class TestOperator:
         with pytest.raises(DimensionError):
             Operator(np.zeros((2, 3)))
 
+    def test_matrix_is_a_read_only_copy(self):
+        source = np.eye(2, dtype=complex)
+        op = Operator(source)
+        source[0, 1] = 1.0
+        np.testing.assert_array_equal(op.matrix, np.eye(2))
+        assert op.is_hermitian
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 5
 
-class TestTensor:
-    def test_basis_bookkeeping(self):
-        out = tensor(Ket([1, 0]), Ket([0, 1]))
-        np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0])
 
-    def test_identity(self):
-        out = tensor(Operator.identity(2), Operator.identity(2))
-        np.testing.assert_allclose(out.matrix, np.eye(4))
-
-    def test_eigenvalue_product_rule(self):
-        obs = spectral_decompose(tensor(Operator(SIGMA_Z), Operator.identity(2)))
+class TestSpectralDecompose:
+    def test_kron_with_identity_is_doubly_degenerate(self):
+        obs = spectral_decompose(Operator(np.kron(SIGMA_Z, np.eye(2))))
         assert obs.eigenvalues == pytest.approx((-1.0, 1.0))
         ranks = [round(np.trace(p.matrix).real) for p in obs.projectors]
         assert ranks == [2, 2]
 
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            a, b, c = (random_ket(rng, d) for d in (2, 3, 2))
-            left = tensor(tensor(a, b), c)
-            right = tensor(a, tensor(b, c))
-            np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-15)
-        for _ in range(5):
-            a, b, c = (random_hermitian(rng, d) for d in (2, 2, 3))
-            left = tensor(tensor(a, b), c)
-            right = tensor(a, tensor(b, c))
-            np.testing.assert_allclose(left.matrix, right.matrix, atol=1e-12)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            tensor(Ket([1, 0]), Operator.identity(2))
-
-
-class TestSpectralDecompose:
     def test_pauli_spectrum(self):
         obs = spectral_decompose(Operator(SIGMA_Z))
         assert obs.eigenvalues == pytest.approx((-1.0, 1.0))
@@ -143,7 +136,7 @@ class TestSpectralDecompose:
         np.testing.assert_allclose(obs.projectors[1].matrix, np.diag([1, 0]), atol=1e-12)
 
     def test_full_degeneracy(self):
-        obs = spectral_decompose(Operator.identity(3))
+        obs = spectral_decompose(Operator(np.eye(3)))
         assert len(obs.eigenvalues) == 1
         assert obs.eigenvalues[0] == pytest.approx(1.0)
         np.testing.assert_allclose(obs.projectors[0].matrix, np.eye(3), atol=1e-12)
@@ -274,13 +267,13 @@ class TestCliDecomposesOnlyWhatItReads:
 
 class TestEvolution:
     def test_zero_hamiltonian_is_identity(self):
-        schedule = HamiltonianSchedule.constant(Operator(np.zeros((2, 2))), 1.0)
+        schedule = HamiltonianSchedule(((1.0, Operator(np.zeros((2, 2)))),))
         k = Ket([0.6, 0.8])
         np.testing.assert_allclose(evolve_forward(k, schedule).amplitudes, k.amplitudes)
 
     def test_pi_rotation_about_y(self):
         # generator (pi/2) sigma_y for unit time flips up to down
-        schedule = HamiltonianSchedule.constant(Operator((np.pi / 2) * SIGMA_Y), 1.0)
+        schedule = HamiltonianSchedule(((1.0, Operator((np.pi / 2) * SIGMA_Y)),))
         evolved = evolve_forward(Ket([1, 0]), schedule)
         assert states_match_up_to_phase(evolved.amplitudes, np.array([0, 1.0]))
         oracle = expm(-1j * (np.pi / 2) * SIGMA_Y) @ np.array([1.0, 0.0])
@@ -300,7 +293,7 @@ class TestEvolution:
     def test_backward_is_adjoint_for_single_segment(self):
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 3)
-        schedule = HamiltonianSchedule.constant(h, 0.7)
+        schedule = HamiltonianSchedule(((0.7, h),))
         bra = Bra(rng.normal(size=3) + 1j * rng.normal(size=3))
         u = expm(-1j * 0.7 * h.matrix)
         np.testing.assert_allclose(
@@ -324,7 +317,7 @@ class TestEvolution:
     def test_norm_preserved(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
-            schedule = HamiltonianSchedule.constant(random_hermitian(rng, 4), float(rng.uniform(0, 5)))
+            schedule = HamiltonianSchedule(((float(rng.uniform(0, 5)), random_hermitian(rng, 4)),))
             out = evolve_forward(random_ket(rng, 4), schedule)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 
@@ -332,7 +325,7 @@ class TestEvolution:
         rng = np.random.default_rng(31)
         for _ in range(20):
             dim = int(rng.integers(2, 6))
-            schedule = HamiltonianSchedule.constant(random_hermitian(rng, dim), float(rng.uniform(0, 5)))
+            schedule = HamiltonianSchedule(((float(rng.uniform(0, 5)), random_hermitian(rng, dim)),))
             columns = []
             for i in range(dim):
                 basis = np.zeros(dim)
@@ -342,13 +335,13 @@ class TestEvolution:
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-10
 
     def test_dim_mismatch(self):
-        schedule = HamiltonianSchedule.constant(Operator(SIGMA_X), 1.0)
+        schedule = HamiltonianSchedule(((1.0, Operator(SIGMA_X)),))
         with pytest.raises(DimensionError):
             evolve_forward(Ket([1, 0, 0]), schedule)
 
     def test_non_hermitian_segment_rejected(self):
         with pytest.raises(NotHermitianError):
-            HamiltonianSchedule.constant(Operator(np.array([[0, 1], [0, 0]], dtype=complex)), 1.0)
+            HamiltonianSchedule(((1.0, Operator(np.array([[0, 1], [0, 0]], dtype=complex))),))
 
     @pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf, -math.inf])
     def test_invalid_duration_rejected(self, duration):
@@ -378,7 +371,7 @@ class TestScheduleSplit:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-43, 2.0**40])
     def test_outside_window(self, scale):
-        schedule = HamiltonianSchedule.constant(Operator(SIGMA_X), scale)
+        schedule = HamiltonianSchedule(((scale, Operator(SIGMA_X)),))
         with pytest.raises(TimeWindowError):
             schedule.split_at(1.5 * scale)
         with pytest.raises(TimeWindowError):

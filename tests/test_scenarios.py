@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,10 +104,29 @@ def test_public_names_are_exactly_all():
     for name in tsvlab.__all__:
         assert getattr(tsvlab, name) is not None
     # second spellings of Ket, Bra, weak_value and GeneralizedTwoStateVector,
-    # and an error nothing raises
-    for gone in ("make_ket", "make_bra", "weak_value_generalized", "SearchFailedError"):
+    # an error nothing raises, and surface that only tests called
+    for gone in ("make_ket", "make_bra", "weak_value_generalized", "SearchFailedError",
+                 "tensor", "strong_weak_consistency", "ConsistencyReport"):
         assert not hasattr(tsvlab, gone)
         assert gone not in tsvlab.__all__
     assert not hasattr(tsvlab.GeneralizedTwoStateVector, "from_two_state_vector")
+    for cls, gone in ((tsvlab.Ket, "dagger"), (tsvlab.Bra, "dagger"),
+                      (tsvlab.Operator, "identity"), (tsvlab.HamiltonianSchedule, "constant")):
+        assert not hasattr(cls, gone)
     for gone in ("complex_pair", "vector_pairs", "matrix_pairs"):
         assert not hasattr(tsvlab.problemfile, gone)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name that only the tests call belongs in the tests, not in __all__;
+    # imports, docstrings and the name's own definition do not count as calls
+    repo = Path(__file__).resolve().parents[1]
+    paths = [p for p in (repo / "src" / "tsvlab").glob("*.py") if p.name != "__init__.py"]
+    used = set()
+    for path in paths + list((repo / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(tsvlab.__all__) - used) == []

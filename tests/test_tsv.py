@@ -44,8 +44,6 @@ from tsvlab import (
     overlap,
     product_rule_report,
     spectral_decompose,
-    strong_weak_consistency,
-    tensor,
     two_time_distribution,
     two_time_joint,
     weak_value,
@@ -138,7 +136,7 @@ class TestAblProbabilities:
             dim = int(rng.integers(2, 6))
             tsv = random_tsv(rng, dim)
             obs = random_observable(rng, dim)
-            swapped = TwoStateVector(tsv.backward.dagger(), tsv.forward.dagger())
+            swapped = TwoStateVector(Ket(tsv.backward.amplitudes), Bra(tsv.forward.amplitudes))
             np.testing.assert_allclose(
                 abl_probabilities(tsv, obs).probabilities,
                 abl_probabilities(swapped, obs).probabilities,
@@ -149,7 +147,7 @@ class TestAblProbabilities:
 class TestAblAtTime:
     def test_free_evolution_reduces_to_plain_abl(self):
         tsv = boxed_spin_tsv()
-        schedule = HamiltonianSchedule.constant(Operator(np.zeros((4, 4))), 2.0)
+        schedule = HamiltonianSchedule(((2.0, Operator(np.zeros((4, 4)))),))
         obs = diagonal_projector(4, 0)
         at_t = abl_at_time(tsv.forward, tsv.backward, schedule, 1.0, obs)
         plain = abl_probabilities(tsv, obs)
@@ -158,7 +156,7 @@ class TestAblAtTime:
     def test_both_spin_components_certain(self):
         pre = Ket([1, 0])       # up along z
         post = Bra([1, 1])      # up along x
-        schedule = HamiltonianSchedule.constant(Operator(np.zeros((2, 2))), 1.0)
+        schedule = HamiltonianSchedule(((1.0, Operator(np.zeros((2, 2)))),))
         for pauli in (SIGMA_Z, SIGMA_X):
             dist = abl_at_time(pre, post, schedule, 0.5, spectral_decompose(Operator(pauli)))
             assert dict(dist.entries)[1.0] == pytest.approx(1.0, abs=1e-12)
@@ -181,7 +179,7 @@ class TestAblAtTime:
         np.testing.assert_allclose(direct.probabilities, manual.probabilities, atol=1e-14)
 
     def test_time_window(self):
-        schedule = HamiltonianSchedule.constant(Operator(np.zeros((2, 2))), 1.0)
+        schedule = HamiltonianSchedule(((1.0, Operator(np.zeros((2, 2)))),))
         with pytest.raises(TimeWindowError):
             abl_at_time(
                 Ket([1, 0]),
@@ -242,8 +240,8 @@ class TestGeneralized:
         rng = np.random.default_rng(8)
         psi, phi = random_ket(rng, 2), random_bra(rng, 2)
         ancilla0 = Ket([1, 0])
-        joint_pre = tensor(psi, ancilla0)
-        joint_post = tensor(phi, Bra([1, 0]))
+        joint_pre = Ket(np.kron(psi.amplitudes, ancilla0.amplitudes))
+        joint_post = Bra(np.kron(phi.amplitudes, [1, 0]))
         g = gtsv_from_ancilla(joint_pre, joint_post, 2, 2)
         assert len(g.terms) == 1
         alpha, bwd, fwd = g.terms[0]
@@ -253,7 +251,7 @@ class TestGeneralized:
 
     def test_bell_pre_two_terms(self):
         bell = Ket([1, 0, 0, 1])
-        post = tensor(Bra([1, 1]), Bra([1, -1]))
+        post = Bra(np.kron([1, 1], [1, -1]))
         g = gtsv_from_ancilla(bell, post, 2, 2)
         assert len(g.terms) == 2
 
@@ -265,7 +263,7 @@ class TestGeneralized:
                 pre, post = random_ket(rng, joint), random_bra(rng, joint)
                 obs = random_observable(rng, system_dim)
                 joint_obs = spectral_decompose(
-                    tensor(obs.op, Operator.identity(ancilla_dim))
+                    Operator(np.kron(obs.op.matrix, np.eye(ancilla_dim)))
                 )
                 g = gtsv_from_ancilla(pre, post, system_dim, ancilla_dim)
                 reduced = abl_probabilities_generalized(g, obs)
@@ -276,13 +274,13 @@ class TestGeneralized:
                 )
                 wv_reduced = weak_value(g, obs.op)
                 wv_full = weak_value(
-                    TwoStateVector(pre, post), tensor(obs.op, Operator.identity(ancilla_dim))
+                    TwoStateVector(pre, post), Operator(np.kron(obs.op.matrix, np.eye(ancilla_dim)))
                 )
                 assert abs(wv_reduced - wv_full) <= 1e-12 * max(1.0, abs(wv_full))
 
     def test_disjoint_sectors_rejected(self):
-        pre = tensor(Ket([1, 1]), Ket([1, 0]))
-        post = tensor(Bra([1, 1]), Bra([0, 1]))
+        pre = Ket(np.kron([1, 1], [1, 0]))
+        post = Bra(np.kron([1, 1], [0, 1]))
         with pytest.raises(NullEnsembleError):
             gtsv_from_ancilla(pre, post, 2, 2)
 
@@ -342,7 +340,7 @@ class TestWeakValue:
     def test_identity_is_one(self):
         rng = np.random.default_rng(10)
         tsv = random_tsv(rng, 4, min_overlap=0.05)
-        assert abs(weak_value(tsv, Operator.identity(4)) - 1.0) <= 1e-12
+        assert abs(weak_value(tsv, Operator(np.eye(4))) - 1.0) <= 1e-12
 
     def test_boxed_spin_projection_is_minus_one(self):
         tsv = boxed_spin_tsv()
@@ -357,7 +355,7 @@ class TestWeakValue:
         rng = np.random.default_rng(11)
         psi = random_ket(rng, 3)
         op = random_hermitian(rng, 3)
-        tsv = TwoStateVector(psi, psi.dagger())
+        tsv = TwoStateVector(psi, Bra(psi.amplitudes))
         expectation = np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes)
         assert abs(weak_value(tsv, op) - expectation) <= 1e-12
 
@@ -446,7 +444,7 @@ class TestProductRule:
             obs_b = spectral_decompose(Operator(basis @ np.diag(d2) @ basis.conj().T))
             column = int(rng.integers(0, dim))
             psi = Ket(basis[:, column])
-            tsv = TwoStateVector(psi, psi.dagger())
+            tsv = TwoStateVector(psi, Bra(psi.amplitudes))
             report = product_rule_report(tsv, obs_a, obs_b)
             if report.all_certain:
                 assert report.product_rule_holds is True
@@ -455,13 +453,35 @@ class TestProductRule:
         obs_a = spectral_decompose(Operator(np.diag([1.0, 2.0, 3.0])))
         obs_b = spectral_decompose(Operator(np.diag([5.0, 7.0, 11.0])))
         psi = Ket([0, 1, 0])
-        report = product_rule_report(TwoStateVector(psi, psi.dagger()), obs_a, obs_b)
+        report = product_rule_report(TwoStateVector(psi, Bra(psi.amplitudes)), obs_a, obs_b)
         assert report.all_certain
         assert report.product_rule_holds is True
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_vanishing_product_in_a_rotated_basis(self, dim):
+        # AB is round-off (about 1e-16), not an exact zero: a Hermitian check
+        # scaled by max|AB| would reject it as not measurable
+        rng = np.random.default_rng(40 + dim)
+        half = dim // 2
+        for _ in range(20):
+            basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            a = np.concatenate([np.zeros(half), rng.uniform(1, 3, size=half)])
+            b = np.concatenate([rng.uniform(1, 3, size=half), np.zeros(half)])
+            obs_a = spectral_decompose(Operator(basis @ np.diag(a) @ basis.conj().T))
+            obs_b = spectral_decompose(Operator(basis @ np.diag(b) @ basis.conj().T))
+            assert (obs_a.op @ obs_b.op).is_hermitian
+            for column in range(dim):
+                tsv = TwoStateVector(random_ket(rng, dim), Bra(basis[:, column]))
+                report = product_rule_report(tsv, obs_a, obs_b)
+                assert report.a.value == pytest.approx(a[column], abs=1e-9)
+                assert report.b.value == pytest.approx(b[column], abs=1e-9)
+                assert report.product.certain
+                assert report.product.value == pytest.approx(0.0, abs=1e-12)
+                assert report.product_rule_holds is True
+
     def test_non_hermitian_product_rejected(self):
         psi = Ket([1, 0])
-        tsv = TwoStateVector(psi, psi.dagger())
+        tsv = TwoStateVector(psi, Bra(psi.amplitudes))
         with pytest.raises(NotMeasurableError):
             product_rule_report(
                 tsv,
@@ -529,7 +549,7 @@ class TestTwoTimeKernel:
     def test_non_rank_one_projector_rejected(self):
         k = self.correlated_kernel()
         with pytest.raises(ValueError):
-            two_time_joint(k, Operator.identity(2), Operator.identity(2))
+            two_time_joint(k, Operator(np.eye(2)), Operator(np.eye(2)))
 
     def test_scaled_kernel_neither_overflows_nor_moves(self):
         # |1e200|**2 overflows float64: the kernel is scaled by a power of two first
@@ -666,6 +686,6 @@ class TestTwoTimeDistribution:
 
 def test_thresholds_are_module_constants_not_parameters():
     functions = (spectral_decompose, Observable, weak_value, element_of_reality,
-                 product_rule_report, strong_weak_consistency, PointerConfig)
+                 product_rule_report, PointerConfig)
     params = {name for f in functions for name in inspect.signature(f).parameters}
     assert not params & {"degeneracy_tol", "threshold", "tol", "value_tol", "points_per_sigma"}
