@@ -248,24 +248,16 @@ def to_document(problem: ProblemFile) -> dict:
 
 def _encode(value, indent: int) -> str:
     pad = "  " * indent
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, str):
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, (int, str)):
         return json.dumps(value)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         inner = ",\n".join(
             f"{pad}  {json.dumps(str(k))}: {_encode(v, indent + 1)}" for k, v in value.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(value, list):
         if any(isinstance(v, dict) for v in value):
             inner = ",\n".join(f"{pad}  {_encode(v, indent + 1)}" for v in value)
             return "[\n" + inner + "\n" + pad + "]"

@@ -265,8 +265,6 @@ class _Projectors(Sequence):
         return len(self._obs.eigenvalues)
 
     def __getitem__(self, n):
-        if isinstance(n, slice):
-            return tuple(self[i] for i in range(len(self))[n])
         n = range(len(self))[n]  # a negative index counts from the end; past the end raises IndexError
         if n not in self._built:
             v = self._obs.eigenvectors
@@ -278,7 +276,7 @@ class _Projectors(Sequence):
 
 
 def spectral_decompose(op: Operator) -> Observable:
-    """The :class:`Observable` of a Hermitian operator (an ndarray is wrapped first).
+    """The :class:`Observable` of a Hermitian operator.
 
     Adjacent eigenvalues whose gap is at most ``DEGENERACY_TOL`` are merged
     into a single eigenspace; the merged eigenvalue is their ``np.mean``.
@@ -291,8 +289,6 @@ def spectral_decompose(op: Operator) -> Observable:
     NotHermitianError
         If the operator fails the Hermitian check.
     """
-    if isinstance(op, np.ndarray):
-        op = Operator(op)
     return Observable(op)
 
 
@@ -313,8 +309,6 @@ class HamiltonianSchedule:
             duration = float(duration)
             if not 0.0 <= duration < math.inf:
                 raise ValueError(f"segment {i} duration must be finite and non-negative, got {duration}")
-            if isinstance(h, np.ndarray):
-                h = Operator(h)
             if not h.is_hermitian:
                 raise NotHermitianError("segment Hamiltonians must be Hermitian")
             cleaned.append((duration, h))

@@ -178,27 +178,22 @@ def _monte_carlo_check(tsv, obs, description):
     return Check(description=description, provenance="statistical", run=run)
 
 
-def scenario_spin_box(include_empty_direction: bool = True) -> Scenario:
+def scenario_spin_box() -> Scenario:
     """Spin-1/2 particle distributed over two boxes.
 
     Selected so that finding it in box A is certain whether one looks with
     spin up or with spin down, while the product of the two projections is
     certainly zero: certainty does not multiply. The box-B spin-up
     projection has weak value -1, outside the {0, 1} eigenvalue range.
-
-    The basis direction |B,down> carries no amplitude; dropping it
-    (``include_empty_direction=False``) must not change any check.
+    The basis direction |B,down> carries no amplitude.
     """
-    dim = 4 if include_empty_direction else 3
-    pre = np.zeros(dim, dtype=complex)
-    pre[:3] = 1.0
-    post = np.zeros(dim, dtype=complex)
-    post[:3] = (1.0, 1.0, -1.0)
-    tsv = TwoStateVector(Ket(pre), Bra(post))
+    pre = Ket(np.array([1.0, 1.0, 1.0, 0.0], dtype=complex))
+    post = Bra(np.array([1.0, 1.0, -1.0, 0.0], dtype=complex))
+    tsv = TwoStateVector(pre, post)
     observables = {
-        "P_A_up": _box_projector(dim, 0),
-        "P_A_down": _box_projector(dim, 1),
-        "P_B_up": _box_projector(dim, 2),
+        "P_A_up": _box_projector(4, 0),
+        "P_A_down": _box_projector(4, 1),
+        "P_B_up": _box_projector(4, 2),
     }
 
     def product_check():
@@ -246,7 +241,7 @@ def scenario_spin_box(include_empty_direction: bool = True) -> Scenario:
     return Scenario(
         name="spin-box",
         description="spin-1/2 particle in two boxes with contradictory certainties",
-        dims=(dim,),
+        dims=(4,),
         observables=observables,
         checks=checks,
         selection=tsv,

@@ -159,14 +159,6 @@ class Distribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def outcomes(self) -> tuple:
-        return tuple(o for o, _ in self.entries)
-
-    @property
-    def probabilities(self) -> tuple:
-        return tuple(p for _, p in self.entries)
-
     def max_entry(self) -> tuple:
         """(outcome, probability) of the most likely outcome."""
         return max(self.entries, key=lambda e: e[1])
@@ -407,42 +399,26 @@ def two_time_distribution(k: TwoTimeKernel, obs_a: Observable, obs_b: Observable
     return table / norm2
 
 
-def _rank_one_vector(proj: Operator, leg: str) -> np.ndarray:
-    """Unit vector ``v`` with ``proj == v v^dagger``, read from the largest diagonal column."""
-    if not proj.is_hermitian:
-        raise ValueError(f"{leg} projector must be Hermitian")
-    p = proj.matrix
-    diagonal = p.diagonal().real
-    j = int(diagonal.argmax())
-    if not diagonal[j] > 0.0:
-        raise ValueError(f"{leg} projector must be rank-1 idempotent")
-    # column j of v v^dagger is v conj(v_j), and its diagonal entry is |v_j|^2
-    v = p[:, j] / math.sqrt(diagonal[j])
-    if (abs(np.vdot(v, v).real - 1.0) > 1e-9
-            or np.abs(p - np.outer(v, v.conj())).max() > 1e-9):
-        raise ValueError(f"{leg} projector must be rank-1 idempotent")
-    return v
-
-
 def two_time_joint(k: TwoTimeKernel, proj_a: Operator, proj_b: Operator) -> float:
-    """Joint probability ``|<a|K|b>|^2 / ||K||_F^2`` of |a><a| on the forward leg and |b><b| on the backward.
+    """Joint probability ``||P_a K P_b||_F^2 / ||K||_F^2`` of projector P_a on the forward leg and P_b on the backward.
 
-    The entry of :func:`two_time_distribution` for the eigenvalue-1
-    eigenspaces of the two projectors. Each unit vector is read from its
-    projector's largest diagonal column, ``P[:, j] / sqrt(P[j, j])``; the
-    projector passes if that vector has unit norm and reproduces it, both
-    within 1e-9. K is scaled as in :func:`two_time_distribution`.
+    The entry of :func:`two_time_distribution` written for projectors of any
+    rank: for ``P = V V^dagger``, ``||P_a K P_b||_F = ||V_a^dagger K V_b||_F``.
+    A projector passes if it is Hermitian and ``max|P P - P| <= 1e-9``. K is
+    scaled as in :func:`two_time_distribution`.
 
     Raises
     ------
     DimensionError
         If a projector's dimension differs from its kernel leg.
     ValueError
-        If a projector is not a Hermitian rank-1 idempotent.
+        If a projector is not a Hermitian idempotent.
     """
     if proj_a.dim != k.dim_forward or proj_b.dim != k.dim_backward:
         raise DimensionError("projector dims do not match the kernel legs")
-    a = _rank_one_vector(proj_a, "forward")
-    b = _rank_one_vector(proj_b, "backward")
+    for proj, leg in ((proj_a, "forward"), (proj_b, "backward")):
+        p = proj.matrix
+        if not (proj.is_hermitian and np.abs(p @ p - p).max() <= 1e-9):
+            raise ValueError(f"{leg} projector must be a Hermitian idempotent")
     m, norm2 = k._scaled
-    return float(abs(np.vdot(a, m @ b)) ** 2 / norm2)
+    return float(np.sum(np.abs(proj_a.matrix @ m @ proj_b.matrix) ** 2) / norm2)

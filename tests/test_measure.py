@@ -226,7 +226,7 @@ class TestExactConditionalOracle:
             obs = random_observable(rng, dim)
             a = abl_probabilities(tsv, obs)
             b = exact_conditional_oracle(tsv.forward, tsv.backward, obs)
-            np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-12)
+            np.testing.assert_allclose(np.array(a.entries)[:, 1], np.array(b.entries)[:, 1], atol=1e-12)
 
     def test_independent_of_abl_path(self, monkeypatch):
         def forbidden(*args, **kwargs):

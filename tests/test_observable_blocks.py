@@ -90,8 +90,7 @@ def test_projectors_are_built_when_indexed(case, monkeypatch):
     last = obs.projectors[-1]
     assert built == [last] and obs.projectors[expected_blocks - 1] is last
     assert len(obs.projectors) == expected_blocks
-    assert obs.projectors[:] == tuple(obs.projectors) and len(built) == expected_blocks
-    assert obs.projectors[::-1][0] is last and len(built) == expected_blocks
+    assert tuple(obs.projectors)[-1] is last and len(built) == expected_blocks
     with pytest.raises(IndexError):
         obs.projectors[expected_blocks]
 
@@ -100,11 +99,11 @@ def test_block_formulas_match_dense_projectors(case):
     rng, obs, _, pre, post = case
     tsv = TwoStateVector(pre, post)
     amps = obs.amplitudes(post, pre)
-    abl = abl_probabilities(tsv, obs).probabilities
+    abl = np.array(abl_probabilities(tsv, obs).entries)[:, 1]
     other = TwoStateVector(random_ket(rng, obs.dim), random_bra(rng, obs.dim))
     g = GeneralizedTwoStateVector(((0.8 + 0.1j, post, pre), (0.3j, other.backward, other.forward)))
-    generalized = abl_probabilities_generalized(g, obs).probabilities
-    oracle = exact_conditional_oracle(pre, post, obs).probabilities
+    generalized = np.array(abl_probabilities_generalized(g, obs).entries)[:, 1]
+    oracle = np.array(exact_conditional_oracle(pre, post, obs).entries)[:, 1]
     record = ideal_measure(pre, obs, np.random.default_rng(0))
     # none of the block paths builds the dense projectors
     assert "projectors" not in vars(obs)

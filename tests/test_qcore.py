@@ -158,13 +158,14 @@ class TestSpectralDecompose:
             eye = np.eye(dim)
             total = np.zeros((dim, dim), dtype=complex)
             reconstructed = np.zeros((dim, dim), dtype=complex)
-            for value, proj in zip(obs.eigenvalues, obs.projectors):
+            projectors = list(obs.projectors)
+            for value, proj in zip(obs.eigenvalues, projectors):
                 p = proj.matrix
                 assert np.max(np.abs(p @ p - p)) <= 1e-9
                 total += p
                 reconstructed += value * p
-            for i, pi in enumerate(obs.projectors):
-                for pj in obs.projectors[i + 1 :]:
+            for i, pi in enumerate(projectors):
+                for pj in projectors[i + 1 :]:
                     assert np.max(np.abs(pi.matrix @ pj.matrix)) <= 1e-9
             assert np.max(np.abs(total - eye)) <= 1e-9
             assert np.max(np.abs(reconstructed - obs.op.matrix)) <= 1e-9
@@ -199,7 +200,7 @@ class TestLazySpectrum:
         with pytest.raises(NotHermitianError):
             Observable(m)
         with pytest.raises(NotHermitianError):
-            spectral_decompose(m.matrix)
+            spectral_decompose(m)
         assert calls == []
 
     @pytest.mark.parametrize("matrix", [

@@ -94,7 +94,7 @@ class TestAblProbabilities:
         obs = random_observable(rng, 3)
         a = abl_probabilities(tsv, obs)
         b = exact_conditional_oracle(tsv.forward, tsv.backward, obs)
-        np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-12)
+        np.testing.assert_allclose(np.array(a.entries)[:, 1], np.array(b.entries)[:, 1], atol=1e-12)
 
     def test_null_ensemble(self):
         tsv = TwoStateVector(Ket([1, 0]), Bra([0, 1]))
@@ -106,8 +106,8 @@ class TestAblProbabilities:
         for _ in range(50):
             dim = int(rng.integers(2, 7))
             dist = abl_probabilities(random_tsv(rng, dim), random_observable(rng, dim))
-            assert abs(sum(dist.probabilities) - 1.0) <= 1e-12
-            assert all(p >= 0.0 for p in dist.probabilities)
+            assert abs(sum(np.array(dist.entries)[:, 1]) - 1.0) <= 1e-12
+            assert all(p >= 0.0 for p in np.array(dist.entries)[:, 1])
 
     def test_scale_and_phase_invariance(self):
         rng = np.random.default_rng(4)
@@ -124,7 +124,9 @@ class TestAblProbabilities:
                 Ket(c1 * tsv.forward.amplitudes), Bra(c2 * tsv.backward.amplitudes)
             )
             np.testing.assert_allclose(
-                abl_probabilities(scaled, obs).probabilities, base.probabilities, atol=1e-12
+                np.array(abl_probabilities(scaled, obs).entries)[:, 1],
+                np.array(base.entries)[:, 1],
+                atol=1e-12,
             )
             wv_base = weak_value(tsv, obs.op)
             wv_scaled = weak_value(scaled, obs.op)
@@ -138,8 +140,8 @@ class TestAblProbabilities:
             obs = random_observable(rng, dim)
             swapped = TwoStateVector(Ket(tsv.backward.amplitudes), Bra(tsv.forward.amplitudes))
             np.testing.assert_allclose(
-                abl_probabilities(tsv, obs).probabilities,
-                abl_probabilities(swapped, obs).probabilities,
+                np.array(abl_probabilities(tsv, obs).entries)[:, 1],
+                np.array(abl_probabilities(swapped, obs).entries)[:, 1],
                 atol=1e-12,
             )
 
@@ -151,7 +153,7 @@ class TestAblAtTime:
         obs = diagonal_projector(4, 0)
         at_t = abl_at_time(tsv.forward, tsv.backward, schedule, 1.0, obs)
         plain = abl_probabilities(tsv, obs)
-        np.testing.assert_allclose(at_t.probabilities, plain.probabilities, atol=1e-14)
+        np.testing.assert_allclose(np.array(at_t.entries)[:, 1], np.array(plain.entries)[:, 1], atol=1e-14)
 
     def test_both_spin_components_certain(self):
         pre = Ket([1, 0])       # up along z
@@ -176,7 +178,7 @@ class TestAblAtTime:
         manual = abl_probabilities(
             TwoStateVector(evolve_forward(pre, before), evolve_backward(post, after)), obs
         )
-        np.testing.assert_allclose(direct.probabilities, manual.probabilities, atol=1e-14)
+        np.testing.assert_allclose(np.array(direct.entries)[:, 1], np.array(manual.entries)[:, 1], atol=1e-14)
 
     def test_time_window(self):
         schedule = HamiltonianSchedule(((1.0, Operator(np.zeros((2, 2)))),))
@@ -202,8 +204,8 @@ class TestGeneralized:
             g = GeneralizedTwoStateVector(((alpha, tsv.backward, tsv.forward),))
             assert 0.5 <= max(abs(g.terms[0][0].real), abs(g.terms[0][0].imag)) < 1.0
             np.testing.assert_allclose(
-                abl_probabilities(g, obs).probabilities,
-                abl_probabilities(tsv, obs).probabilities,
+                np.array(abl_probabilities(g, obs).entries)[:, 1],
+                np.array(abl_probabilities(tsv, obs).entries)[:, 1],
                 atol=1e-14,
             )
             assert abs(weak_value(g, obs.op) - weak_value(tsv, obs.op)) <= 1e-12
@@ -219,8 +221,8 @@ class TestGeneralized:
         g = GeneralizedTwoStateVector(tsv.terms)
         obs = random_observable(rng, 3)
         np.testing.assert_allclose(
-            abl_probabilities_generalized(g, obs).probabilities,
-            abl_probabilities(tsv, obs).probabilities,
+            np.array(abl_probabilities_generalized(g, obs).entries)[:, 1],
+            np.array(abl_probabilities(tsv, obs).entries)[:, 1],
             atol=1e-14,
         )
         assert abs(weak_value(g, obs.op) - weak_value(tsv, obs.op)) <= 1e-12
@@ -268,9 +270,11 @@ class TestGeneralized:
                 g = gtsv_from_ancilla(pre, post, system_dim, ancilla_dim)
                 reduced = abl_probabilities_generalized(g, obs)
                 full = abl_probabilities(TwoStateVector(pre, post), joint_obs)
-                np.testing.assert_allclose(reduced.outcomes, full.outcomes, atol=1e-9)
                 np.testing.assert_allclose(
-                    reduced.probabilities, full.probabilities, atol=1e-12
+                    np.array(reduced.entries)[:, 0], np.array(full.entries)[:, 0], atol=1e-9
+                )
+                np.testing.assert_allclose(
+                    np.array(reduced.entries)[:, 1], np.array(full.entries)[:, 1], atol=1e-12
                 )
                 wv_reduced = weak_value(g, obs.op)
                 wv_full = weak_value(
@@ -546,10 +550,9 @@ class TestTwoTimeKernel:
         with pytest.raises(NullEnsembleError):
             TwoTimeKernel(np.zeros((2, 2)))
 
-    def test_non_rank_one_projector_rejected(self):
+    def test_identity_projectors_give_one(self):
         k = self.correlated_kernel()
-        with pytest.raises(ValueError):
-            two_time_joint(k, Operator(np.eye(2)), Operator(np.eye(2)))
+        assert two_time_joint(k, Operator(np.eye(2)), Operator(np.eye(2))) == 1.0
 
     def test_scaled_kernel_neither_overflows_nor_moves(self):
         # |1e200|**2 overflows float64: the kernel is scaled by a power of two first
@@ -613,30 +616,49 @@ class TestTwoTimeDistribution:
             obs_b = degenerate_observable(rng, [-1.0] * (dim_b - 1) + [1.0])
             self.assert_matches_dense(k, random_observable(rng, dim_a), obs_b)
 
-    def test_rank_one_entry_is_two_time_joint(self):
+    def test_joint_is_the_table_entry_for_projectors_of_any_rank(self):
         rng = np.random.default_rng(24)
-        k = random_kernel(rng, 3, 2)
-        obs_a, obs_b = random_observable(rng, 3), random_observable(rng, 2)
-        table = two_time_distribution(k, obs_a, obs_b)
-        for m, pa in enumerate(obs_a.projectors):
-            for n, pb in enumerate(obs_b.projectors):
-                assert two_time_joint(k, pa, pb) == pytest.approx(table[m, n], abs=1e-15)
+        cases = (
+            ([0.0, 1.0, 2.0], [-1.0, 1.0]),  # 3x2, every eigenspace rank 1
+            ([1.0, 1.0, 2.0], [-1.0, 2.0, 2.0]),  # square, a rank-2 eigenspace on each leg
+            ([0.0, 0.0, 0.0, 3.0], [0.5, 0.5]),  # 4x2, the backward leg one rank-2 eigenspace
+            ([-2.0, 1.0], [1.0, 1.0, 2.0, 2.0, 2.0]),  # 2x5, ranks 2 and 3 on the backward leg
+        )
+        for levels_a, levels_b in cases:
+            for _ in range(10):
+                k = random_kernel(rng, len(levels_a), len(levels_b))
+                obs_a, obs_b = degenerate_observable(rng, levels_a), degenerate_observable(rng, levels_b)
+                assert (len(obs_a.eigenvalues), len(obs_b.eigenvalues)) == (len(set(levels_a)), len(set(levels_b)))
+                table = two_time_distribution(k, obs_a, obs_b)
+                for m, pa in enumerate(obs_a.projectors):
+                    for n, pb in enumerate(obs_b.projectors):
+                        assert abs(two_time_joint(k, pa, pb) - table[m, n]) <= 1e-15
 
     @pytest.mark.parametrize("matrix", [
         [[0.0, 1.0], [0.0, 0.0]],  # not Hermitian
         [[0.5, 0.0], [0.0, 0.5]],  # trace 1, not idempotent
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],  # rank 2
-        [[0.0, 0.0], [0.0, 0.0]],  # rank 0
-        [[0.5, 0.0], [0.0, 0.0]],  # rank 1 but half a projector: its column read has norm^2 0.5
+        [[0.5, 0.0], [0.0, 0.0]],  # rank 1 but half a projector
     ])
-    def test_two_time_joint_rejects_non_rank_one(self, matrix):
+    def test_two_time_joint_rejects_non_projectors(self, matrix):
         proj = Operator(np.array(matrix, dtype=complex))
         k = TwoTimeKernel(np.eye(proj.dim))
         good = spectral_decompose(Operator(np.diag([1.0] + [0.0] * (proj.dim - 1)))).projectors[1]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="forward projector must be a Hermitian idempotent"):
             two_time_joint(k, proj, good)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="backward projector must be a Hermitian idempotent"):
             two_time_joint(k, good, proj)
+
+    @pytest.mark.parametrize("matrix, expected", [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], 1.0 / 3.0),  # rank 2
+        ([[0.0, 0.0], [0.0, 0.0]], 0.0),  # rank 0
+    ])
+    def test_two_time_joint_accepts_projectors_of_any_rank(self, matrix, expected):
+        proj = Operator(np.array(matrix, dtype=complex))
+        k = TwoTimeKernel(np.eye(proj.dim))
+        good = spectral_decompose(Operator(np.diag([1.0] + [0.0] * (proj.dim - 1)))).projectors[1]
+        for pa, pb in ((proj, good), (good, proj)):
+            trace = np.trace(pa.matrix @ k.matrix @ pb.matrix @ k.matrix.conj().T).real / proj.dim
+            assert two_time_joint(k, pa, pb) == expected == trace
 
     def test_two_time_joint_never_decomposes(self, monkeypatch):
         rng = np.random.default_rng(26)
@@ -672,7 +694,7 @@ class TestTwoTimeDistribution:
             if accepted:
                 assert two_time_joint(k, *legs) == pytest.approx(two_time_joint(k, good, good), abs=1e-10)
             else:
-                with pytest.raises(ValueError, match="rank-1 idempotent"):
+                with pytest.raises(ValueError, match="Hermitian idempotent"):
                     two_time_joint(k, *legs)
 
     def test_mismatched_leg_dims_rejected(self):
