@@ -327,12 +327,28 @@ def weak_measure_pointer(
         lo, hi = np.searchsorted(q, (center - reach, center + reach))
         packet = norm * np.exp(-(((q[lo:hi] - center) / scale) ** 2) / width)
         wavefunction[lo:hi] += amplitude * packet
-    raw_density = np.abs(wavefunction) ** 2
-    rate = float(np.trapezoid(raw_density, q))
+    # at most four float64 words per grid point: the density is squared and normalized
+    # in place once the wavefunction is gone, and both sums run in two reused rows in
+    # np.trapezoid's order, add.reduce(diff(q) * (y[1:] + y[:-1]) / 2.0), so every bit
+    # is that of np.trapezoid(|phi|^2, q) and np.trapezoid(q * density, q)
+    density = np.abs(wavefunction)
+    del wavefunction
+    np.square(density, out=density)
+    step, terms = np.empty((2, cfg.points - 1))
+
+    def trapezoid(upper, lower):
+        np.add(upper, lower, out=terms)
+        np.subtract(q[1:], q[:-1], out=step)
+        np.multiply(step, terms, out=terms)
+        np.divide(terms, 2.0, out=terms)
+        return float(np.add.reduce(terms))
+
+    rate = trapezoid(density[1:], density[:-1])
     if rate <= _NULL_WEIGHT:
         raise NullEnsembleError("post-selection annihilates the pointer wavefunction")
-    density = raw_density / rate
-    mean_shift = float(np.trapezoid(q * density, q))
+    density /= rate
+    mean_shift = trapezoid(np.multiply(q[1:], density[1:], out=terms),
+                           np.multiply(q[:-1], density[:-1], out=step))
     density.flags.writeable = False
     q.flags.writeable = False
     return PointerResult(

@@ -1,10 +1,14 @@
-"""Golden outputs: sha256 of the exported scenario files and of `run` output.
+"""Golden outputs: sha256 of the exported scenario files, of `run` and of `pointer`.
 
 The hashes pin the exact bytes of ``export-scenario`` for each of the five
 scenarios and of ``run <name>`` in table and JSON form. They were captured
 before the problem-file and scenario types were reduced to one ``selection``
 slot, so they show that refactors of those types leave every output byte
-unchanged. The printed residues (Gram deviations, max |z|) depend on
+unchanged. The ``pointer`` hashes pin its stdout and CSV on the three-box
+export in the weak regime (every density nonzero) and the strong regime
+(mostly exact zeros, written as ``0``); they were captured before the
+pointer's working set was cut from eight float64 words per grid point to
+four. The printed residues (Gram deviations, max |z|) depend on
 floating-point rounding, so a different NumPy or LAPACK build may need the
 hashes recaptured.
 """
@@ -36,6 +40,20 @@ RUN_STDOUT = {
     ("three-box", "json"): "2dae3f4115b0dfc4c75072d4630264a1b16f804c1e4be1bebf0094eab8e22b20",
 }
 
+# --g: (stdout, CSV, CSV rows) of `pointer --observable P_C --sigma 1` on three-box
+POINTER = {
+    "0.001": (
+        "03d50d81ea1a7b348fafe613bb4651eb8ed51b1d22b5775dda7d85b3597bf67b",
+        "f2a5500af75986edc96504221215ca1c0dbe6c57b52ae4748a345a584082b022",
+        4096,
+    ),
+    "100": (
+        "2bcd61899bf9b843e76285c9a4965104dcc8e0edd8e466e76e92e424a7f27c61",
+        "c10008cecd755d457ebaeee61bf38a39989d463797a52ee6a52b2f90710f9cfb",
+        64641,
+    ),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -55,3 +73,20 @@ def test_run_output_bytes(capsys, name, fmt):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert sha256(captured.out.encode()) == RUN_STDOUT[(name, fmt)]
+
+
+@pytest.mark.parametrize("g", sorted(POINTER))
+def test_pointer_output_bytes(tmp_path, monkeypatch, capsys, g):
+    monkeypatch.chdir(tmp_path)
+    assert main(["export-scenario", "three-box", "--out", "three-box.json"]) == 0
+    capsys.readouterr()
+    argv = ["pointer", "--file", "three-box.json", "--observable", "P_C",
+            "--g", g, "--sigma", "1", "--out", "d.csv"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = (tmp_path / "d.csv").read_bytes()
+    stdout_hash, csv_hash, rows = POINTER[g]
+    assert data.count(b"\n") == rows + 1
+    assert sha256(captured.out.encode()) == stdout_hash
+    assert sha256(data) == csv_hash

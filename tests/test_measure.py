@@ -509,6 +509,8 @@ class TestWeakMeasurePointer:
             density = np.abs(amplitudes @ packets) ** 2
             density /= np.trapezoid(density, q)
             assert np.max(np.abs(result.density - density)) <= 1e-13 * density.max()
+            # positions, complex wavefunction and density: four float64 words per point
+            assert peaks[count] <= 32 * cfg.points + 64 * 1024
         assert peaks[32] < 1.5 * peaks[4]
 
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
