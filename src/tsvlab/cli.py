@@ -49,8 +49,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def _format_complex(z: complex) -> str:
-    sign = "+" if z.imag >= 0 or np.isnan(z.imag) else "-"
-    return f"{float(z.real)} {sign} {abs(float(z.imag))}i"
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real} {sign} {abs(z.imag)}i"
 
 
 def _load(args):
@@ -77,22 +77,22 @@ def cmd_run(args) -> int:
     report = scenarios.run_scenario(scenario)
     if args.format == "json":
         doc = {
-            "scenario": report.scenario,
+            "scenario": scenario.name,
             "passed": report.passed,
             "checks": [dataclasses.asdict(r) for r in report.results],
-            "details": report.details,
+            "details": scenario.details,
         }
         # a complex number in the details is written as [real, imag]
         print(json.dumps(doc, indent=2, default=lambda z: [z.real, z.imag]))
     else:
-        print(f"scenario: {report.scenario}: {scenario.description}")
+        print(f"scenario: {scenario.name}: {scenario.description}")
         for r in report.results:
             status = "PASS" if r.passed else "FAIL"
             print(f"  [{status}] {r.description}")
             print(f"         expected: {r.expected} | actual: {r.actual} | provenance: {r.provenance}")
-        if "value_table" in report.details:
+        if "value_table" in scenario.details:
             print("  value table (outcome -> x, y, z):")
-            for outcome, values in report.details["value_table"].items():
+            for outcome, values in scenario.details["value_table"].items():
                 print(f"    {outcome}: {values}")
         passed = sum(r.passed for r in report.results)
         print(f"result: {'PASS' if report.passed else 'FAIL'} ({passed}/{len(report.results)} checks)")

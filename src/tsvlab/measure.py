@@ -375,8 +375,5 @@ def pointer_bump_masses(result: PointerResult, obs: Observable, coupling: float)
     for eig, lo, hi in zip(obs.eigenvalues, edges[:-1], edges[1:]):
         # q is sorted, so q[a:b] is exactly the points with lo <= q < hi
         a, b = np.searchsorted(q, (lo, hi))
-        if b - a < 2:
-            masses[eig] = 0.0
-            continue
         masses[eig] = float(np.trapezoid(result.density[a:b], q[a:b]))
     return masses

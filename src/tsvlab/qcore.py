@@ -151,13 +151,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionError("operator dims differ")
-        return Operator(self.matrix @ other.matrix)
-
 
 def matrix_element(bra: Bra, op: Operator, ket: Ket) -> complex:
     """Sandwich <phi|M|psi>."""
@@ -297,8 +290,8 @@ class HamiltonianSchedule:
     """Piecewise-constant Hamiltonian over an ordered list of time segments.
 
     Each segment is ``(duration, H)`` with ``duration >= 0`` and Hermitian
-    ``H``. Time ordering is realized as the ordered product of segment
-    exponentials ``exp(-i H_k dt_k)``; hbar = 1.
+    ``H``; the total duration is finite. Time ordering is realized as the
+    ordered product of segment exponentials ``exp(-i H_k dt_k)``; hbar = 1.
     """
 
     segments: tuple
@@ -317,6 +310,8 @@ class HamiltonianSchedule:
             if len(dims) != 1:
                 raise DimensionError("all segment Hamiltonians must share one dimension")
         object.__setattr__(self, "segments", tuple(cleaned))
+        if not math.isfinite(self.total_duration):
+            raise RangeError("total duration overflows float64")
 
     @property
     def total_duration(self) -> float:

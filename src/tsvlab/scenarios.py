@@ -30,7 +30,6 @@ from .qcore import (
     spectral_decompose,
 )
 from .tsv import (
-    CERTAINTY_TOL,
     TwoStateVector,
     TwoTimeKernel,
     abl_probabilities,
@@ -109,10 +108,8 @@ class Scenario(ProblemFile):
 
 @dataclass(frozen=True)
 class Report:
-    scenario: str
     results: tuple
     passed: bool
-    details: dict
 
 
 def run_scenario(scenario: Scenario) -> Report:
@@ -129,12 +126,7 @@ def run_scenario(scenario: Scenario) -> Report:
                 passed=bool(passed),
             )
         )
-    return Report(
-        scenario=scenario.name,
-        results=tuple(results),
-        passed=all(r.passed for r in results),
-        details=dict(scenario.details),
-    )
+    return Report(results=tuple(results), passed=all(r.passed for r in results))
 
 
 def _certainty_check(selection, obs, expected_value, description):
@@ -372,13 +364,14 @@ def scenario_mean_king() -> Scenario:
 
     def outcome_check(outcome):
         def run():
-            entries = [abl_probabilities(reduced[outcome], obs).max_entry() for obs in components.values()]
-            values = tuple(int(round(value)) for value, _ in entries)
-            low = min(prob for _, prob in entries)
+            reports = [element_of_reality(reduced[outcome], obs) for obs in components.values()]
+            # None marks a component with no certain value
+            values = tuple(int(round(r.value)) if r.certain else None for r in reports)
+            low = min(r.probability for r in reports)
             return (
                 f"values {value_table[outcome]}, each with probability 1",
                 f"values {values}, min probability {low:.12g}",
-                values == value_table[outcome] and low >= 1.0 - CERTAINTY_TOL,
+                values == value_table[outcome],
             )
 
         return Check(

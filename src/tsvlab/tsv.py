@@ -159,10 +159,6 @@ class Distribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "entries", entries)
 
-    def max_entry(self) -> tuple:
-        """(outcome, probability) of the most likely outcome."""
-        return max(self.entries, key=lambda e: e[1])
-
 
 @dataclass(frozen=True)
 class CertaintyReport:
@@ -324,7 +320,7 @@ def element_of_reality(selection, obs: Observable, label: str = "observable") ->
 
     ``selection`` may be a TwoStateVector or a GeneralizedTwoStateVector.
     """
-    outcome, prob = abl_probabilities(selection, obs).max_entry()
+    outcome, prob = max(abl_probabilities(selection, obs).entries, key=lambda e: e[1])
     if prob >= 1.0 - CERTAINTY_TOL:
         return CertaintyReport(label=label, certain=True, value=outcome, probability=prob)
     return CertaintyReport(label=label, certain=False, value=None, probability=prob)
@@ -353,10 +349,14 @@ def product_rule_report(selection, obs_a: Observable, obs_b: Observable) -> Prod
 
     Raises
     ------
+    DimensionError
+        If the two observables act on spaces of different dimensions.
     NotMeasurableError
         If the operator product is not Hermitian.
     """
-    product_op = obs_a.op @ obs_b.op
+    if obs_a.dim != obs_b.dim:
+        raise DimensionError("observable dims differ")
+    product_op = Operator(obs_a.op.matrix @ obs_b.op.matrix)
     if not product_op.is_hermitian:
         raise NotMeasurableError("product of the observables is not Hermitian")
     product_obs = spectral_decompose(product_op)

@@ -227,6 +227,29 @@ class TestAbl:
         assert outputs[1.0].out.splitlines()[2] == "-1: 1"  # between the flips
         assert outputs[2.0**-43] == outputs[1.0]
 
+    def test_overflowing_total_duration_exits_2(self, capsys, tmp_path):
+        # two segments of H = c sigma_x for time 1/c: at t = 0 the pre-selection |0>
+        # gives z = 1. At c = 1e-308 the total duration 2e308 overflows to inf, which
+        # would place t = 0 after both segments and print the answer at t = T, z = -1
+        def flip_file(c):
+            h = [[[0.0, 0.0], [c, 0.0]], [[c, 0.0], [0.0, 0.0]]]
+            path = tmp_path / f"flip-{c}.json"
+            path.write_text(json.dumps({
+                "dims": [2],
+                "pre": [[1.0, 0.0], [0.0, 0.0]],
+                "post": [[0.0, 0.0], [1.0, 0.0]],
+                "hamiltonian": [{"duration": 1.0 / c, "matrix": h}] * 2,
+                "observables": [{"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}],
+            }))
+            return ["abl", "--file", str(path), "--observable", "z", "--time=0"]
+
+        assert main(flip_file(1.0)) == 0
+        assert capsys.readouterr().out == "-1: 0\n1: 1\n"
+        assert main(flip_file(1e-308)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hamiltonian: total duration overflows float64\n"
+
     @pytest.mark.parametrize("time, code", [("-1e-13", 0), ("-1e-05", 2), ("-inf", 2), ("-2.5E+3", 2)])
     def test_negative_time_as_separate_argument(self, capsys, tmp_path, time, code):
         # argparse alone reads `-1e-05` as an option string; both spellings must

@@ -326,6 +326,11 @@ WINDOW_CASES = {
     "edge-on-grid-point": lambda: (
         TwoStateVector(Ket([1, 1]), Bra([1, 2])), spectral_decompose(Operator(SIGMA_Z)), 5.5, 1.0
     ),
+    # the window of eigenvalue 0.005, [0.0025, 0.0075), holds one point of the
+    # 4096-point grid on +-20: its mass is the trapezoid of one point, 0.0
+    "one-point-window": lambda: (
+        boxed_spin_tsv(), spectral_decompose(Operator(np.diag([0.0, 0.005, 0.01, 1.0]))), 1.0, 1.0
+    ),
     "scale-1e-100": lambda: (boxed_spin_tsv(), diagonal_projector(4, 2), 1e-100, 1e-100),
     "scale-1e100": lambda: (boxed_spin_tsv(), diagonal_projector(4, 2), 1e100, 1e100),
     "scale-5e153": lambda: (boxed_spin_tsv(), diagonal_projector(4, 2), 5e153, 5e153),

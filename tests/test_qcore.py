@@ -350,6 +350,14 @@ class TestEvolution:
         with pytest.raises(ValueError, match=r"^segment 1 duration must be finite and non-negative"):
             HamiltonianSchedule(((1.0, Operator(SIGMA_X)), (duration, Operator(SIGMA_Z))))
 
+    def test_overflowing_total_duration_rejected(self):
+        # each duration is finite but their sum is inf, which would make every
+        # time-window slack inf and place every segment before any t
+        h = Operator(1e-308 * SIGMA_X)
+        assert HamiltonianSchedule(((1e308, h),)).total_duration == 1e308
+        with pytest.raises(RangeError, match=r"^total duration overflows float64$"):
+            HamiltonianSchedule(((1e308, h), (1e308, h)))
+
 
 class TestScheduleSplit:
     def test_split_inside_segment(self):

@@ -85,7 +85,7 @@ def test_mean_king_value_table():
     # every component is dispersion-free for the reduced selection of outcome 0
     for obs in scenario.observables.values():
         dist = abl_probabilities_generalized(scenario.selection, obs)
-        assert dist.max_entry()[1] >= 1.0 - 1e-10
+        assert max(p for _, p in dist.entries) >= 1.0 - 1e-10
 
 
 def test_mean_king_checks_measure_the_values_they_print(monkeypatch):
@@ -103,6 +103,24 @@ def test_mean_king_checks_measure_the_values_they_print(monkeypatch):
         assert not result.passed
         assert result.expected == f"values {sign_triples[::-1][k]}, each with probability 1"
         assert result.actual.startswith(f"values {sign_triples[k]}, min probability ")
+
+
+def test_mean_king_checks_print_none_for_an_uncertain_component(monkeypatch):
+    # a product post-selection basis |s>|a>, with the ancilla in the x basis, is
+    # orthonormal, but each outcome fixes only x (by a) and z (by s): sigma_y keeps
+    # probability 1/2 for both values, so every outcome check fails and prints None
+    sign_triples, _ = tsvlab.scenarios._mean_king_candidate_basis()
+    x_basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+    product = [np.kron(np.eye(2)[s], x_basis[a]) for s in range(2) for a in range(2)]
+    monkeypatch.setattr(tsvlab.scenarios, "_mean_king_candidate_basis", lambda: (sign_triples, product))
+    report = run_scenario(get_scenario("mean-king"))
+    assert not report.passed
+    basis, *outcomes = report.results
+    assert basis.passed
+    for k, result in enumerate(outcomes):
+        s, a = divmod(k, 2)
+        assert not result.passed
+        assert result.actual == f"values ({1 - 2 * a}, None, {1 - 2 * s}), min probability 0.5"
 
 
 def test_mean_king_royal_basis_is_entangled():
@@ -139,6 +157,16 @@ def test_public_names_are_exactly_all():
         assert not hasattr(cls, gone)
     for gone in ("complex_pair", "vector_pairs", "matrix_pairs"):
         assert not hasattr(tsvlab.problemfile, gone)
+    # each result is read from its one owner: a product of observables is formed
+    # only by product_rule_report, the certainty test is element_of_reality's, and
+    # a scenario's name and details are read from the scenario
+    assert not hasattr(tsvlab.Operator, "__matmul__")
+    assert not hasattr(tsvlab.Distribution, "max_entry")
+    assert [f.name for f in dataclasses.fields(tsvlab.scenarios.Report)] == ["results", "passed"]
+    src = Path(tsvlab.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "CERTAINTY_TOL" in p.read_text(encoding="utf-8")] == [
+        "tsv.py"
+    ]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

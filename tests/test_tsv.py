@@ -473,7 +473,7 @@ class TestProductRule:
             b = np.concatenate([rng.uniform(1, 3, size=half), np.zeros(half)])
             obs_a = spectral_decompose(Operator(basis @ np.diag(a) @ basis.conj().T))
             obs_b = spectral_decompose(Operator(basis @ np.diag(b) @ basis.conj().T))
-            assert (obs_a.op @ obs_b.op).is_hermitian
+            assert Operator(obs_a.op.matrix @ obs_b.op.matrix).is_hermitian
             for column in range(dim):
                 tsv = TwoStateVector(random_ket(rng, dim), Bra(basis[:, column]))
                 report = product_rule_report(tsv, obs_a, obs_b)
@@ -482,6 +482,11 @@ class TestProductRule:
                 assert report.product.certain
                 assert report.product.value == pytest.approx(0.0, abs=1e-12)
                 assert report.product_rule_holds is True
+
+    def test_dimension_mismatch_rejected(self):
+        tsv = TwoStateVector(Ket([1, 0]), Bra([1, 1]))
+        with pytest.raises(DimensionError, match="^observable dims differ$"):
+            product_rule_report(tsv, spectral_decompose(Operator(SIGMA_Z)), diagonal_projector(4, 0))
 
     def test_non_hermitian_product_rejected(self):
         psi = Ket([1, 0])
