@@ -15,7 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import shutil
+import stat
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 
@@ -35,7 +40,8 @@ EXIT_USAGE = 2
 EXIT_NULL_ENSEMBLE = 3
 EXIT_NO_SAMPLES = 4
 
-#: rows of the pointer CSV formatted per write
+#: rows of the pointer CSV formatted per write; a grid of two blocks or more
+#: is formatted by two processes where ``os.fork`` exists
 CSV_BLOCK_ROWS = 4096
 
 #: selections that `abl` and `weak` evaluate; a two-time kernel is not one
@@ -194,23 +200,8 @@ def cmd_pointer(args) -> int:
             f"  outcome {eig:.6g}: mass {masses[eig]:.9g}  abl {dist[eig]:.9g}" for eig in eigs
         ]
 
-    # everything that can fail is computed before the CSV is opened, so an
-    # error leaves no file; one %-format call and one write per block of rows.
-    # "%.17g" % 0.0 is "0" (a density is never -0.0), so the template writes a
-    # zero density as that literal and only the other values are formatted
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("position,density\n")
-        for start in range(0, len(result.positions), CSV_BLOCK_ROWS):
-            rows = slice(start, start + CSV_BLOCK_ROWS)
-            nonzero = result.density[rows] != 0.0
-            runs = [0, *(np.flatnonzero(nonzero[1:] != nonzero[:-1]) + 1).tolist(), len(nonzero)]
-            template = "".join(
-                ("%.17g,%.17g\n" if nonzero[a] else "%.17g,0\n") * (b - a)
-                for a, b in zip(runs[:-1], runs[1:])
-            )
-            block = np.column_stack((result.positions[rows], result.density[rows]))
-            formatted = np.column_stack((np.ones_like(nonzero), nonzero))
-            handle.write(template % tuple(block[formatted].tolist()))
+    # everything that can fail is computed before the CSV is opened
+    _write_pointer_csv(args.out, result.positions, result.density)
 
     print(f"pointer density written to {args.out} ({cfg.points} points)")
     print(f"mean_shift          : {result.mean_shift:.12g}")
@@ -220,6 +211,88 @@ def cmd_pointer(args) -> int:
     for line in strong_lines:
         print(line)
     return EXIT_OK
+
+
+def _csv_rows(positions, density) -> bytes:
+    """One block of CSV rows, ``%.17g,%.17g\n`` each, in one %-format call.
+
+    "%.17g" % 0.0 is "0" (a density is never -0.0), so the template writes a
+    zero density as that literal and only the other values are formatted.
+    """
+    nonzero = density != 0.0
+    runs = [0, *(np.flatnonzero(nonzero[1:] != nonzero[:-1]) + 1).tolist(), len(nonzero)]
+    template = "".join(
+        ("%.17g,%.17g\n" if nonzero[a] else "%.17g,0\n") * (b - a)
+        for a, b in zip(runs[:-1], runs[1:])
+    )
+    block = np.column_stack((positions, density))
+    formatted = np.column_stack((np.ones_like(nonzero), nonzero))
+    return (template % tuple(block[formatted].tolist())).encode("ascii")
+
+
+def _write_rows(handle, positions, density, start: int, stop: int) -> None:
+    for first in range(start, stop, CSV_BLOCK_ROWS):
+        rows = slice(first, min(first + CSV_BLOCK_ROWS, stop))
+        handle.write(_csv_rows(positions[rows], density[rows]))
+
+
+def _write_halves(handle, positions, density, spill) -> None:
+    """Write every row: a forked child formats the second half into ``spill``.
+
+    The child starts at the block boundary nearest the middle, while this
+    process formats the rows before it; then this process appends the
+    child's bytes. The child is reaped whatever happens here.
+    """
+    points = len(positions)
+    split = round(points / (2 * CSV_BLOCK_ROWS)) * CSV_BLOCK_ROWS
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when a process with other threads forks; here the
+        # other threads are OpenBLAS's idle workers. The child runs Python and
+        # element-wise numpy only, so it needs no lock such a thread may hold;
+        # it calls no BLAS or LAPACK, never prints, and leaves through
+        # os._exit, so no handler or buffer of this process runs twice.
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _write_rows(spill, positions, density, split, points)
+            spill.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        _write_rows(handle, positions, density, 0, split)
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        raise OSError(f"CSV writer process exited with status {os.waitstatus_to_exitcode(status)}")
+    spill.seek(0)
+    shutil.copyfileobj(spill, handle)
+
+
+def _write_pointer_csv(path, positions, density) -> None:
+    """Write the pointer CSV to ``path``; a failed write leaves no file there.
+
+    A regular file of two blocks or more is written by two processes where
+    ``os.fork`` exists, the second half spilled to an unnamed file beside it;
+    any other output is written by this process alone. The bytes are the same.
+    """
+    handle = open(path, "wb")
+    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+    try:
+        with handle:
+            handle.write(b"position,density\n")
+            if regular and len(positions) >= 2 * CSV_BLOCK_ROWS and hasattr(os, "fork"):
+                with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as spill:
+                    _write_halves(handle, positions, density, spill)
+            else:
+                _write_rows(handle, positions, density, 0, len(positions))
+    except BaseException:
+        if regular:
+            os.unlink(path)
+        raise
 
 
 def cmd_export_scenario(args) -> int:

@@ -334,7 +334,8 @@ class HamiltonianSchedule:
         """
         total = self.total_duration
         slack = TIME_TOL * total
-        if not -slack <= t <= total + slack:
+        # t - total, not total + slack, which overflows near the float64 maximum
+        if not (-slack <= t and t - total <= slack):
             raise TimeWindowError(f"time {t} outside schedule window [0, {total}]")
         t = min(max(t, 0.0), total)
         before = []

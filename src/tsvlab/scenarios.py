@@ -344,8 +344,9 @@ def scenario_mean_king() -> Scenario:
     outcome, the reduced generalized two-state vector gives every spin
     component a definite value. The claimed value table (outcome -> x, y, z
     values, the sign triples of the construction) is recorded in the
-    scenario details; the checks measure the basis's Gram matrix and each
-    outcome's values when run, and fail if either departs from the claim.
+    scenario details; the checks measure the basis's Gram matrix, each basis
+    state's concurrence and each outcome's values when run, and fail if any
+    departs from the claim.
     """
     pre = Ket(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex))
     sign_triples, post_states = _mean_king_candidate_basis()
@@ -360,7 +361,14 @@ def scenario_mean_king() -> Scenario:
     def basis_check():
         gram = np.array([[np.vdot(a, b) for b in post_states] for a in post_states])
         dev = float(np.max(np.abs(gram - np.eye(4))))
-        return "orthonormal entangled basis", f"max Gram deviation {dev:.3g}", dev <= 1e-10
+        # a unit state with 2x2 coefficient matrix M has concurrence 2|det M|,
+        # 0 for a product state (each royal state has 1/2)
+        concurrence = min(2.0 * float(abs(np.linalg.det(vec.reshape(2, 2)))) for vec in post_states)
+        entangled = concurrence > 1e-10
+        actual = f"max Gram deviation {dev:.3g}"
+        if not entangled:
+            actual += f", min concurrence {concurrence:.3g}"
+        return "orthonormal entangled basis", actual, dev <= 1e-10 and entangled
 
     def outcome_check(outcome):
         def run():

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from tsvlab import (
     weak_measure_pointer,
     weak_value,
 )
+from tsvlab import cli
 from tsvlab.cli import CSV_BLOCK_ROWS, main
 from tsvlab.problemfile import load
 from tsvlab.scenarios import SCENARIOS
@@ -249,6 +252,29 @@ class TestAbl:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: hamiltonian: total duration overflows float64\n"
+
+    @pytest.mark.parametrize("time", ["inf", "1e309", "3e308", "1.7976931348623157e308"])
+    def test_time_past_a_maximal_schedule_exits_2(self, capsys, tmp_path, time):
+        # one segment of the largest finite duration: the window end plus its
+        # slack overflows to inf, which must not admit a time past the window
+        path = tmp_path / "maximal.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [0.0, 0.0]],
+            "post": [[0.6, 0.0], [0.8, 0.0]],
+            "hamiltonian": [{"duration": 1.7976931348623157e308,
+                             "matrix": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}],
+            "observables": [{"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}],
+        }))
+        base = ["abl", "--file", str(path), "--observable", "z"]
+        if float(time) == 1.7976931348623157e308:
+            assert main([*base, f"--time={time}"]) == 0
+            assert capsys.readouterr().out == "-1: 0\n1: 1\n"
+        else:
+            assert main([*base, f"--time={time}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: time inf outside schedule window [0, 1.7976931348623157e+308]\n"
 
     @pytest.mark.parametrize("time, code", [("-1e-13", 0), ("-1e-05", 2), ("-inf", 2), ("-2.5E+3", 2)])
     def test_negative_time_as_separate_argument(self, capsys, tmp_path, time, code):
@@ -597,6 +623,121 @@ class TestPointer:
         assert "mean_shift / g      : 1" in summaries[0]
         assert "post-selection rate : 0.111111111111" in summaries[0]
 
+
+
+def writer_grid(points, run_at_split):
+    """Positions and densities in alternating zero and nonzero runs, subnormals among them.
+
+    ``run_at_split`` (False for a zero run, True for a nonzero run) makes one
+    run cross the block boundary nearest the middle of the rows.
+    """
+    rng = np.random.default_rng(points)
+    positions = np.linspace(-1e3, 1e3, points)
+    run_ends = np.cumsum(rng.geometric(1.0 / 300.0, size=points))
+    nonzero = np.searchsorted(run_ends, np.arange(points), side="right") % 2 == 1
+    if run_at_split is not None:
+        split = round(points / (2 * CSV_BLOCK_ROWS)) * CSV_BLOCK_ROWS
+        nonzero[split - 100:split + 100] = run_at_split
+    values = rng.random(points) * 10.0 ** rng.uniform(-320.0, 0.0, size=points)
+    return positions, np.where(nonzero, values, 0.0)
+
+
+class TestPointerWriter:
+    """A CSV of two blocks or more is formatted by this process and one forked child."""
+
+    def pointer_argv(self, problem_path, csv_path):
+        # 64,641 rows: the forked path
+        return ["pointer", "--file", str(problem_path), "--observable", "P_B_up",
+                "--g", "100", "--sigma", "1", "--out", str(csv_path)]
+
+    @pytest.mark.parametrize("points, run_at_split", [
+        (4096, None),  # one block: this process alone
+        (8192, None),
+        (12_288, None),
+        (10_001, None),
+        (64_641, False),
+        (64_641, True),
+    ])
+    def test_forked_and_one_process_bytes_match_per_row_format(
+        self, monkeypatch, tmp_path, points, run_at_split
+    ):
+        positions, density = writer_grid(points, run_at_split)
+        assert np.any(density == 0.0) and np.any((density > 0.0) & (density < np.finfo(float).tiny))
+        rows = "".join(f"{q:.17g},{d:.17g}\n" for q, d in zip(positions, density))
+        expected = ("position,density\n" + rows).encode()
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        cli._write_pointer_csv(tmp_path / "forked.csv", positions, density)
+        assert len(forks) == (points >= 2 * CSV_BLOCK_ROWS)
+        monkeypatch.delattr(os, "fork")
+        cli._write_pointer_csv(tmp_path / "one-process.csv", positions, density)
+        assert (tmp_path / "forked.csv").read_bytes() == expected
+        assert (tmp_path / "one-process.csv").read_bytes() == expected
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["forked.csv", "one-process.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_output_is_written_by_one_process(self, monkeypatch, tmp_path):
+        # a pipe cannot be deleted on failure like a partial file, and its
+        # directory may be one where no spill file can be made
+        positions, density = writer_grid(64_641, True)
+        rows = "".join(f"{q:.17g},{d:.17g}\n" for q, d in zip(positions, density))
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()))
+        reader.start()
+        cli._write_pointer_csv(pipe, positions, density)
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert received == [("position,density\n" + rows).encode()]
+        assert forks == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["pipe"]
+
+    @pytest.mark.parametrize("failing, message", [
+        ("child", "error: CSV writer process exited with status 1\n"),
+        ("parent", "error: no space left\n"),
+    ])
+    def test_failed_write_leaves_no_file_and_no_child(
+        self, capsys, monkeypatch, spin_box_file, tmp_path, failing, message
+    ):
+        parent = os.getpid()
+        csv_rows = cli._csv_rows
+
+        def failing_rows(positions, density):
+            if (os.getpid() == parent) is (failing == "parent"):
+                raise OSError("no space left")
+            return csv_rows(positions, density)
+
+        monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+        capsys.readouterr()  # drop fixture output
+        assert main(self.pointer_argv(spin_box_file, tmp_path / "pointer.csv")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+        assert list(tmp_path.iterdir()) == [spin_box_file]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_beside_a_live_thread_warns_of_nothing(self, capsys, spin_box_file, tmp_path):
+        # Python 3.12+ warns when a process with other threads forks; it clears
+        # the warning if a filter makes it an error, so record it instead
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                code = main(self.pointer_argv(spin_box_file, tmp_path / "pointer.csv"))
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert code == 0
+        assert [str(warning.message) for warning in seen] == []
 
 class TestOverflowingSpectrum:
     """A finite Hermitian observable whose eigenvalues, +-2.4e308, lie past float64."""

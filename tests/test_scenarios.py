@@ -107,8 +107,9 @@ def test_mean_king_checks_measure_the_values_they_print(monkeypatch):
 
 def test_mean_king_checks_print_none_for_an_uncertain_component(monkeypatch):
     # a product post-selection basis |s>|a>, with the ancilla in the x basis, is
-    # orthonormal, but each outcome fixes only x (by a) and z (by s): sigma_y keeps
-    # probability 1/2 for both values, so every outcome check fails and prints None
+    # orthonormal but not entangled, and each outcome fixes only x (by a) and z (by
+    # s): sigma_y keeps probability 1/2 for both values, so every check fails and
+    # each outcome check prints None
     sign_triples, _ = tsvlab.scenarios._mean_king_candidate_basis()
     x_basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     product = [np.kron(np.eye(2)[s], x_basis[a]) for s in range(2) for a in range(2)]
@@ -116,11 +117,29 @@ def test_mean_king_checks_print_none_for_an_uncertain_component(monkeypatch):
     report = run_scenario(get_scenario("mean-king"))
     assert not report.passed
     basis, *outcomes = report.results
-    assert basis.passed
+    assert not basis.passed
+    assert basis.actual.endswith(", min concurrence 0")
     for k, result in enumerate(outcomes):
         s, a = divmod(k, 2)
         assert not result.passed
         assert result.actual == f"values ({1 - 2 * a}, None, {1 - 2 * s}), min probability 0.5"
+
+
+@pytest.mark.parametrize("product_states", [0, 2])
+def test_mean_king_basis_check_requires_every_state_entangled(monkeypatch, product_states):
+    # Bell states (concurrence 1) pass; |00>, |11> with two of them do not, though
+    # the basis stays orthonormal
+    sign_triples, _ = tsvlab.scenarios._mean_king_candidate_basis()
+    r = 1.0 / np.sqrt(2.0)
+    bell = [np.array(v, dtype=complex) for v in
+            ([r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, r, -r, 0])]
+    product = [np.array(v, dtype=complex) for v in ([1, 0, 0, 0], [0, 0, 0, 1])]
+    states = product[:product_states] + bell[product_states:]
+    monkeypatch.setattr(tsvlab.scenarios, "_mean_king_candidate_basis", lambda: (sign_triples, states))
+    expected, actual, passed = get_scenario("mean-king").checks[0].run()
+    assert expected == "orthonormal entangled basis"
+    assert passed is (product_states == 0)
+    assert actual.endswith(", min concurrence 0") is (product_states > 0)
 
 
 def test_mean_king_royal_basis_is_entangled():
