@@ -153,11 +153,8 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NO_SAMPLES
-    dist = abl_probabilities(tsv, obs)
-    z = measure.z_scores(report, dist)
-    rows = [(o, p, report.conditional_frequencies[o], report.standard_errors[o], z[o])
-            for o, p in dist.entries]
-    all_ok = all(abs(score) <= measure.Z_LIMIT for score in z.values())
+    rows = measure.measure(report, abl_probabilities(tsv, obs))
+    all_ok = all(abs(z) <= measure.Z_LIMIT for *_, z in rows)
     if args.format == "json":
         print(json.dumps({
             "samples_total": report.samples_total,
@@ -193,11 +190,11 @@ def cmd_pointer(args) -> int:
     eigs = obs.eigenvalues
     gaps = [b - a for a, b in zip(eigs[:-1], eigs[1:])]
     strong_lines = []
-    if gaps and args.g * min(gaps) >= 8.0 * args.sigma:
+    if gaps and args.g * min(gaps) >= measure.STRONG_GAP_OVER_SIGMA * args.sigma:
         masses = measure.pointer_bump_masses(result, obs, args.g)
-        dist = dict(abl_probabilities(tsv, obs).entries)
         strong_lines = ["strong regime: bump masses vs ABL"] + [
-            f"  outcome {eig:.6g}: mass {masses[eig]:.9g}  abl {dist[eig]:.9g}" for eig in eigs
+            f"  outcome {eig:.6g}: mass {mass:.9g}  abl {prob:.9g}"
+            for (eig, prob), mass in zip(abl_probabilities(tsv, obs).entries, masses)
         ]
 
     # everything that can fail is computed before the CSV is opened

@@ -9,6 +9,7 @@ measurements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,14 +38,16 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Conditional outcome frequencies over a post-selected ensemble."""
+    """Kept trials of a post-selected ensemble: ``counts[n]`` for eigenspace n, in eigenvalue order."""
 
     samples_total: int
-    samples_postselected: int
-    conditional_frequencies: dict
-    standard_errors: dict
+    counts: tuple
     seed: int
     workers: int
+
+    @property
+    def samples_postselected(self) -> int:
+        return sum(self.counts)
 
 
 #: smallest pointer grid
@@ -195,8 +198,8 @@ def monte_carlo_abl(
     measurement of ``obs``, drawing outcome n with its Born weight. The
     trial is kept iff a uniform draw ``u`` satisfies
     ``u <= |<phi|psi_n>|^2``, the Born probability of the post-selection
-    from the collapsed state ``psi_n``. Kept trials (and only those)
-    contribute to the conditional frequencies.
+    from the collapsed state ``psi_n``. Kept trials (and only those) are
+    counted, per outcome.
 
     Deterministic for a fixed (seed, workers) pair: trials are partitioned
     into per-worker blocks in worker order, each worker draws from its own
@@ -207,10 +210,8 @@ def monte_carlo_abl(
     ``MAX_MC_SAMPLES`` trials are allowed, since each block is drawn at once,
     and at most ``MAX_MC_WORKERS`` blocks, since each spawns a seed stream.
 
-    Standard errors are binomial, with +1 smoothing at degenerate counts so
-    acceptance bands never have zero width. If no trial survives the
-    post-selection the report carries ``samples_postselected == 0`` and
-    empty frequency tables; the caller decides what that means.
+    If no trial survives the post-selection every count is 0; the caller
+    decides what that means.
     """
     if n_samples < 1:
         raise ConfigError(f"samples must be at least 1, got {n_samples}")
@@ -228,7 +229,6 @@ def monte_carlo_abl(
     outcome_probs /= outcome_probs.sum()
 
     counts = np.zeros(n_outcomes, dtype=np.int64)
-    kept_total = 0
     base, extra = divmod(n_samples, workers)
     streams = np.random.SeedSequence(seed).spawn(min(workers, n_samples))
     for w, stream in enumerate(streams):
@@ -237,33 +237,26 @@ def monte_carlo_abl(
         intermediate = rng.choice(n_outcomes, size=block, p=outcome_probs)
         kept = intermediate[rng.random(block) <= p_post[intermediate]]
         counts += np.bincount(kept, minlength=n_outcomes)
-        kept_total += kept.size
+    return MonteCarloReport(n_samples, tuple(counts.tolist()), seed, workers)
 
-    frequencies = {}
-    errors = {}
-    # with no kept trial the tables stay empty and nothing divides by zero
-    for eig, count in zip(obs.eigenvalues, counts) if kept_total else ():
-        freq = count / kept_total
-        se = float(np.sqrt(freq * (1.0 - freq) / kept_total))
+
+def measure(report: MonteCarloReport, dist: Distribution) -> list:
+    """``(outcome, probability, frequency, standard error, z)`` per entry of ``dist``, a distribution
+    over the observable the report counted (so in ``report.counts`` order); some trial must be kept.
+
+    Standard errors are binomial, with +1 smoothing at a count of 0 or all so no band has
+    zero width; a run agrees iff every ``|z|`` is within ``Z_LIMIT``.
+    """
+    kept = report.samples_postselected
+    rows = []
+    for (outcome, prob), count in zip(dist.entries, report.counts):
+        freq = count / kept
+        se = math.sqrt(freq * (1.0 - freq) / kept)
         if se == 0.0:
-            smoothed = (count + 1) / (kept_total + 2)
-            se = float(np.sqrt(smoothed * (1.0 - smoothed) / kept_total))
-        frequencies[eig] = float(freq)
-        errors[eig] = se
-    return MonteCarloReport(
-        samples_total=n_samples,
-        samples_postselected=kept_total,
-        conditional_frequencies=frequencies,
-        standard_errors=errors,
-        seed=seed,
-        workers=workers,
-    )
-
-
-def z_scores(report: MonteCarloReport, dist: Distribution) -> dict:
-    """``(frequency - probability) / standard error`` per outcome of ``dist``; a run agrees iff each is within ``Z_LIMIT``."""
-    freqs, errors = report.conditional_frequencies, report.standard_errors
-    return {outcome: (freqs[outcome] - prob) / errors[outcome] for outcome, prob in dist.entries}
+            smoothed = (count + 1) / (kept + 2)
+            se = math.sqrt(smoothed * (1.0 - smoothed) / kept)
+        rows.append((outcome, prob, freq, se, (freq - prob) / se))
+    return rows
 
 
 def exact_conditional_oracle(pre: Ket, post: Bra, obs: Observable) -> Distribution:
@@ -359,8 +352,13 @@ def weak_measure_pointer(
     )
 
 
-def pointer_bump_masses(result: PointerResult, obs: Observable, coupling: float) -> dict:
-    """Integrated density mass around each scaled eigenvalue.
+#: ``cmd_pointer`` compares bump masses with the ABL rule when coupling times
+#: the smallest eigenvalue gap is at least this many sigma
+STRONG_GAP_OVER_SIGMA = 8.0
+
+
+def pointer_bump_masses(result: PointerResult, obs: Observable, coupling: float) -> list:
+    """Integrated density mass around each scaled eigenvalue, in eigenvalue order.
 
     Splits the grid at midpoints between adjacent bump centers
     ``coupling * o_n`` and integrates the density over each window. Only
@@ -371,9 +369,9 @@ def pointer_bump_masses(result: PointerResult, obs: Observable, coupling: float)
         (a + b) / 2.0 for a, b in zip(centers[:-1], centers[1:])
     ] + [np.inf]
     q = result.positions
-    masses = {}
-    for eig, lo, hi in zip(obs.eigenvalues, edges[:-1], edges[1:]):
+    masses = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
         # q is sorted, so q[a:b] is exactly the points with lo <= q < hi
         a, b = np.searchsorted(q, (lo, hi))
-        masses[eig] = float(np.trapezoid(result.density[a:b], q[a:b]))
+        masses.append(float(np.trapezoid(result.density[a:b], q[a:b])))
     return masses

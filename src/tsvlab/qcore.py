@@ -25,9 +25,9 @@ from .errors import (
 
 #: construction-time tolerance for state normalization
 NORM_TOL = 1e-12
-#: tolerance for the Hermitian operator check
+#: an operator is Hermitian if max|M - M^dagger| is at most this times max|M|
 FLAG_TOL = 1e-10
-#: adjacent eigenvalues at most this far apart are merged
+#: adjacent eigenvalues at most this times the spectral radius apart are merged
 DEGENERACY_TOL = 1e-9
 #: a time within this fraction of a schedule's total duration of a segment boundary falls on it
 TIME_TOL = 1e-12
@@ -116,8 +116,9 @@ def overlap(bra: Bra, ket: Ket) -> complex:
 class Operator:
     """Square matrix on the Hilbert space with a verified Hermitian flag.
 
-    ``is_hermitian`` is computed (not user asserted) at construction, with
-    tolerance ``FLAG_TOL`` on the max-abs deviation.
+    ``is_hermitian`` is computed (not user asserted) at construction: the
+    max-abs deviation ``max|M - M^dagger|`` is at most ``FLAG_TOL * max|M|``,
+    so the flag does not depend on the unit of M.
     """
 
     matrix: np.ndarray
@@ -129,9 +130,11 @@ class Operator:
             raise DimensionError(f"operator matrix must be square and non-empty, got shape {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(
-            self, "is_hermitian", bool(np.abs(m - m.conj().T).max() <= FLAG_TOL)
-        )
+        deviation = np.abs(m - m.conj().T).max()
+        # max|M| is read only for a nonzero deviation; an infinite max|M| never passes
+        object.__setattr__(self, "is_hermitian", bool(
+            deviation == 0.0 or deviation <= FLAG_TOL * np.abs(m).max() < math.inf
+        ))
 
     @cached_property
     def eigh(self) -> tuple:
@@ -164,7 +167,8 @@ class Observable:
     """Hermitian operator whose spectral decomposition is computed on first read.
 
     ``eigenvalues`` are sorted ascending with adjacent values at most
-    ``DEGENERACY_TOL`` apart merged (the merged value is their ``np.mean``).
+    ``DEGENERACY_TOL`` times the spectral radius apart merged (the merged
+    value is their ``np.mean``).
     The i-th merged eigenspace is spanned by the orthonormal columns
     ``eigenvectors[:, block_starts[i]:block_starts[i + 1]]`` (the last block
     runs to the final column). The three are computed together, from the
@@ -180,6 +184,8 @@ class Observable:
     """
 
     op: Operator
+    #: the scale the merge tolerance is relative to, if not the spectral radius
+    _scale: float | None = None
 
     def __post_init__(self):
         if not self.op.is_hermitian:
@@ -189,7 +195,8 @@ class Observable:
     def _spectrum(self) -> tuple:
         w, v = self.op.eigh
         wl = w.tolist()
-        starts = [0] + [i for i in range(1, len(wl)) if wl[i] - wl[i - 1] > DEGENERACY_TOL]
+        tol = DEGENERACY_TOL * (max(-wl[0], wl[-1]) if self._scale is None else self._scale)
+        starts = [0] + [i for i in range(1, len(wl)) if wl[i] - wl[i - 1] > tol]
         bounds = (*starts, len(wl))
         # the mean of one nonzero level is that level on any numpy; a zero level
         # still goes to np.mean, which decides the sign of zero. A block whose
@@ -271,11 +278,11 @@ class _Projectors(Sequence):
 def spectral_decompose(op: Operator) -> Observable:
     """The :class:`Observable` of a Hermitian operator.
 
-    Adjacent eigenvalues whose gap is at most ``DEGENERACY_TOL`` are merged
-    into a single eigenspace; the merged eigenvalue is their ``np.mean``.
-    The eigenspaces are mutually orthogonal and together span the whole
-    space. Only the Hermitian check runs here; the decomposition itself runs
-    when the spectrum is first read.
+    Adjacent eigenvalues whose gap is at most ``DEGENERACY_TOL`` times the
+    spectral radius are merged into a single eigenspace; the merged
+    eigenvalue is their ``np.mean``. The eigenspaces are mutually orthogonal
+    and together span the whole space. Only the Hermitian check runs here;
+    the decomposition itself runs when the spectrum is first read.
 
     Raises
     ------

@@ -27,6 +27,7 @@ from .errors import (
     RangeError,
 )
 from .qcore import (
+    FLAG_TOL,
     Bra,
     HamiltonianSchedule,
     Ket,
@@ -37,14 +38,14 @@ from .qcore import (
     evolve_forward,
     matrix_element,
     overlap,
-    spectral_decompose,
+    spectral_decompose,  # not called here; bench/tests reads it as tsv.spectral_decompose
 )
 
 #: |<phi|psi>| at or below this counts as an orthogonal selection
 ORTHOGONALITY_THRESHOLD = 1e-10
 #: an outcome whose conditional probability is at least 1 minus this is certain
 CERTAINTY_TOL = 1e-10
-#: certain values closer than this satisfy the product rule
+#: certain values closer than this times the factors' scale satisfy the product rule
 PRODUCT_VALUE_TOL = 1e-8
 #: squared-amplitude mass below which an ensemble is considered empty
 _NULL_WEIGHT = 1e-24
@@ -342,10 +343,15 @@ def product_rule_report(selection, obs_a: Observable, obs_b: Observable) -> Prod
 
     Evaluates certainty of A, B, and of the product operator AB (which must
     be Hermitian to be measurable), then compares value(AB) against
-    value(A) * value(B), within ``PRODUCT_VALUE_TOL``, when all three are
-    certain. For pre/post-selected systems the comparison can fail even
-    though each factor is certain; for purely pre-selected systems it
-    always holds.
+    value(A) * value(B) when all three are certain. For pre/post-selected
+    systems the comparison can fail even though each factor is certain; for
+    purely pre-selected systems it always holds.
+
+    Thresholds on AB are relative to its factors' scale ``s = max|a| * max|b|``
+    over their eigenvalues, since AB of commuting factors may vanish up to
+    round-off: AB is Hermitian within ``FLAG_TOL * s``, its Hermitian part is
+    decomposed with merges within ``DEGENERACY_TOL * s``, and the values agree
+    within ``PRODUCT_VALUE_TOL * s``.
 
     Raises
     ------
@@ -356,17 +362,21 @@ def product_rule_report(selection, obs_a: Observable, obs_b: Observable) -> Prod
     """
     if obs_a.dim != obs_b.dim:
         raise DimensionError("observable dims differ")
-    product_op = Operator(obs_a.op.matrix @ obs_b.op.matrix)
-    if not product_op.is_hermitian:
+    scale = obs_a.max_abs_eigenvalue * obs_b.max_abs_eigenvalue
+    product = obs_a.op.matrix @ obs_b.op.matrix
+    adjoint = product.conj().T
+    # an overflowing scale (and product) is not measurable either
+    if not np.abs(product - adjoint).max() <= FLAG_TOL * scale < math.inf:
         raise NotMeasurableError("product of the observables is not Hermitian")
-    product_obs = spectral_decompose(product_op)
+    # halved before the sum, which cannot overflow: a Hermitian AB of normal floats stays AB
+    product_obs = Observable(Operator(product / 2.0 + adjoint / 2.0), _scale=scale)
     report_a = element_of_reality(selection, obs_a, label="A")
     report_b = element_of_reality(selection, obs_b, label="B")
     report_ab = element_of_reality(selection, product_obs, label="AB")
     all_certain = report_a.certain and report_b.certain and report_ab.certain
     holds = None
     if all_certain:
-        holds = bool(abs(report_ab.value - report_a.value * report_b.value) <= PRODUCT_VALUE_TOL)
+        holds = bool(abs(report_ab.value - report_a.value * report_b.value) <= PRODUCT_VALUE_TOL * scale)
     return ProductRuleReport(
         a=report_a,
         b=report_b,

@@ -37,6 +37,7 @@ from tsvlab import (
     weak_measure_pointer,
     weak_value,
 )
+from tsvlab.measure import measure
 from tsvlab.scenarios import SCENARIOS, spin_along
 
 
@@ -126,10 +127,7 @@ def _mc_within_bands(pre, post, obs, seed):
     report = monte_carlo_abl(pre, post, obs, 100_000, seed=seed)
     if report.samples_postselected == 0:
         return False
-    return all(
-        abs(report.conditional_frequencies[o] - p) <= 5 * report.standard_errors[o]
-        for o, p in dist.entries
-    )
+    return all(abs(freq - p) <= 5 * se for _, p, freq, se, _ in measure(report, dist))
 
 
 def test_criterion_05_monte_carlo():
@@ -186,8 +184,8 @@ def test_criterion_06_pointer_laws():
     cfg = PointerConfig(g, 1.0, obs.max_abs_eigenvalue)
     result = weak_measure_pointer(tsv, obs, cfg)
     masses = pointer_bump_masses(result, obs, g)
-    dist = dict(abl_probabilities(tsv, obs).entries)
-    mass_dev = max(abs(masses[e] - p) for e, p in dist.items())
+    dist = abl_probabilities(tsv, obs)
+    mass_dev = max(abs(mass - p) for mass, (_, p) in zip(masses, dist.entries))
     _report(
         6,
         f"pointer: error halves with g ({errors[2e-3]:.2e} -> {errors[1e-3]:.2e}), "

@@ -300,6 +300,48 @@ class TestAbl:
             assert separate.err == f"error: time {float(time)} outside schedule window [0, 1.0]\n"
 
 
+def pairs(values):
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
+class TestObservableUnit:
+    """The same physics in another unit: the thresholds scale with the operator."""
+
+    @staticmethod
+    def degenerate_file(tmp_path, c):
+        # spectrum {1, 1, 1, 2, 2, 3} * c in a random eigenbasis, symmetrized
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        pre, post = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+        m = (q * (c * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0]))) @ q.conj().T
+        path = tmp_path / f"degenerate-{c}.json"
+        path.write_text(json.dumps({
+            "dims": [6], "pre": pairs(pre), "post": pairs(post),
+            "observables": [{"name": "O", "matrix": pairs((m + m.conj().T) / 2.0)}],
+        }))
+        return path
+
+    def test_degenerate_spectrum_in_any_unit(self, capsys, tmp_path):
+        # at c = 2**24 the absolute merge split each eigenspace into noise-chosen
+        # pieces (six outcomes); at c = 2**-30 it merged all into one certain outcome
+        tables = {}
+        for c in (1.0, 2.0**24, 2.0**-30):
+            assert main(["abl", "--file", str(self.degenerate_file(tmp_path, c)), "--observable", "O"]) == 0
+            tables[c] = [line.split(": ") for line in capsys.readouterr().out.splitlines()]
+        for c, rows in tables.items():
+            assert [float(outcome) / c for outcome, _ in rows] == pytest.approx([1.0, 2.0, 3.0], rel=1e-9)
+            assert [prob for _, prob in rows] == [prob for _, prob in tables[1.0]]
+
+    def test_tiny_nilpotent_matrix_is_not_an_observable(self, capsys, tmp_path):
+        path = tmp_path / "nilpotent.json"
+        path.write_text(json.dumps({
+            "dims": [2], "pre": [[1, 0], [1, 0]], "post": [[1, 0], [0, 0]],
+            "observables": [{"name": "N", "matrix": [[[0, 0], [1e-12, 0]], [[0, 0], [0, 0]]]}],
+        }))
+        assert main(["abl", "--file", str(path), "--observable", "N"]) == 2
+        assert capsys.readouterr().err == "error: observable 'N': spectral decomposition requires a Hermitian operator\n"
+
+
 class TestWeak:
     def test_three_box_negative_weak_value(self, capsys, three_box_file):
         capsys.readouterr()  # drop fixture output

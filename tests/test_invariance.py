@@ -22,7 +22,9 @@ from tsvlab import (
     TwoStateVector,
     abl_at_time,
     abl_probabilities,
+    exact_conditional_oracle,
     gtsv_from_ancilla,
+    monte_carlo_abl,
     spectral_decompose,
     weak_value,
 )
@@ -234,3 +236,43 @@ def test_ancilla_reduction_matches_joint_system(data):
     assert_same_distribution(abl_probabilities(reduced, obs), abl_probabilities(joint, joint_obs))
     assert_same_value(weak_value(reduced, obs.op), weak_value(joint, joint_obs.op))
 
+
+
+#: parts that keep every product and sum below a normal float at any scale 2**k, |k| <= 60
+scalable_parts = st.one_of(st.just(0.0), st.floats(1e-3, 1.0).flatmap(lambda x: st.sampled_from((x, -x))))
+
+
+def scalable_arrays(data, shape):
+    values = data.draw(st.lists(scalable_parts, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
+    return np.array(values).view(complex).reshape(shape)
+
+
+@SETTINGS
+@given(st.data())
+def test_observable_rescaling(data):
+    # an observable has no unit: O and 2**k O give the same probabilities and Monte
+    # Carlo counts bit for bit, outcomes and weak value times exactly 2**k, and the
+    # same Hermitian flag, since np.linalg.eigh is bit-equivariant under 2**k
+    dim = data.draw(dims)
+    psi, phi = scalable_arrays(data, (dim,)), scalable_arrays(data, (dim,))
+    assume(min(np.linalg.norm(psi), np.linalg.norm(phi)) > 0.1 and well_conditioned([(1.0, phi, psi)]))
+    a = scalable_arrays(data, (dim, dim))
+    # an exactly Hermitian matrix, or one off by a skew part near the Hermitian threshold
+    skew = data.draw(st.sampled_from((0.0, 2.0**-40, 2.0**-33, 2.0**-20)))
+    m = (a + a.conj().T) / 2.0 + skew * (a - a.conj().T).real
+    k = data.draw(st.integers(-60, 60))
+    op, scaled_op = Operator(m), Operator(math.ldexp(1.0, k) * m)
+    assert scaled_op.is_hermitian == op.is_hermitian
+    assume(op.is_hermitian)
+    obs, scaled = spectral_decompose(op), spectral_decompose(scaled_op)
+    pair = TwoStateVector(Ket(psi), Bra(phi))
+    assert scaled.eigenvalues == tuple(math.ldexp(o, k) for o in obs.eigenvalues)
+    dist, scaled_dist = abl_probabilities(pair, obs), abl_probabilities(pair, scaled)
+    assert [p for _, p in scaled_dist.entries] == [p for _, p in dist.entries]
+    oracle = exact_conditional_oracle(pair.forward, pair.backward, obs)
+    scaled_oracle = exact_conditional_oracle(pair.forward, pair.backward, scaled)
+    assert [p for _, p in scaled_oracle.entries] == [p for _, p in oracle.entries]
+    counts = monte_carlo_abl(pair.forward, pair.backward, obs, 2000, seed=k + 60).counts
+    assert monte_carlo_abl(pair.forward, pair.backward, scaled, 2000, seed=k + 60).counts == counts
+    wv = weak_value(pair, obs.op)
+    assert weak_value(pair, scaled.op) == complex(math.ldexp(wv.real, k), math.ldexp(wv.imag, k))

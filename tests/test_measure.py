@@ -96,7 +96,7 @@ class TestMonteCarloAbl:
         tsv = boxed_spin_tsv()
         report = monte_carlo_abl(tsv.forward, tsv.backward, diagonal_projector(4, 0), 100_000, seed=5)
         assert report.samples_postselected > 0
-        assert report.conditional_frequencies[1.0] == 1.0
+        assert report.counts == (0, report.samples_postselected)
 
     def test_random_instance_matches_abl(self):
         rng = np.random.default_rng(3)
@@ -104,9 +104,7 @@ class TestMonteCarloAbl:
         obs = random_observable(rng, 3)
         dist = abl_probabilities(tsv, obs)
         report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 100_000, seed=11)
-        for outcome, prob in dist.entries:
-            freq = report.conditional_frequencies[outcome]
-            se = report.standard_errors[outcome]
+        for _, prob, freq, se, _ in tsvlab.measure.measure(report, dist):
             assert abs(freq - prob) <= 5 * se
 
     def test_impossible_postselection(self):
@@ -118,7 +116,7 @@ class TestMonteCarloAbl:
             seed=7,
         )
         assert report.samples_postselected == 0
-        assert report.conditional_frequencies == {}
+        assert report.counts == (0, 0)
 
     def test_deterministic_for_seed_and_workers(self):
         tsv = boxed_spin_tsv()
@@ -133,8 +131,7 @@ class TestMonteCarloAbl:
         obs = spectral_decompose(Operator(SIGMA_X))
         dist = abl_probabilities(tsv, obs)
         report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 100_000, seed=17, workers=4)
-        for outcome, prob in dist.entries:
-            z = (report.conditional_frequencies[outcome] - prob) / report.standard_errors[outcome]
+        for *_, z in tsvlab.measure.measure(report, dist):
             assert abs(z) <= 5
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -144,9 +141,7 @@ class TestMonteCarloAbl:
         many = monte_carlo_abl(pre, post, obs, 3, seed=seed, workers=10**12)
         few = monte_carlo_abl(pre, post, obs, 3, seed=seed, workers=3)
         assert many.workers == 10**12
-        assert many.samples_postselected == few.samples_postselected
-        assert many.conditional_frequencies == few.conditional_frequencies
-        assert many.standard_errors == few.standard_errors
+        assert many.counts == few.counts
 
     def test_sample_cap_checked_before_allocation(self):
         pre, post = Ket([1, 1]), Bra([1, 1])
@@ -168,20 +163,25 @@ class TestMonteCarloAbl:
         tsv = random_tsv(rng, 4)
         obs = random_observable(rng, 4)
         report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 30_000, seed=19)
-        assert abs(sum(report.conditional_frequencies.values()) - 1.0) <= 1e-12
+        rows = tsvlab.measure.measure(report, abl_probabilities(tsv, obs))
+        assert abs(sum(freq for _, _, freq, _, _ in rows) - 1.0) <= 1e-12
 
-    def test_z_scores(self):
-        report = tsvlab.measure.MonteCarloReport(
-            samples_total=400, samples_postselected=100,
-            conditional_frequencies={-1.0: 0.25, 1.0: 0.75}, standard_errors={-1.0: 0.05, 1.0: 0.05},
-            seed=0, workers=1,
-        )
+    def test_measure_rows(self):
         dist = tsvlab.tsv.Distribution(((-1.0, 0.5), (1.0, 0.5)))
-        assert tsvlab.measure.z_scores(report, dist) == {-1.0: (0.25 - 0.5) / 0.05, 1.0: (0.75 - 0.5) / 0.05}
-
-
-def kept_counts(report):
-    return [round(f * report.samples_postselected) for f in report.conditional_frequencies.values()]
+        report = tsvlab.measure.MonteCarloReport(samples_total=400, counts=(25, 75), seed=0, workers=1)
+        assert report.samples_postselected == 100
+        se = np.sqrt(0.25 * 0.75 / 100)
+        assert tsvlab.measure.measure(report, dist) == [
+            (-1.0, 0.5, 0.25, se, (0.25 - 0.5) / se),
+            (1.0, 0.5, 0.75, se, (0.75 - 0.5) / se),
+        ]
+        # a count of 0 or all has its error from the +1-smoothed frequency
+        certain = tsvlab.measure.MonteCarloReport(samples_total=400, counts=(0, 100), seed=0, workers=1)
+        low, high = (np.sqrt(f * (1.0 - f) / 100) for f in (1 / 102, 101 / 102))
+        assert tsvlab.measure.measure(certain, dist) == [
+            (-1.0, 0.5, 0.0, low, -0.5 / low),
+            (1.0, 0.5, 1.0, high, 0.5 / high),
+        ]
 
 
 class TestMonteCarloGolden:
@@ -194,8 +194,7 @@ class TestMonteCarloGolden:
             scenario.selection.forward, scenario.selection.backward, scenario.observables[name],
             100_000, seed=424242, workers=1,
         )
-        assert report.samples_postselected == 11328
-        assert kept_counts(report) == [0, 11328]
+        assert report.counts == (0, 11328)
 
     def test_random_d8_three_workers(self):
         rng = np.random.default_rng(2024)
@@ -203,7 +202,7 @@ class TestMonteCarloGolden:
         obs = random_observable(rng, 8)
         report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 50_000, seed=31, workers=3)
         assert report.samples_postselected == 6539
-        assert kept_counts(report) == [55, 151, 795, 169, 1395, 1238, 3, 2733]
+        assert report.counts == (55, 151, 795, 169, 1395, 1238, 3, 2733)
 
 
 class TestExactConditionalOracle:
@@ -230,15 +229,20 @@ class TestExactConditionalOracle:
 
     def test_independent_of_abl_path(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("the oracle reached the ABL code path")
+            raise AssertionError("the forward-only path reached the ABL code path")
 
-        monkeypatch.setattr(Observable, "amplitudes", forbidden)
+        tsv = boxed_spin_tsv()
+        obs = random_observable(np.random.default_rng(14), 4)
+        counts = monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=3, workers=2).counts
         for module in (tsvlab.tsv, tsvlab.measure):
             for name in ("_abl_amplitudes", "abl_probabilities", "weak_value", "element_of_reality"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
-        tsv = boxed_spin_tsv()
+        monkeypatch.setattr(Observable, "amplitudes", forbidden)
         dist = exact_conditional_oracle(tsv.forward, tsv.backward, diagonal_projector(4, 1))
         assert dict(dist.entries)[1.0] == pytest.approx(1.0, abs=1e-12)
+        # the Monte Carlo that verify compares with the ABL rule draws on the same
+        # sequential Born rules, so it too runs without the ABL path
+        assert monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=3, workers=2).counts == counts
 
     def test_null_ensemble(self):
         with pytest.raises(NullEnsembleError):
@@ -291,13 +295,10 @@ def masked_bump_masses(result, obs, coupling):
     centers = [coupling * e for e in obs.eigenvalues]
     edges = [-np.inf] + [(a + b) / 2.0 for a, b in zip(centers[:-1], centers[1:])] + [np.inf]
     q = result.positions
-    masses = {}
-    for eig, lo, hi in zip(obs.eigenvalues, edges[:-1], edges[1:]):
+    masses = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
         window = (q >= lo) & (q < hi)
-        if window.sum() < 2:
-            masses[eig] = 0.0
-            continue
-        masses[eig] = float(np.trapezoid(result.density[window], q[window]))
+        masses.append(float(np.trapezoid(result.density[window], q[window])) if window.sum() >= 2 else 0.0)
     return masses
 
 
@@ -389,9 +390,9 @@ class TestWeakMeasurePointer:
         cfg = PointerConfig(g, 1.0, obs.max_abs_eigenvalue)
         result = weak_measure_pointer(tsv, obs, cfg)
         masses = pointer_bump_masses(result, obs, g)
-        dist = dict(abl_probabilities(tsv, obs).entries)
-        for eig, prob in dist.items():
-            assert abs(masses[eig] - prob) <= 1e-6
+        dist = abl_probabilities(tsv, obs)
+        for mass, (_, prob) in zip(masses, dist.entries, strict=True):
+            assert abs(mass - prob) <= 1e-6
 
     def test_undersized_grid_rejected(self):
         tsv = boxed_spin_tsv()

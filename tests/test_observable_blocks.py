@@ -23,9 +23,10 @@ from tsvlab.qcore import DEGENERACY_TOL
 
 TOL = 1e-12
 
-# Offsets inside each group of levels: exact repeats, a split below the
-# merge tolerance (merged) and one above it (kept apart).
-GROUP = (0.0, 0.0, 0.1 * DEGENERACY_TOL, 1.0, 1.0 + 10.0 * DEGENERACY_TOL)
+# Levels inside each group, as (level, offset in units of the merge tolerance
+# times the spectral radius): exact repeats, a split below the merge tolerance
+# (merged) and one above it (kept apart).
+GROUP = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.1), (1.0, 0.0), (1.0, 10.0))
 
 
 def engineered(rng, dim):
@@ -33,9 +34,11 @@ def engineered(rng, dim):
 
     Returns the operator and the number of merged eigenspaces it must have.
     """
-    levels = np.array([3.0 * (i // len(GROUP)) + GROUP[i % len(GROUP)] for i in range(dim)])
+    coarse, offsets = np.array([GROUP[i % len(GROUP)] for i in range(dim)]).T
+    coarse += 3.0 * (np.arange(dim) // len(GROUP))
+    levels = coarse + offsets * DEGENERACY_TOL * coarse.max()
     gaps = np.diff(np.sort(levels))
-    expected_blocks = 1 + int(np.sum(gaps > DEGENERACY_TOL))
+    expected_blocks = 1 + int(np.sum(gaps > DEGENERACY_TOL * levels.max()))
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(z)
     m = (q * levels) @ q.conj().T
@@ -154,8 +157,9 @@ def test_decomposition_allocates_no_dense_projectors():
     assert peak < 16 * 2**20
 
 
-def numpy_merge(w, tol=DEGENERACY_TOL):
+def numpy_merge(w):
     """Block starts by ``np.diff`` and merged eigenvalues by one ``np.mean`` per block."""
+    tol = DEGENERACY_TOL * max(-w[0], w[-1])
     starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > tol) + 1))
     bounds = (*starts.tolist(), w.size)
     return starts.tolist(), [float(np.mean(w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -177,13 +181,14 @@ def merge_cases():
         yield f"rotated-{size}", (m + m.conj().T) / 2.0, None
     above, below = np.nextafter(tol, 1.0), np.nextafter(tol, 0.0)
     for label, levels, blocks in (
-        ("gap-at-tol", [0.0, tol], 1),
-        ("gap-above-tol", [0.0, above], 2),
-        ("gap-below-tol", [0.0, below], 1),
+        # the spectral radius is 1 where a gap is near tol, so the merge tolerance is tol itself
+        ("gap-at-tol", [0.0, tol, 1.0], 2),
+        ("gap-above-tol", [0.0, above, 1.0], 3),
+        ("gap-below-tol", [0.0, below, 1.0], 2),
         ("negative-zero", [-0.0], 1),
         ("negative-zeros", [-0.0, -0.0, 3.0], 2),
         ("zero-and-negative-zero", [-tol, -0.0, 0.0, 5.0], 2),
-        ("negative-block-to-zero", [-above, -0.0], 2),
+        ("negative-block-to-zero", [-1.0, -above, -0.0], 3),
     ):
         yield label, np.diag(levels), blocks
 

@@ -463,8 +463,8 @@ class TestProductRule:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_vanishing_product_in_a_rotated_basis(self, dim):
-        # AB is round-off (about 1e-16), not an exact zero: a Hermitian check
-        # scaled by max|AB| would reject it as not measurable
+        # AB is round-off (about 1e-16), not an exact zero, and need not be Hermitian
+        # within FLAG_TOL * max|AB|: the product's thresholds scale with its factors
         rng = np.random.default_rng(40 + dim)
         half = dim // 2
         for _ in range(20):
@@ -473,7 +473,6 @@ class TestProductRule:
             b = np.concatenate([rng.uniform(1, 3, size=half), np.zeros(half)])
             obs_a = spectral_decompose(Operator(basis @ np.diag(a) @ basis.conj().T))
             obs_b = spectral_decompose(Operator(basis @ np.diag(b) @ basis.conj().T))
-            assert Operator(obs_a.op.matrix @ obs_b.op.matrix).is_hermitian
             for column in range(dim):
                 tsv = TwoStateVector(random_ket(rng, dim), Bra(basis[:, column]))
                 report = product_rule_report(tsv, obs_a, obs_b)
