@@ -6,10 +6,10 @@ observables, and an optional piecewise-constant Hamiltonian. Complex
 numbers are always explicit [re, im] pairs; matrices are row-major nested
 arrays; the leftmost subsystem is the most significant tensor index.
 
-Floats are written with 17 significant decimal digits, which round-trips
-IEEE doubles exactly: re-ingesting an exported file reproduces bit-identical
-numbers and therefore bit-identical results; a negative zero is written
-``-0`` and :func:`load` reads it back as -0.0.
+:func:`save` writes one line of JSON with :func:`json.dumps`, which spells
+each float as its shortest repr (a negative zero as ``-0.0``) and reads back
+as the same IEEE double: re-ingesting an exported file reproduces
+bit-identical numbers and therefore bit-identical results.
 """
 
 from __future__ import annotations
@@ -199,8 +199,7 @@ def load(path) -> ProblemFile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             try:
-                # "-0", which _encode writes for -0.0, reads back as -0.0 and not as the integer 0
-                doc = json.load(handle, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+                doc = json.load(handle)
             except (ValueError, RecursionError) as exc:
                 raise ProblemFileError(f"{path}: invalid JSON: {exc}") from exc
         return parse_document(doc)
@@ -210,7 +209,7 @@ def load(path) -> ProblemFile:
 
 
 # ---------------------------------------------------------------------------
-# problem documents and 17-significant-digit serialization
+# problem documents and their JSON text
 
 
 def _pairs(values) -> list:
@@ -246,31 +245,7 @@ def to_document(problem: ProblemFile) -> dict:
     return doc
 
 
-def _encode(value, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, (int, str)):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_encode(v, indent + 1)}" for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, list):
-        if any(isinstance(v, dict) for v in value):
-            inner = ",\n".join(f"{pad}  {_encode(v, indent + 1)}" for v in value)
-            return "[\n" + inner + "\n" + pad + "]"
-        return "[" + ", ".join(_encode(v, indent) for v in value) + "]"
-    raise TypeError(f"cannot encode {type(value).__name__} in a problem file")
-
-
-def dumps_document(doc: dict) -> str:
-    """Serialize a document with 17-significant-digit decimal floats."""
-    return _encode(doc, 0) + "\n"
-
-
 def save(problem: ProblemFile, path) -> None:
     """Write ``problem`` as a problem file; the inverse of :func:`load`."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_document(to_document(problem)))
+        handle.write(json.dumps(to_document(problem), allow_nan=False) + "\n")

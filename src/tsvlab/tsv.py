@@ -123,6 +123,8 @@ class TwoTimeKernel:
         m = np.asarray(self.matrix, dtype=complex).copy()
         if m.ndim != 2 or 0 in m.shape:
             raise DimensionError("kernel must be a non-empty matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("kernel entries must be finite")
         if not m.any():
             raise NullEnsembleError("kernel must be nonzero")
         m.flags.writeable = False
@@ -363,13 +365,15 @@ def product_rule_report(selection, obs_a: Observable, obs_b: Observable) -> Prod
     if obs_a.dim != obs_b.dim:
         raise DimensionError("observable dims differ")
     scale = obs_a.max_abs_eigenvalue * obs_b.max_abs_eigenvalue
-    product = obs_a.op.matrix @ obs_b.op.matrix
-    adjoint = product.conj().T
-    # an overflowing scale (and product) is not measurable either
-    if not np.abs(product - adjoint).max() <= FLAG_TOL * scale < math.inf:
+    # an infinite scale is not measurable; a finite one bounds every entry and partial sum of AB
+    if not FLAG_TOL * scale < math.inf:
         raise NotMeasurableError("product of the observables is not Hermitian")
-    # halved before the sum, which cannot overflow: a Hermitian AB of normal floats stays AB
-    product_obs = Observable(Operator(product / 2.0 + adjoint / 2.0), _scale=scale)
+    # halved, so neither difference nor sum overflows: a Hermitian AB of normal floats stays AB
+    half = obs_a.op.matrix @ obs_b.op.matrix / 2.0
+    adjoint = half.conj().T
+    if not np.abs(half - adjoint).max() <= FLAG_TOL * scale / 2.0:
+        raise NotMeasurableError("product of the observables is not Hermitian")
+    product_obs = Observable(Operator(half + adjoint), _scale=scale)
     report_a = element_of_reality(selection, obs_a, label="A")
     report_b = element_of_reality(selection, obs_b, label="B")
     report_ab = element_of_reality(selection, product_obs, label="AB")

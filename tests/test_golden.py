@@ -4,7 +4,10 @@ The hashes pin the exact bytes of ``export-scenario`` for each of the five
 scenarios and of ``run <name>`` in table and JSON form. They were captured
 before the problem-file and scenario types were reduced to one ``selection``
 slot, so they show that refactors of those types leave every output byte
-unchanged. The ``pointer`` hashes pin its stdout and CSV on the three-box
+unchanged. The ``EXPORTED`` hashes were recaptured when ``save`` moved from
+a 17-significant-digit writer to ``json.dumps`` (shortest-repr floats, one
+line; every number unchanged); the ``run`` and ``pointer`` hashes were not.
+The ``pointer`` hashes pin its stdout and CSV on the three-box
 export in the weak regime (every density nonzero) and the strong regime
 (mostly exact zeros, written as ``0``); they were captured before the
 pointer's working set was cut from eight float64 words per grid point to
@@ -20,11 +23,11 @@ import pytest
 from tsvlab.cli import main
 
 EXPORTED = {
-    "correlated-pair": "30033ad3f3f93b08b839322411cded60ed2059130f298fe3922b1048bbece317",
-    "mean-king": "b59ed9cfd864e3b0b84a2b647e207f9bdceb8945b2756471103ad9397501fc84",
-    "spin-box": "19af9d91534f686f698af3462d1e390aaf20e63363db4fd3cc3bb5bf6c9234fd",
-    "spin-xz": "2817c1a6a8bdcb1e5b46107019475cc1a86d444d9712d31f22e1595577a1ae7e",
-    "three-box": "3028213e559efe30dfd7259f4fddeccb5df0291f7166e503f50f16587d23c141",
+    "correlated-pair": "7b3bad109351c98135588fd563350a34046a60a7873a52337b848eb51f9b5900",
+    "mean-king": "8a979bbf3274b4e9631e7748a15fa44ce2aa17238ba61750dd4e3e867b9f92a1",
+    "spin-box": "c56f3747769cca25124458d2833550652d95d5f3d374ac05b7856834fc5ec057",
+    "spin-xz": "1d7e04d00338f3493c03ca090f7feebac3d7ae01b39cbbeddce26d733e583f8c",
+    "three-box": "5cea045b403b8207c47ce8bd71e41fb2907fe661b8fe4054a23857aa9de43a73",
 }
 
 RUN_STDOUT = {

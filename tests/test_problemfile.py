@@ -24,12 +24,12 @@ from tsvlab import (
 from tsvlab import problemfile
 from tsvlab.problemfile import (
     ProblemFile,
-    dumps_document,
     load,
     parse_document,
     save,
     to_document,
 )
+from tsvlab.scenarios import SCENARIOS, get_scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -504,13 +504,17 @@ class TestGarbageCollectorState:
 
 
 class TestSerialization:
-    def test_seventeen_digit_floats_round_trip(self):
-        values = [1 / 3, np.pi, 1e-300, -0.1, 123456789.123456789]
-        doc = {"dims": [1], "pre": [[v, 0.0] for v in values][:1], "post": [[0.5, 0.5]]}
-        text = dumps_document({"dims": [5], "vals": [[v, 0.0] for v in values]})
-        parsed = json.loads(text)
-        for original, (re, _) in zip(values, parsed["vals"]):
-            assert re == original  # bit-exact
+    def test_shortest_repr_floats_round_trip(self, tmp_path):
+        # the extremes of float64, both zeros, and values with short and long reprs
+        values = [5e-324, -0.0, 0.0, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1,
+                  1 / 3, np.pi, -0.1]
+        kernel = np.array(values).view(complex)  # [re, im] pairs, each sign kept
+        path = tmp_path / "kernel.json"
+        save(ProblemFile(dims=(5,), observables={},
+                         selection=TwoTimeKernel(np.diag(kernel))), path)
+        assert "5e-324, -0.0" in path.read_text()
+        loaded = load(path).selection.matrix
+        assert loaded.tobytes() == np.diag(kernel).tobytes()  # bit-exact, signs of zero too
 
     def test_document_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -532,17 +536,29 @@ class TestSerialization:
         assert np.array_equal(problem.selection.backward.amplitudes, post)
         assert np.array_equal(problem.observables["h"].op.matrix, h)
 
-    def test_dumps_is_valid_json(self):
-        doc = to_document(ProblemFile(
+    def test_saved_file_is_one_line_of_json(self, tmp_path):
+        path = tmp_path / "prob.json"
+        save(ProblemFile(
             dims=(2,),
             selection=TwoStateVector(
                 Ket(np.array([1.0, 0.0], dtype=complex)), Bra(np.array([0.6, 0.8], dtype=complex))
             ),
             observables={"z": spectral_decompose(Operator(np.diag([1.0, -1.0])))},
-        ))
-        parsed = json.loads(dumps_document(doc))
+        ), path)
+        text = path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        parsed = json.loads(text)
         assert parsed["dims"] == [2]
+        assert parsed["post"] == [[0.6, 0.0], [0.8, 0.0]]
         assert parsed["observables"][0]["name"] == "z"
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_save_is_a_fixed_point_on_exports(self, tmp_path, name):
+        export = tmp_path / "export.json"
+        again = tmp_path / "again.json"
+        save(get_scenario(name), export)
+        save(load(export), again)
+        assert again.read_bytes() == export.read_bytes()
 
 
 def same_bits(a, b):
@@ -572,5 +588,5 @@ def test_saved_negative_zero_reads_back_negative(tmp_path):
     doc = {"dims": [2], "pre": [[-0.0, 0.0], [1.0, 0.0]], "post": [[1.0, 0.0], [1.0, 0.0]]}
     path = tmp_path / "problem.json"
     save(parse_document(doc), path)
-    assert '"pre": [[-0, 0], [1, 0]]' in path.read_text()
+    assert '"pre": [[-0.0, 0.0], [1.0, 0.0]]' in path.read_text()
     assert np.signbit(load(path).selection.forward.amplitudes[0].real)

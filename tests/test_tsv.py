@@ -335,6 +335,12 @@ class TestNonFiniteRejected:
             GeneralizedTwoStateVector(((complex(1.0, bad), Bra([1, 1]), Ket([1, 0])),))
 
     @NON_FINITE
+    def test_kernel_entry(self, bad):
+        for entry in (bad, complex(0.0, bad)):
+            with pytest.raises(ValueError, match="^kernel entries must be finite$"):
+                TwoTimeKernel([[1.0, entry], [0.0, 1.0]])
+
+    @NON_FINITE
     def test_distribution_probability(self, bad):
         with pytest.raises(ValueError, match="finite"):
             Distribution(((-1.0, bad), (1.0, 1.0)))
@@ -496,6 +502,18 @@ class TestProductRule:
                 spectral_decompose(Operator(SIGMA_X)),
                 spectral_decompose(Operator(SIGMA_Y)),
             )
+
+    @pytest.mark.parametrize("a, b", [
+        (np.diag([1e200, 1.0]), np.diag([1e200, 1.0])),  # the scale overflows
+        (1.5e308 * SIGMA_X, SIGMA_Z),  # AB - (AB)^dagger would overflow
+    ], ids=["scale", "deviation"])
+    def test_overflowing_product_rejected_without_warning(self, a, b):
+        tsv = TwoStateVector(Ket([1, 0]), Bra([1, 1]))
+        obs_a, obs_b = spectral_decompose(Operator(a)), spectral_decompose(Operator(b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotMeasurableError):
+                product_rule_report(tsv, obs_a, obs_b)
 
 
 class TestTwoTimeKernel:
