@@ -76,14 +76,11 @@ def _selection(problem, kinds, message: str):
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = scenarios.get_scenario(args.scenario)
-    except KeyError as exc:
-        return _fail(str(exc.args[0]), EXIT_USAGE)
+    scenario = scenarios.get_scenario(args.scenario)
     report = scenarios.run_scenario(scenario)
     if args.format == "json":
         doc = {
-            "scenario": scenario.name,
+            "scenario": args.scenario,
             "passed": report.passed,
             "checks": [dataclasses.asdict(r) for r in report.results],
             "details": scenario.details,
@@ -91,7 +88,7 @@ def cmd_run(args) -> int:
         # a complex number in the details is written as [real, imag]
         print(json.dumps(doc, indent=2, default=lambda z: [z.real, z.imag]))
     else:
-        print(f"scenario: {scenario.name}: {scenario.description}")
+        print(f"scenario: {args.scenario}: {scenario.description}")
         for r in report.results:
             status = "PASS" if r.passed else "FAIL"
             print(f"  [{status}] {r.description}")
@@ -148,7 +145,7 @@ def cmd_verify(args) -> int:
     )
     if report.samples_postselected == 0:
         print(
-            f"no post-selected samples out of {report.samples_total}; "
+            f"no post-selected samples out of {args.samples}; "
             "the post-selection is unreachable for this observable",
             file=sys.stderr,
         )
@@ -157,10 +154,10 @@ def cmd_verify(args) -> int:
     all_ok = all(abs(z) <= measure.Z_LIMIT for *_, z in rows)
     if args.format == "json":
         print(json.dumps({
-            "samples_total": report.samples_total,
+            "samples_total": args.samples,
             "samples_postselected": report.samples_postselected,
-            "seed": report.seed,
-            "workers": report.workers,
+            "seed": args.seed,
+            "workers": args.workers,
             "outcomes": [
                 {"outcome": o, "abl": p, "frequency": f, "standard_error": se, "z": z}
                 for o, p, f, se, z in rows
@@ -168,8 +165,8 @@ def cmd_verify(args) -> int:
             "passed": all_ok,
         }, indent=2))
     else:
-        print(f"samples: {report.samples_total}, post-selected: {report.samples_postselected} "
-              f"(seed {report.seed}, workers {report.workers})")
+        print(f"samples: {args.samples}, post-selected: {report.samples_postselected} "
+              f"(seed {args.seed}, workers {args.workers})")
         print(f"{'outcome':>12} {'abl':>12} {'frequency':>12} {'std err':>12} {'z':>8}")
         for outcome, prob, freq, se, z in rows:
             print(f"{outcome:>12.6g} {prob:>12.8g} {freq:>12.8g} {se:>12.3g} {z:>8.2f}")
@@ -293,12 +290,8 @@ def _write_pointer_csv(path, positions, density) -> None:
 
 
 def cmd_export_scenario(args) -> int:
-    try:
-        scenario = scenarios.get_scenario(args.scenario)
-    except KeyError as exc:
-        return _fail(str(exc.args[0]), EXIT_USAGE)
-    out = args.out or f"{scenario.name}.json"
-    problemfile.save(scenario, out)
+    out = args.out or f"{args.scenario}.json"
+    problemfile.save(scenarios.get_scenario(args.scenario), out)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -316,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     format_flag.add_argument("--format", choices=("table", "json"), default="table")
 
     run = sub.add_parser("run", parents=[format_flag], help="run a named scenario's checks")
-    run.add_argument("scenario", help="one of: " + ", ".join(sorted(scenarios.SCENARIOS)))
+    run.add_argument("scenario", choices=sorted(scenarios.SCENARIOS))
     run.set_defaults(func=cmd_run)
 
     abl = sub.add_parser("abl", parents=[problem_flags, format_flag],
@@ -346,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     pointer.set_defaults(func=cmd_pointer)
 
     export = sub.add_parser("export-scenario", help="write a scenario as a problem file")
-    export.add_argument("scenario")
+    export.add_argument("scenario", choices=sorted(scenarios.SCENARIOS))
     export.add_argument("--out", default=None)
     export.set_defaults(func=cmd_export_scenario)
 

@@ -18,7 +18,7 @@ class NotHermitianError(TsvLabError):
 
 
 class NotMeasurableError(TsvLabError):
-    """A product of observables is not Hermitian, hence not measurable."""
+    """A product of observables is not Hermitian, or overflows float64: not measurable."""
 
 
 class NullEnsembleError(TsvLabError):
@@ -43,7 +43,7 @@ class RangeError(TsvLabError):
 
 
 class ConfigError(TsvLabError):
-    """A pointer grid configuration violates its sizing requirements."""
+    """A pointer grid, or the samples, workers or seed of a Monte Carlo run, is out of its limits."""
 
 
 class ProblemFileError(TsvLabError):

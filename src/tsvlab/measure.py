@@ -40,10 +40,7 @@ class MeasurementRecord:
 class MonteCarloReport:
     """Kept trials of a post-selected ensemble: ``counts[n]`` for eigenspace n, in eigenvalue order."""
 
-    samples_total: int
     counts: tuple
-    seed: int
-    workers: int
 
     @property
     def samples_postselected(self) -> int:
@@ -237,7 +234,7 @@ def monte_carlo_abl(
         intermediate = rng.choice(n_outcomes, size=block, p=outcome_probs)
         kept = intermediate[rng.random(block) <= p_post[intermediate]]
         counts += np.bincount(kept, minlength=n_outcomes)
-    return MonteCarloReport(n_samples, tuple(counts.tolist()), seed, workers)
+    return MonteCarloReport(tuple(counts.tolist()))
 
 
 def measure(report: MonteCarloReport, dist: Distribution) -> list:

@@ -130,10 +130,13 @@ class Operator:
             raise DimensionError(f"operator matrix must be square and non-empty, got shape {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        deviation = np.abs(m - m.conj().T).max()
+        # halved, so the difference cannot overflow: for normal floats the verdict is
+        # that of max|M - M^dagger| <= FLAG_TOL * max|M|, since halving is exact
+        half = m * 0.5
+        deviation = np.abs(half - half.conj().T).max()
         # max|M| is read only for a nonzero deviation; an infinite max|M| never passes
         object.__setattr__(self, "is_hermitian", bool(
-            deviation == 0.0 or deviation <= FLAG_TOL * np.abs(m).max() < math.inf
+            deviation == 0.0 or deviation <= FLAG_TOL * np.abs(m).max() / 2.0 < math.inf
         ))
 
     @cached_property
@@ -364,7 +367,10 @@ class HamiltonianSchedule:
 def _propagate(h: Operator, duration: float, vec: np.ndarray, sign: float) -> np.ndarray:
     # exact for Hermitian generators: exp(-i sign H dt) = V exp(-i sign w dt) V^dagger
     w, v = h.eigh
-    if not math.isfinite(duration * max(-float(w[0]), float(w[-1]))):
+    radius = max(-float(w[0]), float(w[-1]))
+    if not math.isfinite(radius):
+        raise RangeError("eigenvalues of a hamiltonian segment overflow float64")
+    if not math.isfinite(duration * radius):
         raise RangeError(f"phase of exp(-i H t) overflows float64 over a segment of duration {duration}")
     return v @ (np.exp(-1j * sign * duration * w) * (v.conj().T @ vec))
 

@@ -93,14 +93,13 @@ class CheckResult:
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario(ProblemFile):
-    """A named problem plus its executable checks.
+    """A problem plus its executable checks; its name is its ``SCENARIOS`` key.
 
     ``dims`` are the subsystem dimensions of the space ``selection`` acts on:
     for mean-king the spin alone (the ancilla is folded into the generalized
     vector), for correlated-pair one leg of the 2 x 2 kernel.
     """
 
-    name: str
     description: str
     checks: tuple
     details: dict = field(default_factory=dict)
@@ -231,7 +230,6 @@ def scenario_spin_box() -> Scenario:
         ),
     )
     return Scenario(
-        name="spin-box",
         description="spin-1/2 particle in two boxes with contradictory certainties",
         dims=(4,),
         observables=observables,
@@ -269,7 +267,6 @@ def scenario_three_box() -> Scenario:
         ),
     )
     return Scenario(
-        name="three-box",
         description="single particle certain to be found in either of two boxes",
         dims=(3,),
         observables=observables,
@@ -315,7 +312,6 @@ def scenario_spin_xz() -> Scenario:
         ),
     )
     return Scenario(
-        name="spin-xz",
         description="z and x spin components simultaneously certain between selections",
         dims=(2,),
         observables=observables,
@@ -397,7 +393,6 @@ def scenario_mean_king() -> Scenario:
         *[outcome_check(k) for k in range(4)],
     )
     return Scenario(
-        name="mean-king",
         description="all three spin components answerable for every royal outcome",
         dims=(2,),
         observables=components,
@@ -445,7 +440,6 @@ def scenario_correlated_pair() -> Scenario:
         ),
     )
     return Scenario(
-        name="correlated-pair",
         description="forward- and backward-evolving spins perfectly correlated in every direction",
         dims=(2,),
         observables={},

@@ -304,7 +304,9 @@ def weak_value(selection, op: Operator) -> complex:
         raise OrthogonalSelectionError(
             f"pre/post overlap {abs(denom):.3e} is below the weak-value threshold"
         )
-    value = sum(a * matrix_element(b, op, f) for a, b, f in selection.terms) / denom
+    # an overflowing product O psi_i makes the value inf or nan, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sum(a * matrix_element(b, op, f) for a, b, f in selection.terms) / denom
     if not cmath.isfinite(value):
         raise RangeError(f"weak value overflows float64 (pre/post overlap {abs(denom):.3e})")
     return value
@@ -360,14 +362,14 @@ def product_rule_report(selection, obs_a: Observable, obs_b: Observable) -> Prod
     DimensionError
         If the two observables act on spaces of different dimensions.
     NotMeasurableError
-        If the operator product is not Hermitian.
+        If the operator product is not Hermitian, or its scale overflows float64.
     """
     if obs_a.dim != obs_b.dim:
         raise DimensionError("observable dims differ")
     scale = obs_a.max_abs_eigenvalue * obs_b.max_abs_eigenvalue
     # an infinite scale is not measurable; a finite one bounds every entry and partial sum of AB
     if not FLAG_TOL * scale < math.inf:
-        raise NotMeasurableError("product of the observables is not Hermitian")
+        raise NotMeasurableError("product of the observables overflows float64")
     # halved, so neither difference nor sum overflows: a Hermitian AB of normal floats stays AB
     half = obs_a.op.matrix @ obs_b.op.matrix / 2.0
     adjoint = half.conj().T

@@ -47,9 +47,15 @@ class TestRun:
         out = capsys.readouterr().out
         assert "value table" in out
 
-    def test_unknown_scenario(self, capsys):
-        assert main(["run", "nosuch"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+    @pytest.mark.parametrize("verb", ["run", "export-scenario"])
+    def test_unknown_scenario(self, capsys, verb):
+        # a scenario name is an argparse choice, checked like --format
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tsvlab")
+        assert "argument scenario: invalid choice: 'nosuch'" in err
 
 
 @pytest.fixture()
@@ -202,6 +208,22 @@ class TestAbl:
             assert main(["abl", "--file", str(path), "--observable", "z", "--time", "1.0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: phase of exp(-i H t) overflows float64") and err.count("\n") == 1
+
+    def test_overflowing_segment_spectrum_exits_2(self, capsys, tmp_path):
+        # eigh of this segment gives [-inf, inf]: the phase over 1e-300 would be ~2.4e8
+        path = tmp_path / "huge-spectrum.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [0.0, 0.0]],
+            "post": [[1.0, 0.0], [1.0, 0.0]],
+            "hamiltonian": [{"duration": 1e-300, "matrix": [[[1.7e308, 0.0], [1.7e308, 0.0]],
+                                                             [[1.7e308, 0.0], [-1.7e308, 0.0]]]}],
+            "observables": [{"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}],
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["abl", "--file", str(path), "--observable", "z", "--time", "0"]) == 2
+        assert capsys.readouterr().err == "error: eigenvalues of a hamiltonian segment overflow float64\n"
 
     def test_time_window_scales_with_the_schedule(self, capsys, tmp_path):
         # two sigma_x flips of quarter turn each: |0> is |1> between them. Scaling

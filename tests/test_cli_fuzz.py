@@ -84,6 +84,23 @@ HUGE_WEAK_VALUE = {
                                             [[1e300, 0.0], [1e300, 0.0]]]}],
 }
 
+# O psi overflows to inf, then inf - inf: the weak value overflows
+OVERFLOWING_PRODUCT = {
+    "dims": [2],
+    "pre": [[1.0, 0.0], [0.5, 0.0]],
+    "post": [[1.0, 0.0], [0.0, 0.0]],
+    "observables": [{"name": "A", "matrix": [[[1.7e308, 0.0], [1.7e308, 0.0]],
+                                            [[1.7e308, 0.0], [-1.7e308, 0.0]]]}],
+}
+# opposite signs at mirrored entries: A - A^dagger overflows
+ANTI_HERMITIAN_MAXIMUM = {
+    "dims": [2],
+    "pre": [[1.0, 0.0], [0.5, 0.0]],
+    "post": [[1.0, 0.0], [0.0, 0.0]],
+    "observables": [{"name": "A", "matrix": [[[0.0, 0.0], [1.7e308, 0.0]],
+                                            [[-1.7e308, 0.0], [0.0, 0.0]]]}],
+}
+
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -92,6 +109,8 @@ HUGE_WEAK_VALUE = {
 @example(doc=HUGE_ABS_WEIGHT, time=0.0, g=0.1)  # abs(alpha) overflows
 @example(doc=HUGE_WEAK_VALUE, time=0.0, g=0.1)  # the weak value is ~1e309
 @example(doc=HUGE_WEAK_VALUE, time=-1e-05, g=0.1)  # argparse alone reads -1e-05 as an option
+@example(doc=OVERFLOWING_PRODUCT, time=0.0, g=0.1)
+@example(doc=ANTI_HERMITIAN_MAXIMUM, time=0.0, g=0.1)
 def test_every_verb_ends_in_an_exit_code(tmp_path, capsys, doc, time, g):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tsvlab import (
     spectral_decompose,
 )
 from tsvlab.cli import main
+from tsvlab.qcore import FLAG_TOL
 
 
 class TestKet:
@@ -120,6 +122,24 @@ class TestOperator:
         assert op.is_hermitian
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5
+
+    def test_overflowing_deviation_without_warning(self):
+        # M - M^dagger would overflow: the check runs on M / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not Operator([[0.0, 1.7e308], [-1.7e308, 0.0]]).is_hermitian
+            assert Operator([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]]).is_hermitian
+
+    @given(st.integers(1, 4), st.integers(-900, 1000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_halved_check_matches_the_full_one(self, dim, exponent, seed):
+        # for normal floats the halved deviation gives the verdict of max|M - M^dagger|
+        # <= FLAG_TOL max|M|: perturbations straddle the bound, at scales 2**-900..2**1000
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, dim).matrix
+        m = (h + FLAG_TOL * rng.uniform(0.0, 2.0) * rng.normal(size=(dim, dim))) * 2.0**exponent
+        expected = np.abs(m - m.conj().T).max() <= FLAG_TOL * np.abs(m).max()
+        assert Operator(m).is_hermitian == expected
 
 
 class TestSpectralDecompose:
@@ -357,6 +377,17 @@ class TestEvolution:
         assert HamiltonianSchedule(((1e308, h),)).total_duration == 1e308
         with pytest.raises(RangeError, match=r"^total duration overflows float64$"):
             HamiltonianSchedule(((1e308, h), (1e308, h)))
+
+    def test_overflowing_segment_eigenvalues_rejected(self):
+        # eigh gives [-inf, inf]: the spectrum overflows, not the phase over 1e-300
+        h = Operator(1.7e308 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
+        schedule = HamiltonianSchedule(((1e-300, h),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match=r"^eigenvalues of a hamiltonian segment overflow float64$"):
+                evolve_forward(Ket([1, 0]), schedule)
+            with pytest.raises(RangeError, match=r"^eigenvalues of a hamiltonian segment overflow float64$"):
+                evolve_backward(Bra([1, 0]), schedule)
 
 
 class TestScheduleSplit:

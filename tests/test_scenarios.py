@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import tsvlab
+import tsvlab.cli
+import tsvlab.measure
 import tsvlab.problemfile
 import tsvlab.scenarios
 from tsvlab import (
@@ -186,6 +188,19 @@ def test_public_names_are_exactly_all():
     assert [p.name for p in sorted(src.glob("*.py")) if "CERTAINTY_TOL" in p.read_text(encoding="utf-8")] == [
         "tsv.py"
     ]
+
+
+def test_no_result_echoes_its_callers_input():
+    # a scenario's name is its SCENARIOS key, and a Monte Carlo report holds only
+    # what it counted: the run's samples, seed and workers are the caller's
+    assert "name" not in {f.name for f in dataclasses.fields(tsvlab.scenarios.Scenario)}
+    assert [f.name for f in dataclasses.fields(tsvlab.measure.MonteCarloReport)] == ["counts"]
+    assert tsvlab.measure.MonteCarloReport((2, 3)).samples_postselected == 5
+    # argparse checks a scenario name against the keys (test_cli), so no verb catches a KeyError
+    for verb in (tsvlab.cli.cmd_run, tsvlab.cli.cmd_export_scenario):
+        handlers = [node for node in ast.walk(ast.parse(inspect.getsource(verb)))
+                    if isinstance(node, ast.ExceptHandler)]
+        assert handlers == []
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

@@ -379,6 +379,17 @@ class TestWeakValue:
         with pytest.raises(RangeError, match="overflows"):
             weak_value(tsv, Operator(np.full((2, 2), 1e300, dtype=complex)))
 
+    @pytest.mark.parametrize("terms", [1, 2])
+    def test_overflowing_product_rejected_without_warning(self, terms):
+        # O psi overflows to inf and then inf - inf: a RangeError, and no numpy warning
+        op = Operator(1.7e308 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
+        tsv = TwoStateVector(Ket([1.0, 0.5]), Bra([1.0, 0.0]))
+        selection = tsv if terms == 1 else GeneralizedTwoStateVector((*tsv.terms, *tsv.terms))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="^weak value overflows float64"):
+                weak_value(selection, op)
+
     def test_linearity(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -503,16 +514,18 @@ class TestProductRule:
                 spectral_decompose(Operator(SIGMA_Y)),
             )
 
-    @pytest.mark.parametrize("a, b", [
-        (np.diag([1e200, 1.0]), np.diag([1e200, 1.0])),  # the scale overflows
-        (1.5e308 * SIGMA_X, SIGMA_Z),  # AB - (AB)^dagger would overflow
+    @pytest.mark.parametrize("a, b, cause", [
+        # commuting factors whose product is Hermitian, but its scale overflows
+        (np.diag([1e200, 1.0]), np.diag([1e200, 1.0]), "overflows float64"),
+        # AB - (AB)^dagger would overflow; AB is anti-Hermitian
+        (1.5e308 * SIGMA_X, SIGMA_Z, "is not Hermitian"),
     ], ids=["scale", "deviation"])
-    def test_overflowing_product_rejected_without_warning(self, a, b):
+    def test_overflowing_product_rejected_without_warning(self, a, b, cause):
         tsv = TwoStateVector(Ket([1, 0]), Bra([1, 1]))
         obs_a, obs_b = spectral_decompose(Operator(a)), spectral_decompose(Operator(b))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NotMeasurableError):
+            with pytest.raises(NotMeasurableError, match=f"^product of the observables {cause}$"):
                 product_rule_report(tsv, obs_a, obs_b)
 
 
