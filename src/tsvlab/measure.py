@@ -57,6 +57,8 @@ POINTS_PER_SIGMA = 32
 MAX_MC_SAMPLES = 10**7
 #: most Monte Carlo seed streams per run; spawning one takes about 0.25 ms
 MAX_MC_WORKERS = 1024
+#: smallest pointer spread: the density's mass, sqrt(2 pi) sigma times the rate, stays above 2**-979
+MIN_SIGMA = 2.0**-900
 #: smallest resolvable shift: coupling * max|eigenvalue| below this times
 #: sigma drowns in the quadrature residue (about 6e-17 sigma)
 MIN_SHIFT_OVER_SIGMA = 1e-9
@@ -79,12 +81,11 @@ class PointerConfig:
     ``points`` chosen so its spacing is at most ``sigma / POINTS_PER_SIGMA``
     (never below ``MIN_POINTER_POINTS`` points), which keeps trapezoid
     quadrature error far below the model error. Construction checks, in this
-    order and before any array is allocated, that ``coupling`` and ``sigma``
-    are positive and finite and ``max_abs_eigenvalue`` non-negative and
-    finite, that ``2 pi sigma^2`` is a nonzero finite float64, that the
-    largest shift ``coupling * max_abs_eigenvalue`` is not below
-    ``MIN_SHIFT_OVER_SIGMA * sigma`` unless it is 0, and that the grid has
-    at most ``MAX_POINTER_POINTS`` points.
+    order and before any array is allocated, that ``coupling`` is positive and
+    finite, ``sigma`` finite and at least ``MIN_SIGMA``, ``max_abs_eigenvalue``
+    non-negative and finite, the largest shift ``coupling * max_abs_eigenvalue``
+    not below ``MIN_SHIFT_OVER_SIGMA * sigma`` unless it is 0, and the grid at
+    most ``MAX_POINTER_POINTS`` points.
     """
 
     coupling: float
@@ -94,19 +95,16 @@ class PointerConfig:
     points: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("coupling", "sigma"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if not (np.isfinite(self.max_abs_eigenvalue) and self.max_abs_eigenvalue >= 0.0):
-            raise ConfigError(
-                f"max_abs_eigenvalue must be non-negative and finite, got {self.max_abs_eigenvalue}"
-            )
-        if not 0.0 < 2.0 * np.pi * self.sigma * self.sigma < np.inf:
-            raise ConfigError(
-                f"sigma {self.sigma} puts the pointer normalization (2 pi sigma^2)^(-1/4) "
-                "outside the float64 range"
-            )
+        # Python floats, so an overflowing grid size is inf without a numpy warning
+        for name in ("coupling", "sigma", "max_abs_eigenvalue"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not 0.0 < self.coupling < math.inf:
+            raise ConfigError(f"coupling must be positive and finite, got {self.coupling}")
+        if not MIN_SIGMA <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and at least {MIN_SIGMA:.6g}, got {self.sigma}")
+        if not 0.0 <= self.max_abs_eigenvalue < math.inf:
+            raise ConfigError(f"max_abs_eigenvalue must be non-negative and finite, "
+                              f"got {self.max_abs_eigenvalue}")
         shift = self.coupling * self.max_abs_eigenvalue
         if 0.0 < shift < MIN_SHIFT_OVER_SIGMA * self.sigma:
             raise ConfigError(
@@ -302,10 +300,9 @@ def weak_measure_pointer(
             f"observable has {obs.max_abs_eigenvalue}"
         )
     q = np.linspace(-cfg.half_range, cfg.half_range, cfg.points)
-    norm = (2.0 * np.pi * cfg.sigma**2) ** (-0.25)
     # offsets are divided by a power of two within a factor 2 of sigma before squaring,
     # so no square overflows, and the exponent keeps the bits of (q - g o_n)^2 / 4 sigma^2
-    scale = 2.0 ** np.frexp(cfg.sigma)[1]
+    scale = 2.0 ** math.frexp(cfg.sigma)[1]
     width = 4.0 * (cfg.sigma / scale) ** 2
     reach = scale * np.sqrt(PACKET_EXPONENT_CUT * width)
     # one packet at a time, so memory is O(points) whatever the eigenspace count, and
@@ -315,7 +312,7 @@ def weak_measure_pointer(
     for amplitude, eigenvalue in zip(amplitudes, obs.eigenvalues):
         center = cfg.coupling * eigenvalue
         lo, hi = np.searchsorted(q, (center - reach, center + reach))
-        packet = norm * np.exp(-(((q[lo:hi] - center) / scale) ** 2) / width)
+        packet = np.exp(-(((q[lo:hi] - center) / scale) ** 2) / width)
         wavefunction[lo:hi] += amplitude * packet
     # at most four float64 words per grid point: the density is squared and normalized
     # in place once the wavefunction is gone, and both sums run in two reused rows in
@@ -333,10 +330,12 @@ def weak_measure_pointer(
         np.divide(terms, 2.0, out=terms)
         return float(np.add.reduce(terms))
 
-    rate = trapezoid(density[1:], density[:-1])
+    # the packets omit the Gaussian's norm 1 / (sqrt(2 pi) sigma), which the rate takes once
+    mass = trapezoid(density[1:], density[:-1])
+    rate = mass / scale / (math.sqrt(2.0 * math.pi) * (cfg.sigma / scale))
     if rate <= _NULL_WEIGHT:
         raise NullEnsembleError("post-selection annihilates the pointer wavefunction")
-    density /= rate
+    density /= mass
     mean_shift = trapezoid(np.multiply(q[1:], density[1:], out=terms),
                            np.multiply(q[:-1], density[:-1], out=step))
     density.flags.writeable = False

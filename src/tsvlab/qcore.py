@@ -43,10 +43,11 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.flags.writeable = False
 
 
-def _unit_scaled(values: np.ndarray) -> np.ndarray:
-    """Complex ``values`` times the power of two putting the largest real or imaginary part in [0.5, 1)."""
+def _unit_scaled(values: np.ndarray) -> tuple:
+    """``(values * 2**-e, e)`` for complex ``values``, with e putting the largest real or imaginary part in [0.5, 1)."""
     parts = values.view(np.float64)
-    return np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
+    e = math.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -e).view(complex), e
 
 
 @np.errstate(over="ignore")  # an overflowing norm takes the rescaled path below
@@ -57,7 +58,7 @@ def _normalized_amplitudes(amplitudes) -> np.ndarray:
     norm = np.linalg.norm(vec)
     if not _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1]:
         # the sum of squares may have over- or underflowed: rescale it first
-        vec = _unit_scaled(vec)
+        vec, _ = _unit_scaled(vec)
         norm = np.linalg.norm(vec)
     if not np.isfinite(norm) or norm == 0.0:
         raise ZeroStateError("state norm must be finite and positive")
@@ -156,13 +157,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def matrix_element(bra: Bra, op: Operator, ket: Ket) -> complex:
-    """Sandwich <phi|M|psi>."""
-    if not (bra.dim == op.dim == ket.dim):
-        raise DimensionError("bra/operator/ket dims differ")
-    return complex(np.vdot(bra.amplitudes, op.matrix @ ket.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)

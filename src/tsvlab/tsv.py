@@ -36,7 +36,6 @@ from .qcore import (
     _unit_scaled,
     evolve_backward,
     evolve_forward,
-    matrix_element,
     overlap,
     spectral_decompose,  # not called here; bench/tests reads it as tsv.spectral_decompose
 )
@@ -100,7 +99,7 @@ class GeneralizedTwoStateVector:
         if not 0.5 <= top <= 2.0:
             # ABL probabilities and weak values are ratios, unchanged by a common
             # factor, which a power of two applies exactly
-            alphas = _unit_scaled(np.array([a for a, _, _ in terms]))
+            alphas, _ = _unit_scaled(np.array([a for a, _, _ in terms]))
             terms = tuple((a, b, f) for a, (_, b, f) in zip(alphas.tolist(), terms))
         object.__setattr__(self, "terms", terms)
 
@@ -133,7 +132,7 @@ class TwoTimeKernel:
     @cached_property
     def _scaled(self) -> tuple:
         """``(K~, ||K~||_F^2)`` for ``K~`` the matrix times the power of two putting its largest real or imaginary part in [0.5, 1)."""
-        m = _unit_scaled(self.matrix)
+        m, _ = _unit_scaled(self.matrix)
         return m, np.sum(np.abs(m) ** 2)
 
     @property
@@ -288,10 +287,13 @@ def weak_value(selection, op: Operator) -> complex:
     general: the effective coupling seen by a weakly coupled probe, which
     may lie far outside the operator's eigenvalue range. For a generalized
     two-state vector it matches the joint-system weak value of
-    O (x) identity under the ancilla reduction.
+    O (x) identity under the ancilla reduction. It is formed on O over a
+    power of two, so it is found wherever it is finite, even if O psi is not.
 
     Raises
     ------
+    DimensionError
+        If the selection and the operator differ in dimension.
     OrthogonalSelectionError
         If the (effective) overlap is at or below
         ``ORTHOGONALITY_THRESHOLD``; the ratio is undefined for orthogonal
@@ -299,14 +301,19 @@ def weak_value(selection, op: Operator) -> complex:
     RangeError
         If the ratio overflows float64.
     """
-    denom = sum(a * overlap(b, f) for a, b, f in selection.terms)
+    if selection.dim != op.dim:
+        raise DimensionError(f"selection dim {selection.dim} != operator dim {op.dim}")
+    terms = selection.terms
+    denom = sum(a * overlap(b, f) for a, b, f in terms)
     if abs(denom) <= ORTHOGONALITY_THRESHOLD:
         raise OrthogonalSelectionError(
             f"pre/post overlap {abs(denom):.3e} is below the weak-value threshold"
         )
-    # an overflowing product O psi_i makes the value inf or nan, rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = sum(a * matrix_element(b, op, f) for a, b, f in selection.terms) / denom
+    unit, e = _unit_scaled(op.matrix)  # O psi_i may overflow where the weak value does not
+    ratio = sum(a * complex(np.vdot(b.amplitudes, unit @ f.amplitudes)) for a, b, f in terms) / denom
+    # scaled back part by part, keeping the sign of a zero part, in halves: 2.0**1024 overflows
+    up, rest = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+    value = complex(ratio.real * up * rest, ratio.imag * up * rest)
     if not cmath.isfinite(value):
         raise RangeError(f"weak value overflows float64 (pre/post overlap {abs(denom):.3e})")
     return value

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import threading
 import warnings
@@ -20,6 +21,7 @@ from tsvlab import (
 )
 from tsvlab import cli
 from tsvlab.cli import CSV_BLOCK_ROWS, main
+from tsvlab.measure import MIN_SIGMA, POINTS_PER_SIGMA
 from tsvlab.problemfile import load
 from tsvlab.scenarios import SCENARIOS
 
@@ -382,6 +384,38 @@ class TestWeak:
         ])
         assert code == 3
 
+    def test_negative_zero_imaginary_part_kept(self, capsys, tmp_path):
+        # the ratio is scaled back part by part: complex * float would print 0.0 here
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps({
+            "dims": [2], "pre": [[1.0, 0.0], [-1.0, 0.0]], "post": [[1.0, 0.0], [2.0, 0.0]],
+            "observables": [{"name": "O", "matrix": [[[-2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}],
+        }))
+        assert main(["weak", "--file", str(path), "--observable", "O", "--format", "json"]) == 0
+        assert capsys.readouterr().out == '{"observable": "O", "weak_value": [4.0, -0.0]}\n'
+
+    @pytest.mark.parametrize("post, printed, code", [
+        # (O psi)_0 overflows, but the post-selection reads only (O psi)_1: the value is finite
+        ([[0.0, 0.0], [1.0, 0.0]], "1.7e+308 + 0.0i\n", 0),
+        # the value itself, 1.7e308 * 1.5, overflows
+        ([[1.0, 0.0], [0.0, 0.0]], "", 2),
+    ])
+    def test_near_maximum_observable(self, capsys, tmp_path, post, printed, code):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [0.5, 0.0]],
+            "post": post,
+            "observables": [{"name": "O", "matrix": [[[1.7e308, 0.0], [1.7e308, 0.0]],
+                                                      [[1.7e308, 0.0], [-1.7e308, 0.0]]]}],
+        }))
+        assert main(["weak", "--file", str(path), "--observable", "O"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == printed
+        if code:
+            assert captured.err.startswith("error: weak value overflows float64")
+            assert captured.err.count("\n") == 1
+
 
 class TestVerify:
     def test_spin_box_exact(self, capsys, spin_box_file):
@@ -620,6 +654,9 @@ class TestPointer:
         # printed mean_shift / g = 5.55e+303: quadrature noise over a subnormal g
         (["--g", "1e-320", "--sigma", "1.0"], "coupling * max|eigenvalue| = 9.99989e-321"),
         (["--g", "1e-14", "--sigma", "1.0"], "1e-09 * sigma = 1e-09"),
+        # subnormal widths, below MIN_SIGMA = 2**-900
+        (["--g", "1e-323", "--sigma", "1e-320"], "sigma must be finite and at least 1.18305e-271"),
+        (["--g", "1e-311", "--sigma", "1e-308"], "sigma must be finite and at least 1.18305e-271"),
     ])
     def test_bad_pointer_flags_exit_2(self, capsys, spin_box_file, tmp_path, flags, named):
         capsys.readouterr()  # drop fixture output
@@ -686,6 +723,65 @@ class TestPointer:
         assert summaries[0] == summaries[1]
         assert "mean_shift / g      : 1" in summaries[0]
         assert "post-selection rate : 0.111111111111" in summaries[0]
+
+    @pytest.mark.parametrize("g, sigma", [("1e-165", "1e-162"), ("1e-163", "1e-160")])
+    def test_tiny_sigma_prints_the_unit_rate(self, capsys, three_box_file, tmp_path, g, sigma):
+        # 2 pi sigma^2 underflows to 0 at sigma = 1e-162 and is subnormal at 1e-160;
+        # the Gaussian's norm enters the rate once, as 1 / (sqrt(2 pi) sigma)
+        capsys.readouterr()  # drop fixture output
+        rates = []
+        for flags in (["--g", "0.001", "--sigma", "1"], ["--g", g, "--sigma", sigma]):
+            assert main(["pointer", "--file", str(three_box_file), "--observable", "P_C",
+                         *flags, "--out", str(tmp_path / "p.csv")]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            rates += [line for line in captured.out.splitlines() if line.startswith("post-selection rate")]
+        assert rates == ["post-selection rate : 0.111111166667"] * 2
+
+    @pytest.mark.parametrize("g", [0.001, 0.05, 1.0, 5.39, 100.0])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
+    def test_power_of_two_rescaling_is_exact(self, capsys, three_box_file, tmp_path, g, sigma):
+        """(g, sigma) -> 2**k (g, sigma) prints the same lines and scales the CSV exactly.
+
+        Every printed line but the raw mean shift is unchanged, positions are 2**k
+        times the originals, and densities normal in both runs 2**-k times. Checked
+        at k in {-20, -3, 5, 30} and at both ends of the accepted range: the least k
+        with 2**k sigma >= MIN_SIGMA, and the greatest whose grid count is finite.
+        """
+        capsys.readouterr()  # drop fixture output
+        csv_path = tmp_path / "p.csv"
+
+        def run(k):
+            scale = math.ldexp(1.0, k)
+            code = main(["pointer", "--file", str(three_box_file), "--observable", "P_C",
+                         "--g", repr(g * scale), "--sigma", repr(sigma * scale), "--out", str(csv_path)])
+            captured = capsys.readouterr()
+            if code:
+                return code, captured.err, None, None
+            assert captured.err == ""
+            data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+            lines = [line for line in captured.out.splitlines() if not line.startswith("mean_shift  ")]
+            return code, lines, data[:, 0], data[:, 1]
+
+        low = -899 - math.frexp(sigma)[1]
+        # the grid count is formed as 2 half_range POINTS_PER_SIGMA / sigma, with
+        # half_range = 10 (sigma + g max|eigenvalue|); the numerator overflows past this k
+        high = 1024 - math.frexp(2.0 * 10.0 * (sigma + g) * POINTS_PER_SIGMA)[1]
+        assert math.ldexp(sigma, low) >= MIN_SIGMA > math.ldexp(sigma, low - 1)
+        _, lines, positions, density = run(0)
+        tiny = np.finfo(float).tiny
+        for k in (-20, -3, 5, 30, low, high):
+            code, scaled_lines, scaled_positions, scaled_density = run(k)
+            assert code == 0, (k, scaled_lines)
+            assert scaled_lines == lines, k
+            assert np.array_equal(scaled_positions, np.ldexp(positions, k)), k
+            normal = (density >= tiny) & (scaled_density >= tiny)
+            assert np.array_equal(scaled_density[normal], np.ldexp(density[normal], -k)), k
+        # one step past either end is a usage error that names its cause
+        assert run(low - 1)[:2] == (2, f"error: sigma must be finite and at least {MIN_SIGMA:.6g}, "
+                                       f"got {math.ldexp(sigma, low - 1)!r}\n")
+        code, err, _, _ = run(high + 1)
+        assert code == 2 and err.startswith("error: pointer grid of") and err.count("\n") == 1
 
 
 

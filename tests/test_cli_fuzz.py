@@ -84,7 +84,7 @@ HUGE_WEAK_VALUE = {
                                             [[1e300, 0.0], [1e300, 0.0]]]}],
 }
 
-# O psi overflows to inf, then inf - inf: the weak value overflows
+# the weak value itself, 1.7e308 * 1.5, overflows
 OVERFLOWING_PRODUCT = {
     "dims": [2],
     "pre": [[1.0, 0.0], [0.5, 0.0]],

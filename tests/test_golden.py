@@ -11,7 +11,11 @@ The ``pointer`` hashes pin its stdout and CSV on the three-box
 export in the weak regime (every density nonzero) and the strong regime
 (mostly exact zeros, written as ``0``); they were captured before the
 pointer's working set was cut from eight float64 words per grid point to
-four. The printed residues (Gram deviations, max |z|) depend on
+four. The two CSV hashes were recaptured when the packets dropped the
+Gaussian's norm ``(2 pi sigma^2)^(-1/4)`` and the density was normalized by
+its own mass: every position and stdout byte was unchanged, and every
+density moved by at most 5.1 eps times the peak density (the stated
+bound is 8 eps). The printed residues (Gram deviations, max |z|) depend on
 floating-point rounding, so a different NumPy or LAPACK build may need the
 hashes recaptured.
 """
@@ -47,12 +51,12 @@ RUN_STDOUT = {
 POINTER = {
     "0.001": (
         "03d50d81ea1a7b348fafe613bb4651eb8ed51b1d22b5775dda7d85b3597bf67b",
-        "f2a5500af75986edc96504221215ca1c0dbe6c57b52ae4748a345a584082b022",
+        "9e5512ba5ecd085c928f99d2b1ceb19c9e9de082c58b2acd15d0dcb90616a646",
         4096,
     ),
     "100": (
         "2bcd61899bf9b843e76285c9a4965104dcc8e0edd8e466e76e92e424a7f27c61",
-        "c10008cecd755d457ebaeee61bf38a39989d463797a52ee6a52b2f90710f9cfb",
+        "980718a59229e435beaab5ce41d926918f4cbca4bb3632c5911d11f4caf821d9",
         64641,
     ),
 }

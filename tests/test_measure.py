@@ -257,9 +257,8 @@ def analytic_mean_shift(tsv, obs, coupling, sigma):
     Gaussians integrate to exp(-(a-b)^2 / (8 sigma^2)) with first moment at
     the midpoint.
     """
-    from tsvlab import matrix_element
-
-    amps = np.array([matrix_element(tsv.backward, p, tsv.forward) for p in obs.projectors])
+    amps = np.array([np.vdot(tsv.backward.amplitudes, p.matrix @ tsv.forward.amplitudes)
+                     for p in obs.projectors])
     centers = coupling * np.asarray(obs.eigenvalues)
     num = 0.0
     den = 0.0
@@ -276,16 +275,16 @@ def full_grid_pointer(tsv, obs, cfg):
     them: every eigenspace packet evaluated on every grid point."""
     amplitudes = tsvlab.tsv._abl_amplitudes(tsv, obs)
     q = np.linspace(-cfg.half_range, cfg.half_range, cfg.points)
-    norm = (2.0 * np.pi * cfg.sigma**2) ** (-0.25)
     scale = 2.0 ** np.frexp(cfg.sigma)[1]
     width = 4.0 * (cfg.sigma / scale) ** 2
     wavefunction = np.zeros(cfg.points, dtype=complex)
     for amplitude, eigenvalue in zip(amplitudes, obs.eigenvalues):
-        packet = norm * np.exp(-(((q - cfg.coupling * eigenvalue) / scale) ** 2) / width)
+        packet = np.exp(-(((q - cfg.coupling * eigenvalue) / scale) ** 2) / width)
         wavefunction += amplitude * packet
     raw_density = np.abs(wavefunction) ** 2
-    rate = float(np.trapezoid(raw_density, q))
-    density = raw_density / rate
+    mass = float(np.trapezoid(raw_density, q))
+    rate = mass / scale / (np.sqrt(2.0 * np.pi) * (cfg.sigma / scale))
+    density = raw_density / mass
     return density, float(np.trapezoid(q * density, q)), min(rate, 1.0)
 
 
@@ -409,16 +408,26 @@ class TestWeakMeasurePointer:
         with pytest.raises(ConfigError, match=r"max\|eigenvalue\| 2.0"):
             weak_measure_pointer(tsv, obs, cfg)
 
-    @pytest.mark.parametrize("scale", [1e-100, 0.7, 1e100, 5e153])
+    @pytest.mark.parametrize("scale", [1e-100, 0.7, 1e100, 5e153]
+                             + [2.0**k for k in (-900, -300, -1, 7, 300, 1000)])
     def test_scaled_pointer_matches_unit_pointer(self, scale):
         # g and sigma scaled together scale the grid and leave the pointer's shape;
         # past |q| = 1.34e154 a squared offset would overflow and cut the packets short
         tsv = boxed_spin_tsv()
         obs = diagonal_projector(4, 2)
         unit = weak_measure_pointer(tsv, obs, PointerConfig(1.0, 1.0, 1.0))
-        with np.errstate(all="raise"):
+        # at the outermost scales the density's far tails underflow, which drops nothing
+        with np.errstate(all="raise", under="ignore" if abs(np.log2(scale)) > 500 else "raise"):
             result = weak_measure_pointer(tsv, obs, PointerConfig(scale, scale, 1.0))
         assert result.positions.size == unit.positions.size
+        if np.frexp(scale)[0] == 0.5:
+            # a power of two scales every position and normal density exactly
+            assert np.array_equal(result.positions, unit.positions * scale)
+            assert result.mean_shift == unit.mean_shift * scale
+            assert result.postselection_rate == unit.postselection_rate
+            tiny = np.finfo(float).tiny
+            normal = (result.density >= tiny) & (unit.density >= tiny)
+            assert np.array_equal(result.density[normal] * scale, unit.density[normal])
         assert result.mean_shift / scale == pytest.approx(unit.mean_shift, rel=1e-12)
         assert result.postselection_rate == pytest.approx(unit.postselection_rate, rel=1e-12)
         # the far tails of a density shrunk by 1e-100 underflow, so compare against its peak
@@ -458,12 +467,25 @@ class TestWeakMeasurePointer:
         (field, value)
         for field in ("coupling", "sigma")
         for value in (np.inf, -np.inf, np.nan, 0.0, -1.0)
-    ] + [("sigma", 1e300), ("sigma", 1e-300)])
+    ] + [("sigma", 1e300), ("sigma", 1e-300), ("sigma", 5e-324),
+         ("sigma", np.nextafter(tsvlab.measure.MIN_SIGMA, 0.0))])
     def test_non_finite_or_non_positive_lengths_rejected(self, field, value):
         kwargs = dict(coupling=0.1, sigma=1.0, max_abs_eigenvalue=1.0)
         kwargs[field] = value
         with pytest.raises(ConfigError, match=field):
             PointerConfig(**kwargs)
+
+    @pytest.mark.parametrize("coupling, sigma, message", [
+        (1e304, 1e307, "grid of inf points exceeds MAX_POINTER_POINTS"),
+        (1.0, 1.5e308, r"below 1e-09 \* sigma = 1.5e\+299"),
+    ])
+    def test_numpy_inputs_near_the_maximum_raise_config_error(self, coupling, sigma, message):
+        # the grid arithmetic runs on Python floats: on numpy scalars it overflowed with
+        # a RuntimeWarning, which this suite's error filter raised in place of ConfigError
+        with pytest.raises(ConfigError, match=message):
+            PointerConfig(np.float64(coupling), np.float64(sigma), np.float64(1.0))
+        cfg = PointerConfig(np.float64(0.5), np.float64(1.0), np.float64(1.0))
+        assert {type(cfg.coupling), type(cfg.sigma), type(cfg.max_abs_eigenvalue)} == {float}
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -1.0])
     def test_non_finite_or_negative_radius_rejected(self, value):

@@ -381,7 +381,7 @@ class TestWeakValue:
 
     @pytest.mark.parametrize("terms", [1, 2])
     def test_overflowing_product_rejected_without_warning(self, terms):
-        # O psi overflows to inf and then inf - inf: a RangeError, and no numpy warning
+        # the value itself, 1.7e308 * 1.5, overflows: a RangeError, and no numpy warning
         op = Operator(1.7e308 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
         tsv = TwoStateVector(Ket([1.0, 0.5]), Bra([1.0, 0.0]))
         selection = tsv if terms == 1 else GeneralizedTwoStateVector((*tsv.terms, *tsv.terms))
@@ -389,6 +389,21 @@ class TestWeakValue:
             warnings.simplefilter("error")
             with pytest.raises(RangeError, match="^weak value overflows float64"):
                 weak_value(selection, op)
+
+    @pytest.mark.parametrize("terms", [1, 2])
+    def test_finite_value_where_the_product_overflows(self, terms):
+        # (O psi)_0 overflows, but the post-selection reads only (O psi)_1
+        op = Operator(1.7e308 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
+        tsv = TwoStateVector(Ket([1.0, 0.5]), Bra([0.0, 1.0]))
+        selection = tsv if terms == 1 else GeneralizedTwoStateVector((*tsv.terms, *tsv.terms))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weak_value(selection, op) == pytest.approx(1.7e308, rel=1e-15)
+
+    def test_dimension_mismatch_rejected(self):
+        tsv = TwoStateVector(Ket([1.0, 0.0]), Bra([1.0, 1.0]))
+        with pytest.raises(DimensionError, match="^selection dim 2 != operator dim 3$"):
+            weak_value(tsv, Operator(np.eye(3)))
 
     def test_linearity(self):
         rng = np.random.default_rng(12)
