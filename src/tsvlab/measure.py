@@ -84,8 +84,8 @@ class PointerConfig:
     order and before any array is allocated, that ``coupling`` is positive and
     finite, ``sigma`` finite and at least ``MIN_SIGMA``, ``max_abs_eigenvalue``
     non-negative and finite, the largest shift ``coupling * max_abs_eigenvalue``
-    not below ``MIN_SHIFT_OVER_SIGMA * sigma`` unless it is 0, and the grid at
-    most ``MAX_POINTER_POINTS`` points.
+    not below ``MIN_SHIFT_OVER_SIGMA * sigma`` unless it is 0, the grid's width
+    ``2 * half_range`` finite, and the grid at most ``MAX_POINTER_POINTS`` points.
     """
 
     coupling: float
@@ -113,8 +113,10 @@ class PointerConfig:
                 "where quadrature error swamps it"
             )
         half_range = 10.0 * (self.sigma + shift)
-        points = np.ceil(2.0 * half_range * POINTS_PER_SIGMA / self.sigma) + 1
-        # checked as a float: an overflowing grid is inf, which int() cannot take
+        if not 2.0 * half_range < math.inf:
+            raise ConfigError(f"pointer grid +-{half_range:.6g} is wider than the float64 range")
+        points = np.ceil(2.0 * (half_range / self.sigma) * POINTS_PER_SIGMA) + 1
+        # over sigma first, so only a huge count overflows; checked as a float, for int(inf) fails
         if not points <= MAX_POINTER_POINTS:
             raise ConfigError(
                 f"pointer grid of {points} points exceeds MAX_POINTER_POINTS = {MAX_POINTER_POINTS}"
@@ -304,7 +306,8 @@ def weak_measure_pointer(
     # so no square overflows, and the exponent keeps the bits of (q - g o_n)^2 / 4 sigma^2
     scale = 2.0 ** math.frexp(cfg.sigma)[1]
     width = 4.0 * (cfg.sigma / scale) ** 2
-    reach = scale * np.sqrt(PACKET_EXPONENT_CUT * width)
+    # a Python float: near the float64 maximum it is inf, a window of the whole grid, with no warning
+    reach = scale * math.sqrt(PACKET_EXPONENT_CUT * width)
     # one packet at a time, so memory is O(points) whatever the eigenspace count, and
     # each on the window where it is nonzero: the wavefunction starts at +0, so the
     # exact zeros skipped outside it would have left every bit unchanged

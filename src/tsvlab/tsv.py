@@ -287,8 +287,8 @@ def weak_value(selection, op: Operator) -> complex:
     general: the effective coupling seen by a weakly coupled probe, which
     may lie far outside the operator's eigenvalue range. For a generalized
     two-state vector it matches the joint-system weak value of
-    O (x) identity under the ancilla reduction. It is formed on O over a
-    power of two, so it is found wherever it is finite, even if O psi is not.
+    O (x) identity under the ancilla reduction. Only where O psi overflows
+    is it formed on O over a power of two, so it is found wherever finite.
 
     Raises
     ------
@@ -303,17 +303,23 @@ def weak_value(selection, op: Operator) -> complex:
     """
     if selection.dim != op.dim:
         raise DimensionError(f"selection dim {selection.dim} != operator dim {op.dim}")
-    terms = selection.terms
-    denom = sum(a * overlap(b, f) for a, b, f in terms)
+    denom = sum(a * overlap(b, f) for a, b, f in selection.terms)
     if abs(denom) <= ORTHOGONALITY_THRESHOLD:
         raise OrthogonalSelectionError(
             f"pre/post overlap {abs(denom):.3e} is below the weak-value threshold"
         )
-    unit, e = _unit_scaled(op.matrix)  # O psi_i may overflow where the weak value does not
-    ratio = sum(a * complex(np.vdot(b.amplitudes, unit @ f.amplitudes)) for a, b, f in terms) / denom
-    # scaled back part by part, keeping the sign of a zero part, in halves: 2.0**1024 overflows
-    up, rest = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
-    value = complex(ratio.real * up * rest, ratio.imag * up * rest)
+
+    def ratio(matrix):
+        return sum(a * complex(np.vdot(b.amplitudes, matrix @ f.amplitudes))
+                   for a, b, f in selection.terms) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the rescaled path below
+        value = ratio(op.matrix)
+    if not cmath.isfinite(value):
+        # O psi_i may overflow where the weak value does not: take it on O over a power of two,
+        # then scale each part back, keeping a zero's sign, in halves: 2.0**1024 overflows
+        unit, e = _unit_scaled(op.matrix)
+        value, up, rest = ratio(unit), 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+        value = complex(value.real * up * rest, value.imag * up * rest)
     if not cmath.isfinite(value):
         raise RangeError(f"weak value overflows float64 (pre/post overlap {abs(denom):.3e})")
     return value

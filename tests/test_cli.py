@@ -21,7 +21,7 @@ from tsvlab import (
 )
 from tsvlab import cli
 from tsvlab.cli import CSV_BLOCK_ROWS, main
-from tsvlab.measure import MIN_SIGMA, POINTS_PER_SIGMA
+from tsvlab.measure import MIN_SIGMA
 from tsvlab.problemfile import load
 from tsvlab.scenarios import SCENARIOS
 
@@ -746,7 +746,7 @@ class TestPointer:
         Every printed line but the raw mean shift is unchanged, positions are 2**k
         times the originals, and densities normal in both runs 2**-k times. Checked
         at k in {-20, -3, 5, 30} and at both ends of the accepted range: the least k
-        with 2**k sigma >= MIN_SIGMA, and the greatest whose grid count is finite.
+        with 2**k sigma >= MIN_SIGMA, and the greatest whose grid width is finite.
         """
         capsys.readouterr()  # drop fixture output
         csv_path = tmp_path / "p.csv"
@@ -764,9 +764,9 @@ class TestPointer:
             return code, lines, data[:, 0], data[:, 1]
 
         low = -899 - math.frexp(sigma)[1]
-        # the grid count is formed as 2 half_range POINTS_PER_SIGMA / sigma, with
-        # half_range = 10 (sigma + g max|eigenvalue|); the numerator overflows past this k
-        high = 1024 - math.frexp(2.0 * 10.0 * (sigma + g) * POINTS_PER_SIGMA)[1]
+        # the grid spans 2 half_range, with half_range = 10 (sigma + g max|eigenvalue|),
+        # which overflows past this k
+        high = 1024 - math.frexp(2.0 * (10.0 * (sigma + g)))[1]
         assert math.ldexp(sigma, low) >= MIN_SIGMA > math.ldexp(sigma, low - 1)
         _, lines, positions, density = run(0)
         tiny = np.finfo(float).tiny
@@ -781,7 +781,7 @@ class TestPointer:
         assert run(low - 1)[:2] == (2, f"error: sigma must be finite and at least {MIN_SIGMA:.6g}, "
                                        f"got {math.ldexp(sigma, low - 1)!r}\n")
         code, err, _, _ = run(high + 1)
-        assert code == 2 and err.startswith("error: pointer grid of") and err.count("\n") == 1
+        assert code == 2 and err.endswith("is wider than the float64 range\n") and err.count("\n") == 1
 
 
 

@@ -400,6 +400,14 @@ class TestWeakValue:
             warnings.simplefilter("error")
             assert weak_value(selection, op) == pytest.approx(1.7e308, rel=1e-15)
 
+    @pytest.mark.parametrize("small", [1e-20, 2.5e-315])
+    def test_wide_range_operator_keeps_its_small_entry(self, small):
+        # O spans more than 2**1022: over a power of two that brings 1e300 to [0.5, 1),
+        # the small entry would be subnormal and lose bits; O psi does not overflow
+        op = Operator(np.diag([1e300, small]))
+        tsv = TwoStateVector(Ket([0.0, 1.0]), Bra([0.0, 1.0]))
+        assert weak_value(tsv, op) == small
+
     def test_dimension_mismatch_rejected(self):
         tsv = TwoStateVector(Ket([1.0, 0.0]), Bra([1.0, 1.0]))
         with pytest.raises(DimensionError, match="^selection dim 2 != operator dim 3$"):
