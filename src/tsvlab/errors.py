@@ -14,7 +14,7 @@ class ZeroStateError(TsvLabError):
 
 
 class NotHermitianError(TsvLabError):
-    """An operation required a Hermitian operator and got something else."""
+    """A matrix given for an Operator is not Hermitian."""
 
 
 class NotMeasurableError(TsvLabError):

@@ -16,12 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NullEnsembleError
 from .qcore import Bra, Ket, Observable
-from .tsv import (
-    _NULL_WEIGHT,
-    Distribution,
-    TwoStateVector,
-    _abl_amplitudes,
-)
+from .tsv import _NULL_WEIGHT, Distribution, _abl_amplitudes
 
 #: documented default master seed for randomized commands
 DEFAULT_SEED = 20260810
@@ -274,28 +269,29 @@ def exact_conditional_oracle(pre: Ket, post: Bra, obs: Observable) -> Distributi
     return Distribution(tuple(zip(obs.eigenvalues, probs)))
 
 
-def weak_measure_pointer(
-    tsv: TwoStateVector,
-    obs: Observable,
-    cfg: PointerConfig,
-) -> PointerResult:
+def weak_measure_pointer(selection, obs: Observable, cfg: PointerConfig) -> PointerResult:
     """Gaussian-pointer measurement of ``obs`` on a pre/post-selected system.
 
-    The pointer starts in a Gaussian position wavefunction of spread
-    ``sigma`` and is impulsively translated by ``coupling * o_n`` on each
-    eigenspace. Conditioned on the post-selection, the pointer wavefunction
-    is
+    ``selection`` is a TwoStateVector or a GeneralizedTwoStateVector. The
+    pointer starts in a Gaussian position wavefunction of spread ``sigma``
+    and is impulsively translated by ``coupling * o_n`` on each eigenspace.
+    Conditioned on the post-selection, the pointer wavefunction is
 
-        phi(q) = sum_n <phi|P_n|psi> G(q - coupling * o_n)
+        phi(q) = sum_n sum_i alpha_i <phi_i|P_n|psi_i> G(q - coupling * o_n)
 
     whose normalized density, mean shift (trapezoid quadrature), and
-    post-selection rate are returned. In the weak regime the mean shift
+    post-selection rate are returned. The rate is divided by
+    ``(sum_i |alpha_i|)**2`` (1 for a pair): it is the post-selection
+    probability of the normalized ancilla dilation
+    ``sum_i sqrt|alpha_i| e^(i arg alpha_i) |psi_i>|i>``,
+    ``sum_i sqrt|alpha_i| <phi_i|<i|``, so it does not depend on the
+    weights' scale. In the weak regime the mean shift
     approaches ``coupling * Re(weak value)``; in the strong regime the
     density splits into bumps at the scaled eigenvalues carrying the
     conditional (ABL) masses. ``cfg`` must be built for this observable's
     ``max_abs_eigenvalue``; another spectral radius raises ``ConfigError``.
     """
-    amplitudes = _abl_amplitudes(tsv, obs)
+    amplitudes = _abl_amplitudes(selection, obs)
     if obs.max_abs_eigenvalue != cfg.max_abs_eigenvalue:
         raise ConfigError(
             f"pointer grid built for max|eigenvalue| {cfg.max_abs_eigenvalue}, "
@@ -333,9 +329,11 @@ def weak_measure_pointer(
         np.divide(terms, 2.0, out=terms)
         return float(np.add.reduce(terms))
 
-    # the packets omit the Gaussian's norm 1 / (sqrt(2 pi) sigma), which the rate takes once
+    # the packets omit the Gaussian's norm 1 / (sqrt(2 pi) sigma) and the dilation's
+    # 1 / sum_i |alpha_i|, which the rate takes once
     mass = trapezoid(density[1:], density[:-1])
-    rate = mass / scale / (math.sqrt(2.0 * math.pi) * (cfg.sigma / scale))
+    weight = sum(abs(a) for a, _, _ in selection.terms)
+    rate = mass / scale / (math.sqrt(2.0 * math.pi) * (cfg.sigma / scale)) / weight**2
     if rate <= _NULL_WEIGHT:
         raise NullEnsembleError("post-selection annihilates the pointer wavefunction")
     density /= mass

@@ -164,7 +164,7 @@ def parse_document(doc) -> ProblemFile:
             duration = float(_parse_numbers(seg["duration"], (), f"{where} duration",
                                             "a non-negative number"))
             matrix = _parse_complex(seg["matrix"], (total, total), where)
-            segments.append((duration, Operator(matrix)))
+            segments.append((duration, _built(where, Operator, matrix)))
         schedule = _built("hamiltonian", HamiltonianSchedule, tuple(segments))
 
     observables = {}

@@ -1,6 +1,6 @@
 """Finite-dimensional complex Hilbert-space primitives.
 
-States (kets and bras), operators with a verified Hermitian flag,
+States (kets and bras), Hermitian operators,
 spectral decomposition into eigenvector blocks, and
 unitary time evolution under piecewise-constant Hamiltonian schedules
 (hbar = 1 throughout).
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -115,15 +115,14 @@ def overlap(bra: Bra, ket: Ket) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Square matrix on the Hilbert space with a verified Hermitian flag.
+    """Hermitian square matrix on the Hilbert space.
 
-    ``is_hermitian`` is computed (not user asserted) at construction: the
-    max-abs deviation ``max|M - M^dagger|`` is at most ``FLAG_TOL * max|M|``,
-    so the flag does not depend on the unit of M.
+    Construction raises ``NotHermitianError`` unless the max-abs deviation
+    ``max|M - M^dagger|`` is at most ``FLAG_TOL * max|M|``, so the verdict
+    does not depend on the unit of M.
     """
 
     matrix: np.ndarray
-    is_hermitian: bool = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex).copy()
@@ -136,19 +135,16 @@ class Operator:
         half = m * 0.5
         deviation = np.abs(half - half.conj().T).max()
         # max|M| is read only for a nonzero deviation; an infinite max|M| never passes
-        object.__setattr__(self, "is_hermitian", bool(
-            deviation == 0.0 or deviation <= FLAG_TOL * np.abs(m).max() / 2.0 < math.inf
-        ))
+        if not (deviation == 0.0 or deviation <= FLAG_TOL * np.abs(m).max() / 2.0 < math.inf):
+            raise NotHermitianError("matrix is not Hermitian")
 
     @cached_property
     def eigh(self) -> tuple:
-        """``np.linalg.eigh`` of a Hermitian operator, computed on first access.
+        """``np.linalg.eigh`` of the operator, computed on first access.
 
         Returns read-only ``(w, V)``: eigenvalues ascending and the unitary
         whose columns are the matching eigenvectors.
         """
-        if not self.is_hermitian:
-            raise NotHermitianError("eigendecomposition requires a Hermitian operator")
         w, v = np.linalg.eigh(self.matrix)
         w.flags.writeable = False
         v.flags.writeable = False
@@ -174,8 +170,6 @@ class Observable:
 
     Raises
     ------
-    NotHermitianError
-        At construction, if the operator fails the Hermitian check.
     RangeError
         When the spectrum is first read, if an eigenvalue overflows float64.
     """
@@ -183,10 +177,6 @@ class Observable:
     op: Operator
     #: the scale the merge tolerance is relative to, if not the spectral radius
     _scale: float | None = None
-
-    def __post_init__(self):
-        if not self.op.is_hermitian:
-            raise NotHermitianError("spectral decomposition requires a Hermitian operator")
 
     @cached_property
     def _spectrum(self) -> tuple:
@@ -278,13 +268,8 @@ def spectral_decompose(op: Operator) -> Observable:
     Adjacent eigenvalues whose gap is at most ``DEGENERACY_TOL`` times the
     spectral radius are merged into a single eigenspace; the merged
     eigenvalue is their ``np.mean``. The eigenspaces are mutually orthogonal
-    and together span the whole space. Only the Hermitian check runs here;
-    the decomposition itself runs when the spectrum is first read.
-
-    Raises
-    ------
-    NotHermitianError
-        If the operator fails the Hermitian check.
+    and together span the whole space. The decomposition runs when the
+    spectrum is first read.
     """
     return Observable(op)
 
@@ -306,8 +291,6 @@ class HamiltonianSchedule:
             duration = float(duration)
             if not 0.0 <= duration < math.inf:
                 raise ValueError(f"segment {i} duration must be finite and non-negative, got {duration}")
-            if not h.is_hermitian:
-                raise NotHermitianError("segment Hamiltonians must be Hermitian")
             cleaned.append((duration, h))
         if cleaned:
             dims = {h.dim for _, h in cleaned}

@@ -433,21 +433,21 @@ def two_time_joint(k: TwoTimeKernel, proj_a: Operator, proj_b: Operator) -> floa
 
     The entry of :func:`two_time_distribution` written for projectors of any
     rank: for ``P = V V^dagger``, ``||P_a K P_b||_F = ||V_a^dagger K V_b||_F``.
-    A projector passes if it is Hermitian and ``max|P P - P| <= 1e-9``. K is
-    scaled as in :func:`two_time_distribution`.
+    A projector (an :class:`Operator`, so Hermitian) passes if
+    ``max|P P - P| <= 1e-9``. K is scaled as in :func:`two_time_distribution`.
 
     Raises
     ------
     DimensionError
         If a projector's dimension differs from its kernel leg.
     ValueError
-        If a projector is not a Hermitian idempotent.
+        If a projector is not idempotent.
     """
     if proj_a.dim != k.dim_forward or proj_b.dim != k.dim_backward:
         raise DimensionError("projector dims do not match the kernel legs")
     for proj, leg in ((proj_a, "forward"), (proj_b, "backward")):
         p = proj.matrix
-        if not (proj.is_hermitian and np.abs(p @ p - p).max() <= 1e-9):
-            raise ValueError(f"{leg} projector must be a Hermitian idempotent")
+        if not np.abs(p @ p - p).max() <= 1e-9:
+            raise ValueError(f"{leg} projector must be idempotent")
     m, norm2 = k._scaled
     return float(np.sum(np.abs(proj_a.matrix @ m @ proj_b.matrix) ** 2) / norm2)

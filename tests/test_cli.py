@@ -277,6 +277,22 @@ class TestAbl:
         assert captured.out == ""
         assert captured.err == "error: hamiltonian: total duration overflows float64\n"
 
+    def test_non_hermitian_segment_is_named(self, capsys, tmp_path):
+        z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        path = tmp_path / "upper.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "pre": [[1.0, 0.0], [0.0, 0.0]],
+            "post": [[0.0, 0.0], [1.0, 0.0]],
+            "hamiltonian": [{"duration": 1.0, "matrix": z},
+                            {"duration": 1.0, "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}],
+            "observables": [{"name": "z", "matrix": z}],
+        }))
+        assert main(["abl", "--file", str(path), "--observable", "z", "--time=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hamiltonian segment 1: matrix is not Hermitian\n"
+
     @pytest.mark.parametrize("time", ["inf", "1e309", "3e308", "1.7976931348623157e308"])
     def test_time_past_a_maximal_schedule_exits_2(self, capsys, tmp_path, time):
         # one segment of the largest finite duration: the window end plus its
@@ -356,6 +372,54 @@ class TestObservableUnit:
             assert [float(outcome) / c for outcome, _ in rows] == pytest.approx([1.0, 2.0, 3.0], rel=1e-9)
             assert [prob for _, prob in rows] == [prob for _, prob in tables[1.0]]
 
+    def test_every_verb_rescales_exactly(self, capsys, tmp_path):
+        # O -> 2**k O on a degenerate d = 6 file with a Hamiltonian: probabilities,
+        # frequencies and the pointer's CSV and rate (at g / 2**k) are unchanged bit
+        # for bit, and outcomes and both parts of the weak value are 2**k times the originals
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        pre, post = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+        m = (q * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0])) @ q.conj().T
+        m = (m + m.conj().T) / 2.0
+        h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        segment = {"duration": 0.5, "matrix": pairs((h + h.conj().T) / 2.0)}
+
+        def outputs(k):
+            path = tmp_path / f"scaled-{k}.json"
+            path.write_text(json.dumps({
+                "dims": [6], "pre": pairs(pre), "post": pairs(post), "hamiltonian": [segment] * 2,
+                "observables": [{"name": "O", "matrix": pairs(math.ldexp(1.0, k) * m)}],
+            }))
+            base = ["--file", str(path), "--observable", "O"]
+            runs = {}
+            for verb, flags in (("abl", []), ("abl --time", ["--time", "0.7"]),
+                                ("verify", ["--samples", "4000", "--seed", "3"]), ("weak", [])):
+                assert main([verb.split()[0], *base, *flags, "--format", "json"]) == 0, verb
+                runs[verb] = json.loads(capsys.readouterr().out)
+            for g in (0.01, 20.0):
+                csv_path = tmp_path / f"pointer-{k}-{g}.csv"
+                assert main(["pointer", *base, "--g", repr(math.ldexp(g, -k)), "--sigma", "1",
+                             "--out", str(csv_path)]) == 0
+                rate = [line for line in capsys.readouterr().out.splitlines() if line.startswith("post-selection")]
+                runs[f"pointer {g}"] = (csv_path.read_bytes(), rate)
+            return runs
+
+        unit = outputs(0)
+        assert len(unit["abl"]["distribution"]) == 3
+        for k in (7, -9, 40):
+            scaled = outputs(k)
+            for verb in ("abl", "abl --time"):
+                entries, unit_entries = scaled[verb]["distribution"], unit[verb]["distribution"]
+                assert [e["probability"] for e in entries] == [e["probability"] for e in unit_entries]
+                assert [e["outcome"] for e in entries] == [math.ldexp(e["outcome"], k) for e in unit_entries]
+            rows, unit_rows = scaled["verify"]["outcomes"], unit["verify"]["outcomes"]
+            for field in ("abl", "frequency", "standard_error", "z"):
+                assert [r[field] for r in rows] == [r[field] for r in unit_rows], field
+            assert [r["outcome"] for r in rows] == [math.ldexp(r["outcome"], k) for r in unit_rows]
+            assert scaled["weak"]["weak_value"] == [math.ldexp(part, k) for part in unit["weak"]["weak_value"]]
+            for g in (0.01, 20.0):
+                assert scaled[f"pointer {g}"] == unit[f"pointer {g}"], (k, g)
+
     def test_tiny_nilpotent_matrix_is_not_an_observable(self, capsys, tmp_path):
         path = tmp_path / "nilpotent.json"
         path.write_text(json.dumps({
@@ -363,7 +427,7 @@ class TestObservableUnit:
             "observables": [{"name": "N", "matrix": [[[0, 0], [1e-12, 0]], [[0, 0], [0, 0]]]}],
         }))
         assert main(["abl", "--file", str(path), "--observable", "N"]) == 2
-        assert capsys.readouterr().err == "error: observable 'N': spectral decomposition requires a Hermitian operator\n"
+        assert capsys.readouterr().err == "error: observable 'N': matrix is not Hermitian\n"
 
 
 class TestWeak:

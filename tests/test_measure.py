@@ -1,4 +1,5 @@
 import contextlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ import tsvlab.tsv
 
 from helpers import (
     dichotomic_case_with_certain_outcome,
+    random_bra,
+    random_ket,
     random_observable,
     random_tsv,
     strong_weak_bridges,
@@ -19,6 +22,7 @@ from tsvlab import (
     SIGMA_Z,
     Bra,
     ConfigError,
+    GeneralizedTwoStateVector,
     Ket,
     NullEnsembleError,
     Observable,
@@ -435,6 +439,33 @@ class TestWeakMeasurePointer:
         # the far tails of a density shrunk by 1e-100 underflow, so compare against its peak
         error = np.max(np.abs(result.density * scale - unit.density))
         assert error <= 1e-12 * unit.density.max()
+
+    def test_generalized_rate_is_that_of_the_normalized_dilation(self):
+        # the rate of sum_i alpha_i <phi_i| |psi_i> is divided by (sum_i |alpha_i|)**2,
+        # so it does not change with the weights' scale and equals the post-selection
+        # rate of the normalized dilation on system (x) ancilla, measured with O (x) I
+        rng = np.random.default_rng(31)
+        alphas = np.array([0.8 + 0.3j, -0.4 + 0.5j])
+        states = [(random_bra(rng, 3), random_ket(rng, 3)) for _ in alphas]
+        # exact eigenvalues, so O and O (x) I build the same grid
+        obs = spectral_decompose(Operator(np.diag([-1.0, 0.5, 2.0])))
+        cfg = PointerConfig(0.5, 1.0, obs.max_abs_eigenvalue)
+        rates = [
+            weak_measure_pointer(GeneralizedTwoStateVector(tuple(
+                (complex(scale * a), b, f) for a, (b, f) in zip(alphas, states))), obs, cfg).postselection_rate
+            for scale in (1.0, 4.0, 1e-3)
+        ]
+        root = np.sqrt(np.abs(alphas))
+        phase = np.exp(1j * np.angle(alphas))
+        ancilla = np.eye(2)
+        pre = sum(r * p * np.kron(f.amplitudes, e) for r, p, (_, f), e in zip(root, phase, states, ancilla))
+        post = sum(r * np.kron(b.amplitudes, e) for r, (b, _), e in zip(root, states, ancilla))
+        joint = spectral_decompose(Operator(np.kron(obs.op.matrix, ancilla)))
+        assert joint.max_abs_eigenvalue == obs.max_abs_eigenvalue
+        dilated = weak_measure_pointer(TwoStateVector(Ket(pre), Bra(post)), joint, cfg).postselection_rate
+        for rate in rates:
+            assert abs(rate - dilated) <= 4 * math.ulp(dilated)
+        assert 0.3 < dilated < 0.4
 
     def test_grid_derived_from_inputs(self):
         rng = np.random.default_rng(13)

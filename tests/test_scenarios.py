@@ -174,8 +174,11 @@ def test_public_names_are_exactly_all():
         assert gone not in tsvlab.__all__
     assert not hasattr(tsvlab.GeneralizedTwoStateVector, "from_two_state_vector")
     for cls, gone in ((tsvlab.Ket, "dagger"), (tsvlab.Bra, "dagger"),
-                      (tsvlab.Operator, "identity"), (tsvlab.HamiltonianSchedule, "constant")):
+                      (tsvlab.Operator, "identity"), (tsvlab.HamiltonianSchedule, "constant"),
+                      (tsvlab.Operator, "is_hermitian")):
         assert not hasattr(cls, gone)
+    # an Operator is Hermitian or is not built: it holds no flag, and only its construction raises
+    assert [f.name for f in dataclasses.fields(tsvlab.Operator)] == ["matrix"]
     for gone in ("complex_pair", "vector_pairs", "matrix_pairs"):
         assert not hasattr(tsvlab.problemfile, gone)
     # each result is read from its one owner: a product of observables is formed
@@ -188,6 +191,8 @@ def test_public_names_are_exactly_all():
     assert [p.name for p in sorted(src.glob("*.py")) if "CERTAINTY_TOL" in p.read_text(encoding="utf-8")] == [
         "tsv.py"
     ]
+    raises = {p.name: p.read_text(encoding="utf-8").count("raise NotHermitianError(") for p in sorted(src.glob("*.py"))}
+    assert {name: n for name, n in raises.items() if n} == {"qcore.py": 1}
 
 
 def test_no_result_echoes_its_callers_input():
