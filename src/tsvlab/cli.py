@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from . import measure, problemfile, scenarios
-from .errors import NullEnsembleError, OrthogonalSelectionError, ProblemFileError, TsvLabError
+from .errors import ConfigError, NullEnsembleError, OrthogonalSelectionError, ProblemFileError, TsvLabError
 from .tsv import (
     GeneralizedTwoStateVector,
     TwoStateVector,
@@ -135,14 +135,9 @@ def cmd_weak(args) -> int:
 def cmd_verify(args) -> int:
     problem, obs = _load(args)
     tsv = _selection(problem, TwoStateVector, "verify needs a pre/post problem file")
-    report = measure.monte_carlo_abl(
-        tsv.forward,
-        tsv.backward,
-        obs,
-        args.samples,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    if args.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {args.workers}")
+    report = measure.monte_carlo_abl(tsv.forward, tsv.backward, obs, args.samples, seed=args.seed)
     if report.samples_postselected == 0:
         print(
             f"no post-selected samples out of {args.samples}; "
@@ -328,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"trials to draw, at most {measure.MAX_MC_SAMPLES}")
     verify.add_argument("--seed", type=int, default=measure.DEFAULT_SEED)
     verify.add_argument("--workers", type=int, default=1,
-                        help="seed-stream partitions, drawn one after another in this process")
+                        help="echoed in the output only; the counts do not depend on it")
     verify.set_defaults(func=cmd_verify)
 
     pointer = sub.add_parser("pointer", parents=[problem_flags],

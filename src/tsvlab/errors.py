@@ -43,7 +43,7 @@ class RangeError(TsvLabError):
 
 
 class ConfigError(TsvLabError):
-    """A pointer grid, or the samples, workers or seed of a Monte Carlo run, is out of its limits."""
+    """A pointer grid, a Monte Carlo run's samples or seed, or the echoed ``verify --workers``, is out of its limits."""
 
 
 class ProblemFileError(TsvLabError):

@@ -48,10 +48,8 @@ MIN_POINTER_POINTS = 4096
 MAX_POINTER_POINTS = 2**22
 #: the pointer grid spacing is at most sigma over this
 POINTS_PER_SIGMA = 32
-#: most Monte Carlo trials per run; each worker block is drawn in one call
-MAX_MC_SAMPLES = 10**7
-#: most Monte Carlo seed streams per run; spawning one takes about 0.25 ms
-MAX_MC_WORKERS = 1024
+#: most Monte Carlo trials per run: counts and trial totals up to it convert to float64 exactly
+MAX_MC_SAMPLES = 2**53
 #: smallest pointer spread: the density's mass, sqrt(2 pi) sigma times the rate, stays above 2**-979
 MIN_SIGMA = 2.0**-900
 #: smallest resolvable shift: coupling * max|eigenvalue| below this times
@@ -141,7 +139,7 @@ def ideal_measure(state: Ket, obs: Observable, rng: np.random.Generator) -> Meas
     projected = obs.project(state)
     probs = _born_weights(projected)
     probs /= probs.sum()
-    # the draw rng.choice(len(probs), p=probs) makes: one uniform against the
+    # the draw Generator.choice(len(probs), p=probs) makes: one uniform against the
     # normalized cumulative sum, so the same index and stream position
     cdf = probs.cumsum()
     cdf /= cdf[-1]
@@ -182,25 +180,21 @@ def monte_carlo_abl(
     obs: Observable,
     n_samples: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> MonteCarloReport:
     """Simulate the pre/post-selected ensemble in forward-only mechanics.
 
     Each trial prepares ``pre`` and performs the intermediate projective
-    measurement of ``obs``, drawing outcome n with its Born weight. The
-    trial is kept iff a uniform draw ``u`` satisfies
-    ``u <= |<phi|psi_n>|^2``, the Born probability of the post-selection
-    from the collapsed state ``psi_n``. Kept trials (and only those) are
-    counted, per outcome.
+    measurement of ``obs``, finding outcome n with its Born weight ``p_n``;
+    it is kept iff the post-selection then succeeds, with the Born
+    probability ``q_n = |<phi|psi_n>|^2`` from the collapsed state ``psi_n``.
+    So a trial is kept in outcome n with probability ``p_n q_n``, and the
+    kept counts of ``n_samples`` independent trials, with the dropped trials
+    as a last cell, are one draw from their exact law,
+    Multinomial(n_samples, [p_1 q_1, ..., 1 - sum_n p_n q_n]).
 
-    Deterministic for a fixed (seed, workers) pair: trials are partitioned
-    into per-worker blocks in worker order, each worker draws from its own
-    stream spawned from the master seed, and results merge in worker order.
-    The workers run one after another in this process; ``workers`` only
-    selects how the seed stream is partitioned. At most ``n_samples``
-    blocks are drawn, since surplus workers would get no trials. At most
-    ``MAX_MC_SAMPLES`` trials are allowed, since each block is drawn at once,
-    and at most ``MAX_MC_WORKERS`` blocks, since each spawns a seed stream.
+    Deterministic for a fixed seed. Time is that of the two Born rules plus
+    O(outcomes), and memory does not grow with ``n_samples``, which is at
+    most ``MAX_MC_SAMPLES``.
 
     If no trial survives the post-selection every count is 0; the caller
     decides what that means.
@@ -209,26 +203,14 @@ def monte_carlo_abl(
         raise ConfigError(f"samples must be at least 1, got {n_samples}")
     if n_samples > MAX_MC_SAMPLES:
         raise ConfigError(f"samples {n_samples} exceeds MAX_MC_SAMPLES = {MAX_MC_SAMPLES}")
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
-    if min(workers, n_samples) > MAX_MC_WORKERS:
-        raise ConfigError(f"workers {workers} exceeds MAX_MC_WORKERS = {MAX_MC_WORKERS}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    n_outcomes = len(obs.eigenvalues)
-    outcome_probs, p_post = _sequential_born(pre, post, obs)
-    outcome_probs /= outcome_probs.sum()
-
-    counts = np.zeros(n_outcomes, dtype=np.int64)
-    base, extra = divmod(n_samples, workers)
-    streams = np.random.SeedSequence(seed).spawn(min(workers, n_samples))
-    for w, stream in enumerate(streams):
-        block = base + (w < extra)
-        rng = np.random.default_rng(stream)
-        intermediate = rng.choice(n_outcomes, size=block, p=outcome_probs)
-        kept = intermediate[rng.random(block) <= p_post[intermediate]]
-        counts += np.bincount(kept, minlength=n_outcomes)
+    p_outcome, p_post = _sequential_born(pre, post, obs)
+    # rounding can lift a certain outcome's cell to 1 + a few ulp, which multinomial rejects
+    cells = np.minimum(p_outcome / p_outcome.sum() * p_post, 1.0)
+    # multinomial gives the last cell what the others leave: the dropped trials
+    counts = np.random.default_rng(seed).multinomial(n_samples, [*cells, 0.0])[:-1]
     return MonteCarloReport(tuple(counts.tolist()))
 
 

@@ -13,6 +13,7 @@ from tsvlab import (
     spectral_decompose,
     weak_value,
 )
+from tsvlab.measure import _sequential_born
 from tsvlab.tsv import CERTAINTY_TOL
 
 
@@ -144,6 +145,22 @@ def strong_weak_bridges(tsv, obs) -> tuple:
     if len(obs.eigenvalues) == 2 and matched:
         weak = report.certain and report.value == matched[0]
     return strong, weak
+
+
+def per_trial_counts(pre, post, obs, n_samples, rng) -> tuple:
+    """Kept counts per outcome, in eigenvalue order, from simulating every trial.
+
+    The reference for ``monte_carlo_abl``'s one draw: each trial draws its
+    intermediate outcome n with its Born weight, and is kept iff a uniform
+    draw is at most ``|<phi|psi_n>|^2``, the Born probability of the
+    post-selection from the collapsed state.
+    """
+    outcome_probs, p_post = _sequential_born(pre, post, obs)
+    outcome_probs /= outcome_probs.sum()
+    n_outcomes = len(outcome_probs)
+    intermediate = rng.choice(n_outcomes, size=n_samples, p=outcome_probs)
+    kept = intermediate[rng.random(n_samples) <= p_post[intermediate]]
+    return tuple(np.bincount(kept, minlength=n_outcomes).tolist())
 
 
 def states_match_up_to_phase(a, b, tol=1e-10):

@@ -158,8 +158,8 @@ def test_criterion_05_monte_carlo():
 
     s = get_scenario("three-box")
     obs = s.observables["P_C"]
-    first = monte_carlo_abl(s.selection.forward, s.selection.backward, obs, 50_000, seed=9, workers=4)
-    second = monte_carlo_abl(s.selection.forward, s.selection.backward, obs, 50_000, seed=9, workers=4)
+    first = monte_carlo_abl(s.selection.forward, s.selection.backward, obs, 50_000, seed=9)
+    second = monte_carlo_abl(s.selection.forward, s.selection.backward, obs, 50_000, seed=9)
     deterministic = first == second
     elapsed = time.perf_counter() - start
     _report(

@@ -21,7 +21,7 @@ from tsvlab import (
 )
 from tsvlab import cli
 from tsvlab.cli import CSV_BLOCK_ROWS, main
-from tsvlab.measure import MIN_SIGMA
+from tsvlab.measure import MIN_SIGMA, _sequential_born
 from tsvlab.problemfile import load
 from tsvlab.scenarios import SCENARIOS
 
@@ -535,28 +535,54 @@ class TestVerify:
             "verify",
             "--file", str(FIXTURES / "random_dim3.json"),
             "--observable", "obs_a",
-            "--samples", str(10**12),
+            "--samples", str(10**16),
         ])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: samples 1000000000000 exceeds MAX_MC_SAMPLES = 10000000\n"
+        assert captured.err == "error: samples 10000000000000000 exceeds MAX_MC_SAMPLES = 9007199254740992\n"
 
-    @pytest.mark.parametrize("workers, code", [(1024, 0), (1025, 2)])
-    def test_workers_cap(self, capsys, workers, code):
-        assert main([
-            "verify",
-            "--file", str(FIXTURES / "random_dim3.json"),
-            "--observable", "obs_a",
-            "--samples", "20000",
-            "--workers", str(workers),
-        ]) == code
-        captured = capsys.readouterr()
-        if code:
-            assert captured.out == ""
-            assert captured.err == "error: workers 1025 exceeds MAX_MC_WORKERS = 1024\n"
-        else:
-            assert "workers 1024" in captured.out
+    @pytest.mark.parametrize("workers", [2, 1024, 1025])
+    def test_workers_only_echoed(self, capsys, workers):
+        docs = {}
+        for value in (1, workers):
+            assert main([
+                "verify",
+                "--file", str(FIXTURES / "random_dim3.json"),
+                "--observable", "obs_a",
+                "--samples", "20000",
+                "--seed", "5",
+                "--workers", str(value),
+                "--format", "json",
+            ]) == 0
+            docs[value] = json.loads(capsys.readouterr().out)
+            assert docs[value].pop("workers") == value
+        assert docs[workers] == docs[1]
+
+    def test_eigenvector_selection_keeps_every_trial(self, capsys, tmp_path):
+        # pre = post = an eigenvector of a random d = 8 observable keeps every trial
+        # in its outcome; rounding can put that outcome's kept probability
+        # p_n / sum(p) * q_n a few ulp above 1, and these cases include some that do
+        rng = np.random.default_rng(21)
+        above_one = 0
+        for case in range(8):
+            a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            matrix = (a + a.conj().T) / 2.0
+            state = np.linalg.eigh(matrix)[1][:, rng.integers(8)]
+            path = tmp_path / f"eigenvector-{case}.json"
+            path.write_text(json.dumps({"dims": [8], "pre": pairs(state), "post": pairs(state),
+                                        "observables": [{"name": "O", "matrix": pairs(matrix)}]}),
+                            encoding="utf-8")
+            problem = load(path)
+            p_outcome, p_post = _sequential_born(problem.selection.forward, problem.selection.backward,
+                                                 problem.observables["O"])
+            above_one += (p_outcome / p_outcome.sum() * p_post).max() > 1.0
+            assert main(["verify", "--file", str(path), "--observable", "O",
+                         "--samples", "1000", "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["samples_postselected"] == 1000
+            assert sorted(row["frequency"] for row in doc["outcomes"]) == [0.0] * 7 + [1.0]
+        assert above_one > 0
 
     def test_negative_seed_exits_2(self, capsys):
         code = main([

@@ -10,6 +10,7 @@ import tsvlab.tsv
 
 from helpers import (
     dichotomic_case_with_certain_outcome,
+    per_trial_counts,
     random_bra,
     random_ket,
     random_observable,
@@ -122,29 +123,70 @@ class TestMonteCarloAbl:
         assert report.samples_postselected == 0
         assert report.counts == (0, 0)
 
-    def test_deterministic_for_seed_and_workers(self):
-        tsv = boxed_spin_tsv()
-        obs = diagonal_projector(4, 2)
-        a = monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=13, workers=3)
-        b = monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=13, workers=3)
-        assert a == b
+    def test_deterministic_for_seed(self):
+        rng = np.random.default_rng(13)
+        tsv = random_tsv(rng, 4)
+        obs = random_observable(rng, 4)
+        a = monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=13)
+        assert monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=13) == a
+        assert monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=14) != a
 
     def test_worker_partition_preserves_statistics(self):
         rng = np.random.default_rng(4)
         tsv = random_tsv(rng, 2)
         obs = spectral_decompose(Operator(SIGMA_X))
         dist = abl_probabilities(tsv, obs)
-        report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 100_000, seed=17, workers=4)
+        report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 100_000, seed=17)
         for *_, z in tsvlab.measure.measure(report, dist):
             assert abs(z) <= 5
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_surplus_workers_draw_nothing(self, seed):
-        pre, post = Ket([1, 1]), Bra([1, 1])
-        obs = spectral_decompose(Operator(SIGMA_Z))
-        many = monte_carlo_abl(pre, post, obs, 3, seed=seed, workers=10**12)
-        few = monte_carlo_abl(pre, post, obs, 3, seed=seed, workers=3)
-        assert many.counts == few.counts
+    def test_counts_follow_the_per_trial_law(self):
+        # R runs of N trials each, from the one draw and from the per-trial
+        # reference, on seeds of their own. Each cell (an outcome, or the
+        # dropped trials) of either sampler is Binomial(N, c): mean N c,
+        # variance s2 = N c (1 - c), fourth central moment
+        # m4 = s2 (1 + 3 (N - 2) c (1 - c)). So the two samplers' mean counts
+        # differ with standard error sqrt(2 s2 / R), and their sample
+        # variances with sqrt(2 (m4 - s2^2 (R - 3) / (R - 1)) / R); both must
+        # agree within 5 of those standard errors
+        runs, n = 2000, 40
+        rng = np.random.default_rng(15)
+        tsv = random_tsv(rng, 3, min_overlap=0.3)
+        obs = random_observable(rng, 3)
+        p_outcome, p_post = tsvlab.measure._sequential_born(tsv.forward, tsv.backward, obs)
+        kept = p_outcome / p_outcome.sum() * p_post
+        cells = np.append(kept, 1.0 - kept.sum())
+        # every cell is exercised: none is near 0 or N
+        assert cells.min() > 0.05
+
+        def with_dropped(counts):
+            return [*counts, n - sum(counts)]
+
+        drawn = np.array([with_dropped(monte_carlo_abl(tsv.forward, tsv.backward, obs, n, seed=seed).counts)
+                          for seed in range(runs)])
+        simulated = np.array([with_dropped(per_trial_counts(tsv.forward, tsv.backward, obs, n,
+                                                            np.random.default_rng(runs + seed)))
+                              for seed in range(runs)])
+        s2 = n * cells * (1.0 - cells)
+        m4 = s2 * (1.0 + 3.0 * (n - 2) * cells * (1.0 - cells))
+        mean_se = np.sqrt(2.0 * s2 / runs)
+        var_se = np.sqrt(2.0 * (m4 - s2**2 * (runs - 3) / (runs - 1)) / runs)
+        assert np.all(np.abs(drawn.mean(axis=0) - simulated.mean(axis=0)) <= 5.0 * mean_se)
+        assert np.all(np.abs(drawn.var(axis=0, ddof=1) - simulated.var(axis=0, ddof=1)) <= 5.0 * var_se)
+
+    @pytest.mark.parametrize("n_samples", [10, tsvlab.measure.MAX_MC_SAMPLES])
+    def test_memory_independent_of_samples(self, n_samples):
+        rng = np.random.default_rng(12)
+        tsv = random_tsv(rng, 8)
+        obs = random_observable(rng, 8)
+        tracemalloc.start()
+        try:
+            report = monte_carlo_abl(tsv.forward, tsv.backward, obs, n_samples, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < report.samples_postselected <= n_samples
+        assert peak < 64 << 10
 
     def test_sample_cap_checked_before_allocation(self):
         pre, post = Ket([1, 1]), Bra([1, 1])
@@ -153,7 +195,7 @@ class TestMonteCarloAbl:
         assert cap >= 1_000_000  # the benchmark probe draws 1e6 trials
         tracemalloc.start()
         try:
-            for n_samples in (cap + 1, 10**12):
+            for n_samples in (cap + 1, 10**18):
                 with pytest.raises(ConfigError, match=f"MAX_MC_SAMPLES = {cap}"):
                     monte_carlo_abl(pre, post, obs, n_samples, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
@@ -188,24 +230,27 @@ class TestMonteCarloAbl:
 
 
 class TestMonteCarloGolden:
-    """Fixed-seed kept counts as literals: a change to the draw order or the keep rule shows here."""
+    """Fixed-seed kept counts as literals: a change to the draw or the keep rule shows here.
+
+    Recaptured when the counts became one multinomial draw of their exact law.
+    """
 
     @pytest.mark.parametrize("name", ["P_A", "P_B"])
     def test_three_box(self, name):
         scenario = get_scenario("three-box")
         report = monte_carlo_abl(
             scenario.selection.forward, scenario.selection.backward, scenario.observables[name],
-            100_000, seed=424242, workers=1,
+            100_000, seed=424242,
         )
-        assert report.counts == (0, 11328)
+        assert report.counts == (0, 11224)
 
     def test_random_d8_three_workers(self):
         rng = np.random.default_rng(2024)
         tsv = random_tsv(rng, 8)
         obs = random_observable(rng, 8)
-        report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 50_000, seed=31, workers=3)
-        assert report.samples_postselected == 6539
-        assert report.counts == (55, 151, 795, 169, 1395, 1238, 3, 2733)
+        report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 50_000, seed=31)
+        assert report.samples_postselected == 6622
+        assert report.counts == (49, 160, 878, 154, 1373, 1225, 3, 2780)
 
 
 class TestExactConditionalOracle:
@@ -236,7 +281,7 @@ class TestExactConditionalOracle:
 
         tsv = boxed_spin_tsv()
         obs = random_observable(np.random.default_rng(14), 4)
-        counts = monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=3, workers=2).counts
+        counts = monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=3).counts
         for module in (tsvlab.tsv, tsvlab.measure):
             for name in ("_abl_amplitudes", "abl_probabilities", "weak_value", "element_of_reality"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
@@ -245,7 +290,7 @@ class TestExactConditionalOracle:
         assert dict(dist.entries)[1.0] == pytest.approx(1.0, abs=1e-12)
         # the Monte Carlo that verify compares with the ABL rule draws on the same
         # sequential Born rules, so it too runs without the ABL path
-        assert monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=3, workers=2).counts == counts
+        assert monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=3).counts == counts
 
     def test_null_ensemble(self):
         with pytest.raises(NullEnsembleError):

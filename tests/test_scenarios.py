@@ -197,7 +197,7 @@ def test_public_names_are_exactly_all():
 
 def test_no_result_echoes_its_callers_input():
     # a scenario's name is its SCENARIOS key, and a Monte Carlo report holds only
-    # what it counted: the run's samples, seed and workers are the caller's
+    # what it counted: the run's samples and seed are the caller's
     assert "name" not in {f.name for f in dataclasses.fields(tsvlab.scenarios.Scenario)}
     assert [f.name for f in dataclasses.fields(tsvlab.measure.MonteCarloReport)] == ["counts"]
     assert tsvlab.measure.MonteCarloReport((2, 3)).samples_postselected == 5
