@@ -286,15 +286,17 @@ def weak_measure_pointer(selection, obs: Observable, cfg: PointerConfig) -> Poin
     width = 4.0 * (cfg.sigma / scale) ** 2
     # a Python float: near the float64 maximum it is inf, a window of the whole grid, with no warning
     reach = scale * math.sqrt(PACKET_EXPONENT_CUT * width)
-    # one packet at a time, so memory is O(points) whatever the eigenspace count, and
-    # each on the window where it is nonzero: the wavefunction starts at +0, so the
-    # exact zeros skipped outside it would have left every bit unchanged
+    # one packet at a time, so memory is O(points) whatever the eigenspace count, each on
+    # its window, real and imaginary parts apart (no complex temporary): bit for bit the
+    # sum of every packet on every point from +0, up to signs of zero that |phi| removes
     wavefunction = np.zeros(cfg.points, dtype=complex)
     for amplitude, eigenvalue in zip(amplitudes, obs.eigenvalues):
         center = cfg.coupling * eigenvalue
         lo, hi = np.searchsorted(q, (center - reach, center + reach))
         packet = np.exp(-(((q[lo:hi] - center) / scale) ** 2) / width)
-        wavefunction[lo:hi] += amplitude * packet
+        wavefunction.real[lo:hi] += amplitude.real * packet
+        packet *= amplitude.imag
+        wavefunction.imag[lo:hi] += packet
     # at most four float64 words per grid point: the density is squared and normalized
     # in place once the wavefunction is gone, and both sums run in two reused rows in
     # np.trapezoid's order, add.reduce(diff(q) * (y[1:] + y[:-1]) / 2.0), so every bit

@@ -41,8 +41,14 @@ class ProblemFile:
     hamiltonian: HamiltonianSchedule | None = None
 
 
+class _Decoded(np.ndarray):
+    """A ``"matrix"`` that :func:`load`'s decoder has already converted; nothing else makes one."""
+
+
 def _parse_numbers(value, shape: tuple, where: str, expected: str) -> np.ndarray:
     """Nested JSON numbers of exactly ``shape`` as a finite float array."""
+    if type(value) is _Decoded and value.shape == shape:
+        return value.view(np.ndarray)
     # flatten one level at a time: every node a list of the length ``shape`` asks for
     nodes = [value]
     for length in shape:
@@ -186,20 +192,32 @@ def parse_document(doc) -> ProblemFile:
     return ProblemFile(dims=dims, observables=observables, selection=selection, hamiltonian=schedule)
 
 
+def _decode_object(pairs) -> dict:
+    """A JSON object as ``json`` builds it, with a square ``"matrix"`` converted if it parses."""
+    obj = dict(pairs)
+    matrix = obj.get("matrix")
+    if type(matrix) is list:
+        try:
+            obj["matrix"] = _parse_numbers(matrix, (len(matrix), len(matrix), 2), "", "").view(_Decoded)
+        except ProblemFileError:
+            pass
+    return obj
+
+
 def load(path) -> ProblemFile:
     """Read and parse a problem file from disk.
 
     The cyclic garbage collector is paused while the file is decoded and
     parsed, and re-enabled afterwards if it was enabled on entry. A decoded
-    document holds only dicts, lists, strings and numbers, so the passes it
-    would trigger find nothing to free; collection is deferred, not skipped.
+    document holds only dicts, lists, strings, numbers and the decoder's float
+    arrays, so the passes it would trigger find nothing to free; deferred, not skipped.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as handle:
             try:
-                doc = json.load(handle)
+                doc = json.load(handle, object_pairs_hook=_decode_object)
             except (ValueError, RecursionError) as exc:
                 raise ProblemFileError(f"{path}: invalid JSON: {exc}") from exc
         return parse_document(doc)

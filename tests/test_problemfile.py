@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -10,10 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_bra, random_hermitian, random_ket, reference_parse_numbers
+from helpers import (
+    random_bra,
+    random_hermitian,
+    random_ket,
+    random_observable,
+    reference_parse_numbers,
+)
 from tsvlab import (
     Bra,
     GeneralizedTwoStateVector,
+    HamiltonianSchedule,
     Ket,
     Operator,
     ProblemFileError,
@@ -436,6 +444,81 @@ def test_only_json_lists_nest(container):
     with pytest.raises(ProblemFileError) as info:
         parse_document(doc)
     assert str(info.value) == "pre: expected a vector of 2 [re, im] pairs"
+
+
+def load_or_parse(text, tmp_path_factory):
+    """``load`` of ``text`` in a file, and ``parse_document`` of its plain decode."""
+    path = tmp_path_factory.mktemp("load") / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    return arrays_or_message(load, path), arrays_or_message(parse_document, json.loads(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents())
+def test_load_matches_parse_document(tmp_path_factory, doc):
+    loaded, parsed = load_or_parse(json.dumps(doc), tmp_path_factory)
+    assert loaded == parsed
+
+
+def three_by_three():
+    return hermitian_pairs(3, [(1.0, 0.0), (0.5, 0.5), (0.0, 0.0), (2.0, 0.0), (0.0, -1.0), (3.0, 0.0)])
+
+
+MATRIX_CASES = {
+    **{name: value for name, value, _ in edge_cases()},
+    "3x3 in a 2-dimensional file": three_by_three(),
+    "3x3 with a bool in a 2-dimensional file": set_at(three_by_three(), (2, 1, 0), True),
+    "1x1 in a 2-dimensional file": [[[1.0, 0.0]]],
+    "empty matrix": [],
+    "matrix with a NaN": [[[math.nan, 0.0], Z], [Z, Z]],
+    "non-Hermitian": [[Z, [1.0, 0.0]], [Z, Z]],
+}
+MATRIX_PLACES = {
+    "observable": (minimal_doc, ("observables", 0, "matrix")),
+    "hamiltonian segment": (hamiltonian_doc, ("hamiltonian", 0, "matrix")),
+}
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES)
+@pytest.mark.parametrize("place", MATRIX_PLACES)
+def test_load_matches_parse_document_on_matrix_edge_cases(tmp_path_factory, place, case):
+    make, path = MATRIX_PLACES[place]
+    doc = set_at(make(), path, MATRIX_CASES[case])
+    loaded, parsed = load_or_parse(json.dumps(doc), tmp_path_factory)
+    assert loaded == parsed
+
+
+SIGMA_Z_TEXT = "[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]"
+
+
+@pytest.mark.parametrize("matrices", [("[]", SIGMA_Z_TEXT), (SIGMA_Z_TEXT, "[]")],
+                         ids=["valid last", "invalid last"])
+def test_the_last_duplicate_matrix_wins(tmp_path_factory, matrices):
+    text = ('{"dims": [2], "pre": [[1, 0], [0, 0]], "post": [[1, 0], [1, 0]], "observables": [{"name": "z", '
+            + ", ".join(f'"matrix": {m}' for m in matrices) + "}]}")
+    loaded, parsed = load_or_parse(text, tmp_path_factory)
+    assert loaded == parsed and loaded[0] == ("ok" if matrices[1] == SIGMA_Z_TEXT else "error")
+
+
+def test_load_peak_memory_is_bounded_by_the_file(tmp_path):
+    # a pre/post pair, two segments and two observables at d = 64, as the benchmark writes
+    # its selection files: a matrix is lists only until its object closes
+    rng = np.random.default_rng(27)
+    path = tmp_path / "problem.json"
+    save(ProblemFile(
+        dims=(64,),
+        selection=TwoStateVector(random_ket(rng, 64), random_bra(rng, 64)),
+        hamiltonian=HamiltonianSchedule(((0.5, random_hermitian(rng, 64)), (0.8, random_hermitian(rng, 64)))),
+        observables={"a": random_observable(rng, 64), "b": random_observable(rng, 64)},
+    ), path)
+    load(path)
+    tracemalloc.start()
+    try:
+        load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * path.stat().st_size
 
 
 NON_HERMITIAN = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
