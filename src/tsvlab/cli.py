@@ -44,8 +44,6 @@ EXIT_NO_SAMPLES = 4
 #: is formatted by two processes where ``os.fork`` exists
 CSV_BLOCK_ROWS = 4096
 
-#: selections that `abl` and `weak` evaluate; a two-time kernel is not one
-_SELECTIONS = (TwoStateVector, GeneralizedTwoStateVector)
 _NO_SELECTION = "kernel problems have no single selection; use `run correlated-pair`"
 
 
@@ -68,9 +66,9 @@ def _load(args):
     return problem, problem.observables[args.observable]
 
 
-def _selection(problem, kinds, message: str):
-    """The problem's selection if it is one of ``kinds``; else a ProblemFileError."""
-    if not isinstance(problem.selection, kinds):
+def _selection(problem, kind=GeneralizedTwoStateVector, message: str = _NO_SELECTION):
+    """The problem's selection if it is a ``kind``; else a ProblemFileError."""
+    if not isinstance(problem.selection, kind):
         raise ProblemFileError(message)
     return problem.selection
 
@@ -105,10 +103,9 @@ def cmd_run(args) -> int:
 def cmd_abl(args) -> int:
     problem, obs = _load(args)
     if args.time is None:
-        dist = abl_probabilities(_selection(problem, _SELECTIONS, _NO_SELECTION), obs)
+        dist = abl_probabilities(_selection(problem), obs)
     else:
-        tsv = _selection(problem, TwoStateVector,
-                         "--time applies only to pre/post problems with a hamiltonian")
+        tsv = _selection(problem, TwoStateVector, "--time needs a pre/post problem file")
         if problem.hamiltonian is None:
             raise ProblemFileError("--time requires a hamiltonian in the problem file")
         dist = abl_at_time(tsv.forward, tsv.backward, problem.hamiltonian, args.time, obs)
@@ -124,7 +121,7 @@ def cmd_abl(args) -> int:
 
 def cmd_weak(args) -> int:
     problem, obs = _load(args)
-    value = weak_value(_selection(problem, _SELECTIONS, _NO_SELECTION), obs.op)
+    value = weak_value(_selection(problem), obs.op)
     if args.format == "json":
         print(json.dumps({"observable": args.observable, "weak_value": [value.real, value.imag]}))
     else:
@@ -172,11 +169,11 @@ def cmd_verify(args) -> int:
 
 def cmd_pointer(args) -> int:
     problem, obs = _load(args)
-    tsv = _selection(problem, TwoStateVector, "pointer needs a pre/post problem file")
+    selection = _selection(problem)
     cfg = measure.PointerConfig(args.g, args.sigma, obs.max_abs_eigenvalue)
-    result = measure.weak_measure_pointer(tsv, obs, cfg)
+    result = measure.weak_measure_pointer(selection, obs, cfg)
     try:
-        wv_text = f"{weak_value(tsv, obs.op).real:.12g}"
+        wv_text = f"{weak_value(selection, obs.op).real:.12g}"
     except OrthogonalSelectionError:
         wv_text = "undefined (orthogonal selection)"
     eigs = obs.eigenvalues
@@ -186,7 +183,7 @@ def cmd_pointer(args) -> int:
         masses = measure.pointer_bump_masses(result, obs, args.g)
         strong_lines = ["strong regime: bump masses vs ABL"] + [
             f"  outcome {eig:.6g}: mass {mass:.9g}  abl {prob:.9g}"
-            for (eig, prob), mass in zip(abl_probabilities(tsv, obs).entries, masses)
+            for (eig, prob), mass in zip(abl_probabilities(selection, obs).entries, masses)
         ]
 
     # everything that can fail is computed before the CSV is opened

@@ -254,10 +254,10 @@ def exact_conditional_oracle(pre: Ket, post: Bra, obs: Observable) -> Distributi
 def weak_measure_pointer(selection, obs: Observable, cfg: PointerConfig) -> PointerResult:
     """Gaussian-pointer measurement of ``obs`` on a pre/post-selected system.
 
-    ``selection`` is a TwoStateVector or a GeneralizedTwoStateVector. The
-    pointer starts in a Gaussian position wavefunction of spread ``sigma``
-    and is impulsively translated by ``coupling * o_n`` on each eigenspace.
-    Conditioned on the post-selection, the pointer wavefunction is
+    ``selection`` is a GeneralizedTwoStateVector, such as a TwoStateVector.
+    The pointer starts in a Gaussian position wavefunction of spread
+    ``sigma`` and is impulsively translated by ``coupling * o_n`` on each
+    eigenspace. Conditioned on the post-selection, the pointer wavefunction is
 
         phi(q) = sum_n sum_i alpha_i <phi_i|P_n|psi_i> G(q - coupling * o_n)
 

@@ -31,13 +31,13 @@ class ProblemFile:
     """Parsed, validated problem description.
 
     ``selection`` holds the one selection payload: a :class:`TwoStateVector`
-    (pre/post pair), a :class:`GeneralizedTwoStateVector` or a
-    :class:`TwoTimeKernel`.
+    (pre/post pair, the one-term :class:`GeneralizedTwoStateVector`), a
+    :class:`GeneralizedTwoStateVector` or a :class:`TwoTimeKernel`.
     """
 
     dims: tuple
     observables: dict
-    selection: TwoStateVector | GeneralizedTwoStateVector | TwoTimeKernel
+    selection: GeneralizedTwoStateVector | TwoTimeKernel
     hamiltonian: HamiltonianSchedule | None = None
 
 
@@ -240,7 +240,7 @@ def to_document(problem: ProblemFile) -> dict:
     """The JSON document of ``problem``; the inverse of :func:`parse_document`."""
     selection = problem.selection
     doc = {"dims": [int(d) for d in problem.dims]}
-    if isinstance(selection, TwoStateVector):
+    if isinstance(selection, TwoStateVector):  # before its parent class, which a pair also is
         doc["pre"] = _pairs(selection.forward.amplitudes)
         doc["post"] = _pairs(selection.backward.amplitudes)
     elif isinstance(selection, GeneralizedTwoStateVector):

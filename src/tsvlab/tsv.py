@@ -51,27 +51,6 @@ _NULL_WEIGHT = 1e-24
 
 
 @dataclass(frozen=True, eq=False)
-class TwoStateVector:
-    """The pair <phi| |psi>."""
-
-    forward: Ket
-    backward: Bra
-
-    def __post_init__(self):
-        if self.forward.dim != self.backward.dim:
-            raise DimensionError("forward and backward states must share a dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.forward.dim
-
-    @property
-    def terms(self) -> tuple:
-        """The one-term generalized form ``((1, backward, forward),)``."""
-        return ((1.0 + 0.0j, self.backward, self.forward),)
-
-
-@dataclass(frozen=True, eq=False)
 class GeneralizedTwoStateVector:
     """Weighted superposition of two-state vectors: sum_i alpha_i <phi_i| |psi_i>.
 
@@ -106,6 +85,21 @@ class GeneralizedTwoStateVector:
     @property
     def dim(self) -> int:
         return self.terms[0][2].dim
+
+
+class TwoStateVector(GeneralizedTwoStateVector):
+    """The pair <phi| |psi>: the one-term generalized selection ``1 <phi| |psi>``."""
+
+    def __init__(self, forward: Ket, backward: Bra):
+        super().__init__(((1.0, backward, forward),))
+
+    @property
+    def forward(self) -> Ket:
+        return self.terms[0][2]
+
+    @property
+    def backward(self) -> Bra:
+        return self.terms[0][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +183,8 @@ def abl_probabilities(selection, obs: Observable) -> Distribution:
     over the observable's merged eigenspaces, with the amplitudes
     ``<phi|P_n|psi>`` taken from the eigenvector blocks (see
     :meth:`~tsvlab.qcore.Observable.amplitudes`). ``selection`` is a
-    TwoStateVector (the one term ``1 <phi| |psi>``) or a
-    GeneralizedTwoStateVector. The term sum is coherent, inside the
+    GeneralizedTwoStateVector; a TwoStateVector is its one-term case
+    ``1 <phi| |psi>``. The term sum is coherent, inside the
     modulus: the unique form consistent with reducing a joint system with an
     unmeasured ancilla (see :func:`gtsv_from_ancilla`).
 
@@ -336,7 +330,7 @@ def element_of_reality(selection, obs: Observable, label: str = "observable") ->
     probability >= 1 - CERTAINTY_TOL is dispersion-free for this selection;
     its value is then an element of reality in the operational sense.
 
-    ``selection`` may be a TwoStateVector or a GeneralizedTwoStateVector.
+    ``selection`` is a GeneralizedTwoStateVector, such as a TwoStateVector.
     """
     outcome, prob = max(abl_probabilities(selection, obs).entries, key=lambda e: e[1])
     if prob >= 1.0 - CERTAINTY_TOL:

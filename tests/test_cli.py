@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import threading
 import warnings
 from pathlib import Path
@@ -873,6 +874,63 @@ class TestPointer:
         code, err, _, _ = run(high + 1)
         assert code == 2 and err.endswith("is wider than the float64 range\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("g", ["0.001", "0.05", "100"])
+    def test_generalized_file_matches_its_dilated_pair(self, capsys, tmp_path, g):
+        """`pointer` on sum_i alpha_i <phi_i| |psi_i> prints what it prints on the pair
+
+            |Psi> = sum_i sqrt|alpha_i| e^(i arg alpha_i) |psi_i>|i>,
+            <Phi| = sum_i sqrt|alpha_i| <phi_i|<i|,
+
+        measured with O (x) I, the system index slow: every printed number within
+        1e-10 relative or 1e-12 absolute (an outcome of probability 0 may print
+        1e-33 on one side). At g = 100 the dilated eigenvalues, so the bump
+        centers and the grid, differ from O's in their last bits and only the
+        printed lines are compared; below it the grids are bit-equal and the
+        densities agree within 8 eps times their maximum.
+        """
+        rng = np.random.default_rng(28)
+        d, n = 4, 3
+        alphas = rng.uniform(3.6, 3.8, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        unit = lambda v: v / np.linalg.norm(v, axis=0)
+        psi = unit(rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n)))  # column i is psi_i
+        phi = unit(rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n)))
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        o = (a + a.conj().T) / 2.0
+        generalized = {
+            "dims": [d],
+            "generalized": [{"alpha": [alpha.real, alpha.imag], "pre": pairs(psi[:, i]), "post": pairs(phi[:, i])}
+                            for i, alpha in enumerate(alphas)],
+            "observables": [{"name": "O", "matrix": pairs(o)}],
+        }
+        root = np.sqrt(np.abs(alphas))
+        dilated = {
+            "dims": [d, n],
+            "pre": pairs((psi * root * np.exp(1j * np.angle(alphas))).ravel()),
+            "post": pairs((phi * root).ravel()),
+            "observables": [{"name": "O", "matrix": pairs(np.kron(o, np.eye(n)))}],
+        }
+        numbers = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?")
+        outputs = []
+        for name, doc in (("generalized", generalized), ("dilated", dilated)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            csv_path = tmp_path / f"{name}.csv"
+            code = main(["pointer", "--file", str(path), "--observable", "O",
+                         "--g", g, "--sigma", "1", "--out", str(csv_path)])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            text = captured.out.replace(str(csv_path), "CSV")
+            data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+            outputs.append((numbers.sub("#", text), [float(x) for x in numbers.findall(text)], data))
+        (words, values, data), (dilated_words, dilated_values, dilated_data) = outputs
+        assert words == dilated_words
+        assert ("strong regime" in words) == (g == "100")
+        assert np.allclose(values, dilated_values, rtol=1e-10, atol=1e-12), (values, dilated_values)
+        if g != "100":
+            assert np.array_equal(data[:, 0], dilated_data[:, 0])
+            bound = 8 * np.finfo(float).eps * data[:, 1].max()
+            assert np.abs(data[:, 1] - dilated_data[:, 1]).max() <= bound
+
 
 
 def writer_grid(points, run_at_split):
@@ -1088,3 +1146,41 @@ class TestExportRoundTrip:
             assert capsys.readouterr().err == (
                 "error: kernel problems have no single selection; use `run correlated-pair`\n"
             )
+
+
+class TestSelectionKinds:
+    """`abl`, `weak` and `pointer` take a pair or a generalized file; `verify` and `abl --time` only a pair."""
+
+    Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+
+    def test_kernel_file_rejected_by_pointer(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        assert main(["export-scenario", "correlated-pair", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["observables"] = [{"name": "z", "matrix": self.Z}]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()  # drop export output
+        code = main(["pointer", "--file", str(path), "--observable", "z", "--g", "0.001",
+                     "--sigma", "1", "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: kernel problems have no single selection; use `run correlated-pair`\n"
+        )
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("verb, flags, message", [
+        ("verify", ["--samples", "1000"], "verify needs a pre/post problem file"),
+        ("abl", ["--time=0.5"], "--time needs a pre/post problem file"),
+    ])
+    def test_generalized_file_rejected_by_pair_only_verbs(self, tmp_path, capsys, verb, flags, message):
+        # the file has a hamiltonian, so the message names the selection, not the schedule
+        path = tmp_path / "generalized.json"
+        path.write_text(json.dumps({
+            "dims": [2],
+            "generalized": [{"alpha": [1.0, 0.0], "pre": [[1.0, 0.0], [1.0, 0.0]], "post": [[1.0, 0.0], [0.0, 0.0]]},
+                            {"alpha": [0.0, 2.0], "pre": [[0.0, 0.0], [1.0, 0.0]], "post": [[1.0, 0.0], [1.0, 0.0]]}],
+            "hamiltonian": [{"duration": 1.0, "matrix": self.Z}],
+            "observables": [{"name": "z", "matrix": self.Z}],
+        }))
+        assert main([verb, "--file", str(path), "--observable", "z", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

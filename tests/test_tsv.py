@@ -68,6 +68,17 @@ class TestTwoStateVector:
         with pytest.raises(DimensionError):
             TwoStateVector(Ket([1, 0]), Bra([1, 0, 0]))
 
+    def test_is_the_one_term_generalized_selection(self):
+        ket, bra = Ket([1, 1j, 0]), Bra([1, 0, -1])
+        tsv = TwoStateVector(ket, bra)
+        assert isinstance(tsv, GeneralizedTwoStateVector)
+        assert tsv.terms == ((1 + 0j, bra, ket),)
+        (alpha, backward, forward), = tsv.terms
+        assert type(alpha) is complex
+        assert backward is bra and forward is ket
+        assert tsv.forward is ket and tsv.backward is bra
+        assert tsv.dim == 3
+
 
 class TestAblProbabilities:
     def test_boxed_spin_certainty(self):
