@@ -121,7 +121,7 @@ def cmd_abl(args) -> int:
 
 def cmd_weak(args) -> int:
     problem, obs = _load(args)
-    value = weak_value(_selection(problem), obs.op)
+    value = weak_value(_selection(problem), obs)
     if args.format == "json":
         print(json.dumps({"observable": args.observable, "weak_value": [value.real, value.imag]}))
     else:
@@ -173,7 +173,7 @@ def cmd_pointer(args) -> int:
     cfg = measure.PointerConfig(args.g, args.sigma, obs.max_abs_eigenvalue)
     result = measure.weak_measure_pointer(selection, obs, cfg)
     try:
-        wv_text = f"{weak_value(selection, obs.op).real:.12g}"
+        wv_text = f"{weak_value(selection, obs).real:.12g}"
     except OrthogonalSelectionError:
         wv_text = "undefined (orthogonal selection)"
     eigs = obs.eigenvalues

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NullEnsembleError
-from .qcore import Bra, Ket, Observable
+from .qcore import Bra, Ket, Operator
 from .tsv import _NULL_WEIGHT, Distribution, _abl_amplitudes
 
 #: documented default master seed for randomized commands
@@ -128,7 +128,7 @@ class PointerResult:
     postselection_rate: float
 
 
-def ideal_measure(state: Ket, obs: Observable, rng: np.random.Generator) -> MeasurementRecord:
+def ideal_measure(state: Ket, obs: Operator, rng: np.random.Generator) -> MeasurementRecord:
     """Sample one projective measurement with Born probabilities.
 
     The outcome o_n occurs with probability ||P_n |psi>||^2 and the state
@@ -152,11 +152,11 @@ def ideal_measure(state: Ket, obs: Observable, rng: np.random.Generator) -> Meas
 
 
 def _born_weights(projected: np.ndarray) -> np.ndarray:
-    """Squared norms ``||P_n psi||^2`` of the columns of :meth:`Observable.project`."""
+    """Squared norms ``||P_n psi||^2`` of the columns of :meth:`Operator.project`."""
     return np.einsum("ij,ij->j", projected.conj(), projected).real
 
 
-def _sequential_born(pre: Ket, post: Bra, obs: Observable) -> tuple:
+def _sequential_born(pre: Ket, post: Bra, obs: Operator) -> tuple:
     """The two Born rules of a pre/post-selected trial, one entry per outcome n.
 
     Returns ``(p_outcome, p_post)``: the Born weight ``||P_n psi||^2`` of the
@@ -177,7 +177,7 @@ def _sequential_born(pre: Ket, post: Bra, obs: Observable) -> tuple:
 def monte_carlo_abl(
     pre: Ket,
     post: Bra,
-    obs: Observable,
+    obs: Operator,
     n_samples: int,
     seed: int = DEFAULT_SEED,
 ) -> MonteCarloReport:
@@ -233,7 +233,7 @@ def measure(report: MonteCarloReport, dist: Distribution) -> list:
     return rows
 
 
-def exact_conditional_oracle(pre: Ket, post: Bra, obs: Observable) -> Distribution:
+def exact_conditional_oracle(pre: Ket, post: Bra, obs: Operator) -> Distribution:
     """Conditional probabilities via two sequential Born rules.
 
     For each outcome: the Born probability of the intermediate outcome from
@@ -251,7 +251,7 @@ def exact_conditional_oracle(pre: Ket, post: Bra, obs: Observable) -> Distributi
     return Distribution(tuple(zip(obs.eigenvalues, probs)))
 
 
-def weak_measure_pointer(selection, obs: Observable, cfg: PointerConfig) -> PointerResult:
+def weak_measure_pointer(selection, obs: Operator, cfg: PointerConfig) -> PointerResult:
     """Gaussian-pointer measurement of ``obs`` on a pre/post-selected system.
 
     ``selection`` is a GeneralizedTwoStateVector, such as a TwoStateVector.
@@ -338,7 +338,7 @@ def weak_measure_pointer(selection, obs: Observable, cfg: PointerConfig) -> Poin
 STRONG_GAP_OVER_SIGMA = 8.0
 
 
-def pointer_bump_masses(result: PointerResult, obs: Observable, coupling: float) -> list:
+def pointer_bump_masses(result: PointerResult, obs: Operator, coupling: float) -> list:
     """Integrated density mass around each scaled eigenvalue, in eigenvalue order.
 
     Splits the grid at midpoints between adjacent bump centers

@@ -22,6 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ProblemFileError, TsvLabError
+# spectral_decompose is not called here; bench/tests reads it as problemfile.spectral_decompose
 from .qcore import Bra, HamiltonianSchedule, Ket, Operator, spectral_decompose
 from .tsv import GeneralizedTwoStateVector, TwoStateVector, TwoTimeKernel
 
@@ -187,7 +188,7 @@ def parse_document(doc) -> ProblemFile:
             raise ProblemFileError(f"duplicate observable name {name!r}")
         where = f"observable {name!r}"
         matrix = _parse_complex(entry["matrix"], (total, total), where)
-        observables[name] = _built(where, lambda: spectral_decompose(Operator(matrix)))
+        observables[name] = _built(where, Operator, matrix)
 
     return ProblemFile(dims=dims, observables=observables, selection=selection, hamiltonian=schedule)
 
@@ -257,7 +258,7 @@ def to_document(problem: ProblemFile) -> dict:
             for duration, h in problem.hamiltonian.segments
         ]
     doc["observables"] = [
-        {"name": name, "matrix": _pairs(obs.op.matrix)}
+        {"name": name, "matrix": _pairs(obs.matrix)}
         for name, obs in problem.observables.items()
     ]
     return doc

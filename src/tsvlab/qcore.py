@@ -115,14 +115,30 @@ def overlap(bra: Bra, ket: Ket) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Hermitian square matrix on the Hilbert space.
+    """Hermitian square matrix on the Hilbert space, with its spectral decomposition computed on first read.
 
     Construction raises ``NotHermitianError`` unless the max-abs deviation
     ``max|M - M^dagger|`` is at most ``FLAG_TOL * max|M|``, so the verdict
     does not depend on the unit of M.
+
+    ``eigenvalues`` are sorted ascending with adjacent values at most
+    ``DEGENERACY_TOL`` times the spectral radius (or ``_scale``, if given)
+    apart merged (the merged value is their ``np.mean``).
+    The i-th merged eigenspace is spanned by the orthonormal columns
+    ``eigenvectors[:, block_starts[i]:block_starts[i + 1]]`` (the last block
+    runs to the final column). The three are computed together, from the
+    cached ``eigh``, the first time any of them is read, so a caller that
+    needs only ``matrix`` (a weak value) never decomposes.
+
+    Raises
+    ------
+    RangeError
+        When the spectrum is first read, if an eigenvalue overflows float64.
     """
 
     matrix: np.ndarray
+    #: the scale the merge tolerance is relative to, if not the spectral radius
+    _scale: float | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex).copy()
@@ -154,33 +170,14 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-
-@dataclass(frozen=True, eq=False)
-class Observable:
-    """Hermitian operator whose spectral decomposition is computed on first read.
-
-    ``eigenvalues`` are sorted ascending with adjacent values at most
-    ``DEGENERACY_TOL`` times the spectral radius apart merged (the merged
-    value is their ``np.mean``).
-    The i-th merged eigenspace is spanned by the orthonormal columns
-    ``eigenvectors[:, block_starts[i]:block_starts[i + 1]]`` (the last block
-    runs to the final column). The three are computed together, from the
-    operator's cached ``eigh``, the first time any of them is read, so a
-    caller that needs only ``op`` (a weak value) never decomposes.
-
-    Raises
-    ------
-    RangeError
-        When the spectrum is first read, if an eigenvalue overflows float64.
-    """
-
-    op: Operator
-    #: the scale the merge tolerance is relative to, if not the spectral radius
-    _scale: float | None = None
+    @property
+    def op(self) -> Operator:
+        """The operator itself; bench/workloads.py reads ``spectral_decompose(...).op``."""
+        return self
 
     @cached_property
     def _spectrum(self) -> tuple:
-        w, v = self.op.eigh
+        w, v = self.eigh
         wl = w.tolist()
         tol = DEGENERACY_TOL * (max(-wl[0], wl[-1]) if self._scale is None else self._scale)
         starts = [0] + [i for i in range(1, len(wl)) if wl[i] - wl[i - 1] > tol]
@@ -212,10 +209,6 @@ class Observable:
     def block_starts(self) -> np.ndarray:
         return self._spectrum[2]
 
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
     @cached_property
     def projectors(self) -> "_Projectors":
         """Dense eigenspace projectors ``V_n V_n^dagger`` as Operators, ascending.
@@ -242,9 +235,9 @@ class Observable:
 
 
 class _Projectors(Sequence):
-    """``Observable.projectors``: each eigenspace projector is built, then kept, on first access."""
+    """``Operator.projectors``: each eigenspace projector is built, then kept, on first access."""
 
-    def __init__(self, obs: Observable):
+    def __init__(self, obs: Operator):
         self._obs = obs
         self._built = {}
 
@@ -262,16 +255,9 @@ class _Projectors(Sequence):
         return self._built[n]
 
 
-def spectral_decompose(op: Operator) -> Observable:
-    """The :class:`Observable` of a Hermitian operator.
-
-    Adjacent eigenvalues whose gap is at most ``DEGENERACY_TOL`` times the
-    spectral radius are merged into a single eigenspace; the merged
-    eigenvalue is their ``np.mean``. The eigenspaces are mutually orthogonal
-    and together span the whole space. The decomposition runs when the
-    spectrum is first read.
-    """
-    return Observable(op)
+def spectral_decompose(op: Operator) -> Operator:
+    """The operator itself, which decomposes on first read; bench/ still calls this name."""
+    return op
 
 
 @dataclass(frozen=True, eq=False)

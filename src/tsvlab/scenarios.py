@@ -27,7 +27,6 @@ from .qcore import (
     Bra,
     Ket,
     Operator,
-    spectral_decompose,
 )
 from .tsv import (
     TwoStateVector,
@@ -61,10 +60,10 @@ def _random_directions(count: int, seed: int) -> np.ndarray:
 
 
 def _box_projector(dim: int, index: int):
-    """Observable of the projector onto basis state ``index`` (one box, one spin)."""
+    """Projector onto basis state ``index`` (one box, one spin)."""
     m = np.zeros((dim, dim), dtype=complex)
     m[index, index] = 1.0
-    return spectral_decompose(Operator(m))
+    return Operator(m)
 
 
 def _fmt(value) -> str:
@@ -219,7 +218,7 @@ def scenario_spin_box() -> Scenario:
         ),
         _weak_value_check(
             tsv,
-            observables["P_B_up"].op,
+            observables["P_B_up"],
             -1.0 + 0.0j,
             "weak value of the box-B spin-up projection lies outside [0, 1]",
         ),
@@ -251,7 +250,7 @@ def scenario_three_box() -> Scenario:
         ),
         _weak_value_check(
             tsv,
-            observables["P_C"].op,
+            observables["P_C"],
             -1.0 + 0.0j,
             "weak value of the box-C projection is -1",
         ),
@@ -281,14 +280,14 @@ def scenario_spin_xz() -> Scenario:
     post = Bra(np.array([1.0, 1.0], dtype=complex))  # up along x
     tsv = TwoStateVector(pre, post)
     observables = {
-        "sigma_z": spectral_decompose(Operator(SIGMA_Z)),
-        "sigma_x": spectral_decompose(Operator(SIGMA_X)),
+        "sigma_z": Operator(SIGMA_Z),
+        "sigma_x": Operator(SIGMA_X),
     }
 
     def uncertainty_principle_check():
         commutator = (
-            observables["sigma_z"].op.matrix @ observables["sigma_x"].op.matrix
-            - observables["sigma_x"].op.matrix @ observables["sigma_z"].op.matrix
+            observables["sigma_z"].matrix @ observables["sigma_x"].matrix
+            - observables["sigma_x"].matrix @ observables["sigma_z"].matrix
         )
         z = element_of_reality(tsv, observables["sigma_z"])
         x = element_of_reality(tsv, observables["sigma_x"])
@@ -348,9 +347,9 @@ def scenario_mean_king() -> Scenario:
     sign_triples, post_states = _mean_king_candidate_basis()
     value_table = dict(enumerate(sign_triples))
     components = {
-        "sigma_x": spectral_decompose(Operator(SIGMA_X)),
-        "sigma_y": spectral_decompose(Operator(SIGMA_Y)),
-        "sigma_z": spectral_decompose(Operator(SIGMA_Z)),
+        "sigma_x": Operator(SIGMA_X),
+        "sigma_y": Operator(SIGMA_Y),
+        "sigma_z": Operator(SIGMA_Z),
     }
     reduced = [gtsv_from_ancilla(pre, Bra(vec), 2, 2) for vec in post_states]
 
@@ -413,7 +412,7 @@ def scenario_correlated_pair() -> Scenario:
     @cache
     def spins():
         # decomposed on first use; both checks then share them
-        return tuple(spectral_decompose(spin_along(direction)) for direction in directions)
+        return tuple(spin_along(direction) for direction in directions)
 
     def worst_deviation(k):
         # both legs measure the same spin: the diagonal pairs equal outcomes

@@ -31,7 +31,6 @@ from .qcore import (
     Bra,
     HamiltonianSchedule,
     Ket,
-    Observable,
     Operator,
     _unit_scaled,
     evolve_backward,
@@ -65,16 +64,18 @@ class GeneralizedTwoStateVector:
 
     def __post_init__(self):
         terms = tuple((complex(a), b, f) for a, b, f in self.terms)
-        if not all(cmath.isfinite(a) for a, _, _ in terms):
-            raise ValueError("term weights must be finite")
         if not terms:
             raise DimensionError("generalized two-state vector needs at least one term")
-        dims = {f.dim for _, _, f in terms} | {b.dim for _, b, _ in terms}
-        if len(dims) != 1:
-            raise DimensionError("all terms must share one dimension")
-        if not any(a != 0.0 for a, _, _ in terms):
+        # one pass: the first faulty term's fault is raised
+        dim, top = terms[0][2].dim, 0.0
+        for a, b, f in terms:
+            if not cmath.isfinite(a):
+                raise ValueError("term weights must be finite")
+            if b.dim != dim or f.dim != dim:
+                raise DimensionError("all terms must share one dimension")
+            top = max(top, abs(a.real), abs(a.imag))
+        if top == 0.0:
             raise NullEnsembleError("all term weights vanish")
-        top = max(max(abs(a.real), abs(a.imag)) for a, _, _ in terms)
         if not 0.5 <= top <= 2.0:
             # ABL probabilities and weak values are ratios, unchanged by a common
             # factor, which a power of two applies exactly
@@ -166,14 +167,14 @@ class CertaintyReport:
     probability: float
 
 
-def _abl_amplitudes(selection, obs: Observable) -> np.ndarray:
+def _abl_amplitudes(selection, obs: Operator) -> np.ndarray:
     """``sum_i alpha_i <phi_i|P_n|psi_i>`` for every merged eigenspace n."""
     if selection.dim != obs.dim:
         raise DimensionError("selection and observable dims differ")
     return sum(a * obs.amplitudes(b, f) for a, b, f in selection.terms)
 
 
-def abl_probabilities(selection, obs: Observable) -> Distribution:
+def abl_probabilities(selection, obs: Operator) -> Distribution:
     """Conditional outcome probabilities of an intermediate ideal measurement.
 
     Implements the Aharonov-Bergmann-Lebowitz rule
@@ -182,7 +183,7 @@ def abl_probabilities(selection, obs: Observable) -> Distribution:
 
     over the observable's merged eigenspaces, with the amplitudes
     ``<phi|P_n|psi>`` taken from the eigenvector blocks (see
-    :meth:`~tsvlab.qcore.Observable.amplitudes`). ``selection`` is a
+    :meth:`~tsvlab.qcore.Operator.amplitudes`). ``selection`` is a
     GeneralizedTwoStateVector; a TwoStateVector is its one-term case
     ``1 <phi| |psi>``. The term sum is coherent, inside the
     modulus: the unique form consistent with reducing a joint system with an
@@ -208,7 +209,7 @@ def abl_at_time(
     post: Bra,
     schedule: HamiltonianSchedule,
     t: float,
-    obs: Observable,
+    obs: Operator,
 ) -> Distribution:
     """Intermediate-measurement probabilities at time ``t`` inside a schedule.
 
@@ -323,7 +324,7 @@ def weak_value(selection, op: Operator) -> complex:
 abl_probabilities_generalized = abl_probabilities
 
 
-def element_of_reality(selection, obs: Observable, label: str = "observable") -> CertaintyReport:
+def element_of_reality(selection, obs: Operator, label: str = "observable") -> CertaintyReport:
     """Report whether the observable's outcome is known with certainty.
 
     An observable whose intermediate-measurement outcome has conditional
@@ -349,7 +350,7 @@ class ProductRuleReport:
     product_rule_holds: bool | None  # None unless all three are certain
 
 
-def product_rule_report(selection, obs_a: Observable, obs_b: Observable) -> ProductRuleReport:
+def product_rule_report(selection, obs_a: Operator, obs_b: Operator) -> ProductRuleReport:
     """Check the product rule on a pre/post-selected system.
 
     Evaluates certainty of A, B, and of the product operator AB (which must
@@ -378,11 +379,11 @@ def product_rule_report(selection, obs_a: Observable, obs_b: Observable) -> Prod
     if not FLAG_TOL * scale < math.inf:
         raise NotMeasurableError("product of the observables overflows float64")
     # halved, so neither difference nor sum overflows: a Hermitian AB of normal floats stays AB
-    half = obs_a.op.matrix @ obs_b.op.matrix / 2.0
+    half = obs_a.matrix @ obs_b.matrix / 2.0
     adjoint = half.conj().T
     if not np.abs(half - adjoint).max() <= FLAG_TOL * scale / 2.0:
         raise NotMeasurableError("product of the observables is not Hermitian")
-    product_obs = Observable(Operator(half + adjoint), _scale=scale)
+    product_obs = Operator(half + adjoint, _scale=scale)
     report_a = element_of_reality(selection, obs_a, label="A")
     report_b = element_of_reality(selection, obs_b, label="B")
     report_ab = element_of_reality(selection, product_obs, label="AB")
@@ -399,7 +400,7 @@ def product_rule_report(selection, obs_a: Observable, obs_b: Observable) -> Prod
     )
 
 
-def two_time_distribution(k: TwoTimeKernel, obs_a: Observable, obs_b: Observable) -> np.ndarray:
+def two_time_distribution(k: TwoTimeKernel, obs_a: Operator, obs_b: Operator) -> np.ndarray:
     """Joint outcome table of ``obs_a`` on the forward leg (rows of K) and ``obs_b`` on the backward leg.
 
         Prob(a_m, b_n) = ||V_am^dagger K V_bn||_F^2 / ||K||_F^2

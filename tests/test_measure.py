@@ -26,7 +26,6 @@ from tsvlab import (
     GeneralizedTwoStateVector,
     Ket,
     NullEnsembleError,
-    Observable,
     Operator,
     PointerConfig,
     TwoStateVector,
@@ -285,7 +284,7 @@ class TestExactConditionalOracle:
         for module in (tsvlab.tsv, tsvlab.measure):
             for name in ("_abl_amplitudes", "abl_probabilities", "weak_value", "element_of_reality"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
-        monkeypatch.setattr(Observable, "amplitudes", forbidden)
+        monkeypatch.setattr(Operator, "amplitudes", forbidden)
         dist = exact_conditional_oracle(tsv.forward, tsv.backward, diagonal_projector(4, 1))
         assert dict(dist.entries)[1.0] == pytest.approx(1.0, abs=1e-12)
         # the Monte Carlo that verify compares with the ABL rule draws on the same

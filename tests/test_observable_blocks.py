@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_bra, random_ket
+from helpers import count_eigh, random_bra, random_ket
 from tsvlab import (
     GeneralizedTwoStateVector,
     Operator,
@@ -207,14 +207,7 @@ def test_merged_eigenvalues_are_numpy_means(label, matrix, blocks):
 
 
 def test_correlated_pair_decomposes_each_direction_once(monkeypatch):
-    calls = []
-    decompose = scenarios.spectral_decompose
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return decompose(*args, **kwargs)
-
-    monkeypatch.setattr(scenarios, "spectral_decompose", counting)
+    calls = count_eigh(monkeypatch)  # Operator.eigh is the one caller of np.linalg.eigh
     scenario = scenarios.get_scenario("correlated-pair")
     assert calls == []  # built without decomposing; export needs none
     assert scenarios.run_scenario(scenario).passed

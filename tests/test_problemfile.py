@@ -189,10 +189,10 @@ class TestValidation:
             parse_document(doc)
 
     def test_construction_bug_is_not_a_file_error(self, monkeypatch):
-        def broken(op):
+        def broken(matrix):
             raise RuntimeError("internal fault")
 
-        monkeypatch.setattr(problemfile, "spectral_decompose", broken)
+        monkeypatch.setattr(problemfile, "Operator", broken)
         with pytest.raises(RuntimeError, match="internal fault"):
             parse_document(minimal_doc())
 

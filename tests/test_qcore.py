@@ -18,7 +18,6 @@ from tsvlab import (
     HamiltonianSchedule,
     Ket,
     NotHermitianError,
-    Observable,
     Operator,
     RangeError,
     TimeWindowError,
@@ -197,8 +196,8 @@ class TestSpectralDecompose:
 class TestLazySpectrum:
     def test_construction_does_not_decompose(self, monkeypatch):
         calls = count_eigh(monkeypatch)
-        obs = spectral_decompose(random_hermitian(np.random.default_rng(30), 4))
-        assert Observable(obs.op).dim == 4
+        obs = Operator(random_hermitian(np.random.default_rng(30), 4).matrix)
+        assert obs.dim == 4 and spectral_decompose(obs) is obs
         assert calls == []
 
     def test_spectrum_computed_once(self, monkeypatch):

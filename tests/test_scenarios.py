@@ -166,19 +166,23 @@ def test_public_names_are_exactly_all():
     assert set(tsvlab.__all__) == bound
     for name in tsvlab.__all__:
         assert getattr(tsvlab, name) is not None
-    # second spellings of Ket, Bra, weak_value and GeneralizedTwoStateVector,
+    # second spellings of Ket, Bra, weak_value, GeneralizedTwoStateVector and Operator,
     # an error nothing raises, and surface that only tests called
     for gone in ("make_ket", "make_bra", "weak_value_generalized", "SearchFailedError",
-                 "tensor", "strong_weak_consistency", "ConsistencyReport"):
+                 "tensor", "strong_weak_consistency", "ConsistencyReport", "Observable"):
         assert not hasattr(tsvlab, gone)
         assert gone not in tsvlab.__all__
+    assert not hasattr(tsvlab.qcore, "Observable")
     assert not hasattr(tsvlab.GeneralizedTwoStateVector, "from_two_state_vector")
     for cls, gone in ((tsvlab.Ket, "dagger"), (tsvlab.Bra, "dagger"),
                       (tsvlab.Operator, "identity"), (tsvlab.HamiltonianSchedule, "constant"),
                       (tsvlab.Operator, "is_hermitian")):
         assert not hasattr(cls, gone)
     # an Operator is Hermitian or is not built: it holds no flag, and only its construction raises
-    assert [f.name for f in dataclasses.fields(tsvlab.Operator)] == ["matrix"]
+    assert [f.name for f in dataclasses.fields(tsvlab.Operator)] == ["matrix", "_scale"]
+    # an observable is its Operator: the two names bench/ still reads give the operator back
+    op = tsvlab.Operator(tsvlab.SIGMA_Z)
+    assert tsvlab.spectral_decompose(op) is op and op.op is op
     for gone in ("complex_pair", "vector_pairs", "matrix_pairs"):
         assert not hasattr(tsvlab.problemfile, gone)
     # each result is read from its one owner: a product of observables is formed

@@ -26,7 +26,6 @@ from tsvlab import (
     Ket,
     NotMeasurableError,
     NullEnsembleError,
-    Observable,
     Operator,
     OrthogonalSelectionError,
     PointerConfig,
@@ -777,7 +776,7 @@ class TestTwoTimeDistribution:
 
 
 def test_thresholds_are_module_constants_not_parameters():
-    functions = (spectral_decompose, Observable, weak_value, element_of_reality,
+    functions = (spectral_decompose, Operator, weak_value, element_of_reality,
                  product_rule_report, PointerConfig)
     params = {name for f in functions for name in inspect.signature(f).parameters}
     assert not params & {"degeneracy_tol", "threshold", "tol", "value_tol", "points_per_sigma"}
