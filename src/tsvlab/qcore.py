@@ -31,7 +31,7 @@ FLAG_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 #: a time within this fraction of a schedule's total duration of a segment boundary falls on it
 TIME_TOL = 1e-12
-#: np.mean of a merged block of n levels with n * max|level| below this cannot overflow
+#: the mean of a merged block of n levels with n * max|level| below this cannot overflow
 _MEAN_LIMIT = 2.0**1023
 #: plain state norms in this range are computed without over- or underflow
 _SAFE_NORMS = (2.0**-450, 2.0**450)
@@ -50,17 +50,23 @@ def _unit_scaled(values: np.ndarray) -> tuple:
     return np.ldexp(parts, -e).view(complex), e
 
 
-@np.errstate(over="ignore")  # an overflowing norm takes the rescaled path below
+def _norm(vec: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, formed as it forms it, without its Python wrapper."""
+    re, im = vec.real, vec.imag
+    return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+
+
+@np.errstate(over="ignore")  # ndarray.dot warns on overflow; an overflowing norm is rescaled below
 def _normalized_amplitudes(amplitudes) -> np.ndarray:
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
     if vec.size == 0:
         raise DimensionError("state needs at least one amplitude")
-    norm = np.linalg.norm(vec)
+    norm = _norm(vec)
     if not _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1]:
         # the sum of squares may have over- or underflowed: rescale it first
         vec, _ = _unit_scaled(vec)
-        norm = np.linalg.norm(vec)
-    if not np.isfinite(norm) or norm == 0.0:
+        norm = _norm(vec)
+    if not math.isfinite(norm) or norm == 0.0:
         raise ZeroStateError("state norm must be finite and positive")
     # skip the division for already-normalized input so that round-tripping
     # a stored state reproduces its amplitudes bit-exactly
@@ -123,7 +129,7 @@ class Operator:
 
     ``eigenvalues`` are sorted ascending with adjacent values at most
     ``DEGENERACY_TOL`` times the spectral radius (or ``_scale``, if given)
-    apart merged (the merged value is their ``np.mean``).
+    apart merged (the merged value is their ``np.mean``, formed as ``np.mean`` forms it).
     The i-th merged eigenspace is spanned by the orthonormal columns
     ``eigenvectors[:, block_starts[i]:block_starts[i + 1]]`` (the last block
     runs to the final column). The three are computed together, from the
@@ -183,11 +189,12 @@ class Operator:
         starts = [0] + [i for i in range(1, len(wl)) if wl[i] - wl[i - 1] > tol]
         bounds = (*starts, len(wl))
         # the mean of one nonzero level is that level on any numpy; a zero level
-        # still goes to np.mean, which decides the sign of zero. A block whose
-        # sum could pass float64 is not summed: it reads as inf, rejected below
+        # is summed too, which decides the sign of zero. A block is averaged as
+        # np.mean does it (add.reduce, then true division by its count), and one
+        # whose sum could pass float64 is not summed: it reads as inf, rejected below
         eigenvalues = tuple(
             wl[a] if b - a == 1 and wl[a]
-            else float(np.mean(w[a:b])) if max(-wl[a], wl[b - 1]) * (b - a) < _MEAN_LIMIT
+            else float(np.add.reduce(w[a:b])) / (b - a) if max(-wl[a], wl[b - 1]) * (b - a) < _MEAN_LIMIT
             else math.inf
             for a, b in zip(bounds[:-1], bounds[1:])
         )

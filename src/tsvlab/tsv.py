@@ -32,6 +32,7 @@ from .qcore import (
     HamiltonianSchedule,
     Ket,
     Operator,
+    _norm,
     _unit_scaled,
     evolve_backward,
     evolve_forward,
@@ -128,7 +129,7 @@ class TwoTimeKernel:
     def _scaled(self) -> tuple:
         """``(K~, ||K~||_F^2)`` for ``K~`` the matrix times the power of two putting its largest real or imaginary part in [0.5, 1)."""
         m, _ = _unit_scaled(self.matrix)
-        return m, np.sum(np.abs(m) ** 2)
+        return m, (np.abs(m) ** 2).sum()
 
     @property
     def dim_forward(self) -> int:
@@ -266,7 +267,7 @@ def gtsv_from_ancilla(
     for i in range(ancilla_dim):
         fwd = pre_sectors[:, i]
         bwd = post_sectors[:, i]
-        weight = np.linalg.norm(fwd) * np.linalg.norm(bwd)
+        weight = _norm(fwd) * _norm(bwd)
         if weight <= 1e-14:
             continue
         terms.append((complex(weight), Bra(bwd), Ket(fwd)))

@@ -4,16 +4,19 @@ import numpy as np
 
 from tsvlab import (
     Bra,
+    DimensionError,
     Ket,
     Operator,
     ProblemFileError,
     TwoStateVector,
+    ZeroStateError,
     element_of_reality,
     overlap,
     spectral_decompose,
     weak_value,
 )
 from tsvlab.measure import _sequential_born
+from tsvlab.qcore import _SAFE_NORMS, NORM_TOL, _unit_scaled
 from tsvlab.tsv import CERTAINTY_TOL
 
 
@@ -28,6 +31,34 @@ def count_eigh(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
+
+
+@np.errstate(over="ignore")
+def reference_normalized_amplitudes(amplitudes) -> np.ndarray:
+    """The ``qcore._normalized_amplitudes`` that ``qcore._norm`` replaced: ``np.linalg.norm`` and ``np.isfinite``."""
+    vec = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+    if vec.size == 0:
+        raise DimensionError("state needs at least one amplitude")
+    norm = np.linalg.norm(vec)
+    if not _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1]:
+        vec, _ = _unit_scaled(vec)
+        norm = np.linalg.norm(vec)
+    if not np.isfinite(norm) or norm == 0.0:
+        raise ZeroStateError("state norm must be finite and positive")
+    if abs(norm - 1.0) > NORM_TOL:
+        vec /= norm
+    vec.flags.writeable = False
+    return vec
+
+
+def spread_amplitudes(seed: int, dim: int, exponent: int, spread: int) -> np.ndarray:
+    """Complex amplitudes of magnitude about ``2**exponent``, each part scaled down by up to ``2**spread`` more.
+
+    Parts pushed below ``2**-1022`` are subnormal, and below ``2**-1075`` zero.
+    """
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=2 * dim)
+    return np.ldexp(parts, exponent - rng.integers(0, spread + 1, size=2 * dim)).view(complex)
 
 
 def reference_parse_numbers(value, shape: tuple, where: str, expected: str) -> np.ndarray:

@@ -15,9 +15,14 @@ four. The two CSV hashes were recaptured when the packets dropped the
 Gaussian's norm ``(2 pi sigma^2)^(-1/4)`` and the density was normalized by
 its own mass: every position and stdout byte was unchanged, and every
 density moved by at most 5.1 eps times the peak density (the stated
-bound is 8 eps). The printed residues (Gram deviations, max |z|) depend on
-floating-point rounding, so a different NumPy or LAPACK build may need the
-hashes recaptured.
+bound is 8 eps). The ``FULL_PRECISION`` hashes pin ``abl`` and ``weak`` in
+JSON, which prints every bit of a merged eigenvalue that ``run``'s ``.10g``
+table hides, on observables that are degenerate (three-box ``P_A``, spin-box
+``P_A_up``) or read under a generalized selection (mean-king ``sigma_z``);
+they were captured while the merged mean and the state norm still went
+through ``np.mean`` and ``np.linalg.norm``. The printed residues (Gram
+deviations, max |z|) depend on floating-point rounding, so a different NumPy
+or LAPACK build may need the hashes recaptured.
 """
 
 import hashlib
@@ -61,6 +66,16 @@ POINTER = {
     ),
 }
 
+# (scenario, observable, verb): stdout of `<verb> --file <export> --observable <observable> --format json`
+FULL_PRECISION = {
+    ("mean-king", "sigma_z", "abl"): "78e0b945fa58db91122fec162aebb699de56cf54c1ae6fd42e94de6616508709",
+    ("mean-king", "sigma_z", "weak"): "5f4a554eed51c2268367ec65ba7d185ec6b4a5657ec2fb7380f2a71445e90959",
+    ("spin-box", "P_A_up", "abl"): "00370234079dc01da613b2227acd880d6e190414bb468c2993571ea94681cfde",
+    ("spin-box", "P_A_up", "weak"): "a7d8ca91c61b2370b165356d05aa0065f7a528c6760758cf11b624f10214b7d2",
+    ("three-box", "P_A", "abl"): "8c3671e3783585be2185c3488203dabf242a27179b24785f6c7f5342252a01a9",
+    ("three-box", "P_A", "weak"): "52980cd81bd30ee778bb4bce8f6933b298bde1cbfe31d6f95b3fcb9f0bdc8448",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -97,3 +112,14 @@ def test_pointer_output_bytes(tmp_path, monkeypatch, capsys, g):
     assert data.count(b"\n") == rows + 1
     assert sha256(captured.out.encode()) == stdout_hash
     assert sha256(data) == csv_hash
+
+
+@pytest.mark.parametrize("name,observable,verb", sorted(FULL_PRECISION))
+def test_full_precision_output_bytes(tmp_path, capsys, name, observable, verb):
+    path = tmp_path / f"{name}.json"
+    assert main(["export-scenario", name, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main([verb, "--file", str(path), "--observable", observable, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sha256(captured.out.encode()) == FULL_PRECISION[(name, observable, verb)]

@@ -8,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm  # independent matrix-exponential oracle
 
-from helpers import count_eigh, random_hermitian, random_ket, states_match_up_to_phase
+from helpers import (
+    count_eigh,
+    random_hermitian,
+    random_ket,
+    reference_normalized_amplitudes,
+    spread_amplitudes,
+    states_match_up_to_phase,
+)
 from tsvlab import (
     SIGMA_X,
     SIGMA_Y,
@@ -21,14 +28,34 @@ from tsvlab import (
     Operator,
     RangeError,
     TimeWindowError,
+    TwoStateVector,
+    TwoTimeKernel,
     ZeroStateError,
+    abl_probabilities,
     evolve_backward,
     evolve_forward,
+    gtsv_from_ancilla,
     overlap,
     spectral_decompose,
 )
 from tsvlab.cli import main
 from tsvlab.qcore import FLAG_TOL
+
+#: amplitude scales 2**e for the norm parity sweep: the ends of float64, and either side of each _SAFE_NORMS end
+SCALE_EXPONENTS = (-1074, -1060, -1023, -700, -451, -450, -449, 0, 449, 450, 451, 700, 1000)
+
+
+def assert_normalized_like_reference(cls, amplitudes):
+    """``cls(amplitudes)`` stores the reference's bits, or raises its error, and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            expected = reference_normalized_amplitudes(amplitudes)
+        except ZeroStateError:
+            with pytest.raises(ZeroStateError, match="^state norm must be finite and positive$"):
+                cls(amplitudes)
+            return
+        assert cls(amplitudes).amplitudes.tobytes() == expected.tobytes()
 
 
 class TestKet:
@@ -70,6 +97,17 @@ class TestKet:
         k = Ket(amps)
         assert abs(np.linalg.norm(k.amplitudes) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
+    def test_norm_bits_match_the_linalg_norm_reference(self, exponent):
+        for dim in range(1, 65):
+            for spread in (0, 60):  # at 60, parts of one state differ in scale by up to 2**60
+                assert_normalized_like_reference(Ket, spread_amplitudes(dim, dim, exponent, spread))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 64), st.integers(-1074, 1000), st.integers(0, 80), st.integers(0, 2**32 - 1))
+    def test_norm_bits_match_the_linalg_norm_reference_anywhere(self, dim, exponent, spread, seed):
+        assert_normalized_like_reference(Ket, spread_amplitudes(seed, dim, exponent, spread))
+
     def test_amplitudes_read_only(self):
         k = Ket([1, 0])
         with pytest.raises(ValueError):
@@ -101,6 +139,16 @@ class TestBra:
             Bra([0, 0])
         with pytest.raises(DimensionError):
             Bra([])
+
+    @pytest.mark.parametrize("amplitudes", [
+        [2.0**-450], [2.0**-451], [2.0**450], [2.0**451],  # the plain norm at and past each end
+        [1e200, 1e200, 1e300], [2.0**1023, -(2.0**1023) * 1j],  # ndarray.dot overflows
+        [5e-324], [5e-324j, 1.0], [1e-310, 3e-320j, 0.0],  # subnormal parts
+        [0.0, 0.0], [math.inf, 1.0], [math.nan],  # no finite positive norm
+    ])
+    def test_norm_bits_match_the_linalg_norm_reference_at_the_edges(self, amplitudes):
+        for cls in (Bra, Ket):
+            assert_normalized_like_reference(cls, amplitudes)
 
 
 class TestOperator:
@@ -233,6 +281,26 @@ class TestLazySpectrum:
                 obs.eigenvalues
         with pytest.raises(RangeError):
             obs.eigenvectors
+
+
+class TestNoNumpyWrappers:
+    def test_small_system_path_calls_no_reduction_wrapper(self, monkeypatch):
+        # at d <= 8 the Python of np.mean, np.linalg.norm and np.sum costs more than their arithmetic
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a numpy reduction wrapper was called")
+
+        for module, name in ((np, "mean"), (np, "sum"), (np.linalg, "norm")):
+            monkeypatch.setattr(module, name, forbidden)
+        rng = np.random.default_rng(30)
+        basis, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        levels = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
+        obs = Operator((basis * levels) @ basis.conj().T)
+        assert len(obs.eigenvalues) == 3
+        pre, post = Ket(rng.normal(size=6)), Bra(rng.normal(size=6) + 1j)
+        assert len(abl_probabilities(TwoStateVector(pre, post), obs).entries) == 3
+        g = gtsv_from_ancilla(pre, post, 3, 2)
+        assert len(abl_probabilities(g, Operator(np.diag([1.0, 1.0, 2.0]))).entries) == 2
+        assert TwoTimeKernel(np.eye(2))._scaled[1] == 0.5
 
 
 def two_observable_file(path):

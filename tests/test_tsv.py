@@ -13,6 +13,7 @@ from helpers import (
     random_ket,
     random_observable,
     random_tsv,
+    spread_amplitudes,
 )
 from tsvlab import (
     SIGMA_X,
@@ -291,6 +292,30 @@ class TestGeneralized:
                     TwoStateVector(pre, post), Operator(np.kron(obs.op.matrix, np.eye(ancilla_dim)))
                 )
                 assert abs(wv_reduced - wv_full) <= 1e-12 * max(1.0, abs(wv_full))
+
+    @pytest.mark.parametrize("spread", [0, 20, 60])
+    def test_weights_match_the_linalg_norm_reference(self, spread):
+        # each weight is np.linalg.norm(fwd) * np.linalg.norm(bwd), bit for bit, before the
+        # generalized vector's exact power-of-two rescale, which both sides then share
+        for seed, (system_dim, ancilla_dim) in enumerate(((1, 1), (2, 2), (3, 2), (2, 5), (8, 8), (1, 64))):
+            for exponent in (-1060, -451, 0, 451, 1000):
+                joint = system_dim * ancilla_dim
+                pre = Ket(spread_amplitudes(seed, joint, exponent, spread))
+                post = Bra(spread_amplitudes(seed + 100, joint, exponent, spread))
+                fwd = pre.amplitudes.reshape(system_dim, ancilla_dim).T
+                bwd = post.amplitudes.reshape(system_dim, ancilla_dim).T
+                expected = GeneralizedTwoStateVector(tuple(
+                    (w, Bra(b), Ket(f)) for f, b in zip(fwd, bwd)
+                    if (w := np.linalg.norm(f) * np.linalg.norm(b)) > 1e-14
+                ))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    g = gtsv_from_ancilla(pre, post, system_dim, ancilla_dim)
+                assert len(g.terms) == len(expected.terms)
+                for (a, b, f), (a_ref, b_ref, f_ref) in zip(g.terms, expected.terms):
+                    assert np.array(a).tobytes() == np.array(a_ref).tobytes()
+                    assert b.amplitudes.tobytes() == b_ref.amplitudes.tobytes()
+                    assert f.amplitudes.tobytes() == f_ref.amplitudes.tobytes()
 
     def test_disjoint_sectors_rejected(self):
         pre = Ket(np.kron([1, 1], [1, 0]))
