@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import _raise_linalgerror_eigenvalues_nonconvergence
 
 from .errors import (
     DimensionError,
@@ -43,6 +45,11 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.flags.writeable = False
 
 
+#: LAPACK's Hermitian eigensolver (``heevd``, lower triangle) as numpy's own gufunc,
+#: the kernel behind ``np.linalg.eigh``; private, present from numpy 2.0 on
+_eigh_lo = _umath_linalg.eigh_lo
+
+
 def _unit_scaled(values: np.ndarray) -> tuple:
     """``(values * 2**-e, e)`` for complex ``values``, with e putting the largest real or imaginary part in [0.5, 1)."""
     parts = values.view(np.float64)
@@ -58,7 +65,7 @@ def _norm(vec: np.ndarray) -> float:
 
 @np.errstate(over="ignore")  # ndarray.dot warns on overflow; an overflowing norm is rescaled below
 def _normalized_amplitudes(amplitudes) -> np.ndarray:
-    vec = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+    vec = np.array(amplitudes, dtype=complex).reshape(-1)
     if vec.size == 0:
         raise DimensionError("state needs at least one amplitude")
     norm = _norm(vec)
@@ -155,19 +162,27 @@ class Operator:
         # halved, so the difference cannot overflow: for normal floats the verdict is
         # that of max|M - M^dagger| <= FLAG_TOL * max|M|, since halving is exact
         half = m * 0.5
-        deviation = np.abs(half - half.conj().T).max()
-        # max|M| is read only for a nonzero deviation; an infinite max|M| never passes
-        if not (deviation == 0.0 or deviation <= FLAG_TOL * np.abs(m).max() / 2.0 < math.inf):
+        diff = half - half.conj().T
+        # the maxima are read only for a nonzero (or NaN) deviation; an infinite max|M| never passes
+        if diff.any() and not abs(diff).max() <= FLAG_TOL * abs(m).max() / 2.0 < math.inf:
             raise NotHermitianError("matrix is not Hermitian")
 
     @cached_property
+    # np.linalg.eigh's own errstate: a NaN from LAPACK raises LinAlgError("Eigenvalues did not converge")
+    @np.errstate(call=_raise_linalgerror_eigenvalues_nonconvergence, invalid="call",
+                 over="ignore", divide="ignore", under="ignore")
     def eigh(self) -> tuple:
         """``np.linalg.eigh`` of the operator, computed on first access.
 
+        Runs numpy's LAPACK gufunc ``eigh_lo`` directly, inside numpy's own
+        errstate for ``np.linalg.eigh``, so every bit and the ``LinAlgError``
+        on non-convergence are its; at d <= 8 the wrapper alone costs about as
+        much as LAPACK. Both names are private to ``numpy.linalg``, present
+        from numpy 2.0 on (pyproject caps numpy at the newest release tested).
         Returns read-only ``(w, V)``: eigenvalues ascending and the unitary
         whose columns are the matching eigenvectors.
         """
-        w, v = np.linalg.eigh(self.matrix)
+        w, v = _eigh_lo(self.matrix, signature="D->dD")
         w.flags.writeable = False
         v.flags.writeable = False
         return w, v

@@ -15,21 +15,22 @@ from tsvlab import (
     spectral_decompose,
     weak_value,
 )
+from tsvlab import qcore
 from tsvlab.measure import _sequential_born
 from tsvlab.qcore import _SAFE_NORMS, NORM_TOL, _unit_scaled
 from tsvlab.tsv import CERTAINTY_TOL
 
 
 def count_eigh(monkeypatch) -> list:
-    """Route ``np.linalg.eigh`` through a counter; the returned list gains one entry per call."""
+    """Route ``qcore._eigh_lo``, the LAPACK kernel ``Operator.eigh`` calls, through a counter; the returned list gains one entry per call."""
     calls = []
-    eigh = np.linalg.eigh
+    eigh_lo = qcore._eigh_lo
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        return eigh_lo(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(qcore, "_eigh_lo", counted)
     return calls
 
 

@@ -207,7 +207,7 @@ def test_merged_eigenvalues_are_numpy_means(label, matrix, blocks):
 
 
 def test_correlated_pair_decomposes_each_direction_once(monkeypatch):
-    calls = count_eigh(monkeypatch)  # Operator.eigh is the one caller of np.linalg.eigh
+    calls = count_eigh(monkeypatch)  # Operator.eigh is the one caller of the LAPACK kernel
     scenario = scenarios.get_scenario("correlated-pair")
     assert calls == []  # built without decomposing; export needs none
     assert scenarios.run_scenario(scenario).passed

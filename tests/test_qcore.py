@@ -38,6 +38,7 @@ from tsvlab import (
     overlap,
     spectral_decompose,
 )
+from tsvlab import qcore
 from tsvlab.cli import main
 from tsvlab.qcore import FLAG_TOL
 
@@ -283,13 +284,55 @@ class TestLazySpectrum:
             obs.eigenvectors
 
 
+def eigh_case(dim: int, spectrum: str, exponent: int) -> np.ndarray:
+    """A d x d Hermitian matrix times ``2**exponent``: random levels, or levels {-1, 0, 2} in a random basis."""
+    rng = np.random.default_rng(dim)
+    if spectrum == "random":
+        m = random_hermitian(rng, dim).matrix
+    else:
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        m = (basis * rng.choice([-1.0, 0.0, 2.0], size=dim)) @ basis.conj().T
+        m = (m + m.conj().T) / 2.0
+    return m * 2.0**exponent
+
+
+class TestEighKernel:
+    @pytest.mark.parametrize("exponent", [0, -500, 500])
+    @pytest.mark.parametrize("spectrum", ["random", "degenerate"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 96])
+    def test_bits_match_numpy_eigh(self, dim, spectrum, exponent):
+        obs = Operator(eigh_case(dim, spectrum, exponent))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = obs.eigh
+            expected_w, expected_v = np.linalg.eigh(obs.matrix)
+        for got, expected in ((w, expected_w), (v, expected_v)):
+            assert type(got) is np.ndarray and got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert not got.flags.writeable
+
+    def test_an_invalid_value_in_the_kernel_raises_what_numpy_eigh_raises(self, monkeypatch):
+        # LAPACK's non-convergence shows as a NaN, which numpy's errstate turns into LinAlgError
+        def faulting(m, signature):
+            return np.subtract(np.inf, np.inf), m
+
+        monkeypatch.setattr(qcore, "_eigh_lo", faulting)
+        monkeypatch.setattr(np.linalg._linalg._umath_linalg, "eigh_lo", faulting)
+        message = "^Eigenvalues did not converge$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            np.linalg.eigh(SIGMA_Z)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            Operator(SIGMA_Z).eigh
+
+
 class TestNoNumpyWrappers:
     def test_small_system_path_calls_no_reduction_wrapper(self, monkeypatch):
-        # at d <= 8 the Python of np.mean, np.linalg.norm and np.sum costs more than their arithmetic
+        # at d <= 8 the Python of np.mean, np.linalg.norm and np.sum costs more than their
+        # arithmetic, and that of np.linalg.eigh about as much as its LAPACK call
         def forbidden(*args, **kwargs):
-            raise AssertionError("a numpy reduction wrapper was called")
+            raise AssertionError("a numpy Python wrapper was called")
 
-        for module, name in ((np, "mean"), (np, "sum"), (np.linalg, "norm")):
+        for module, name in ((np, "mean"), (np, "sum"), (np.linalg, "norm"), (np.linalg, "eigh")):
             monkeypatch.setattr(module, name, forbidden)
         rng = np.random.default_rng(30)
         basis, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
