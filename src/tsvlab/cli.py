@@ -26,13 +26,7 @@ import numpy as np
 
 from . import measure, problemfile, scenarios
 from .errors import ConfigError, NullEnsembleError, OrthogonalSelectionError, ProblemFileError, TsvLabError
-from .tsv import (
-    GeneralizedTwoStateVector,
-    TwoStateVector,
-    abl_at_time,
-    abl_probabilities,
-    weak_value,
-)
+from .tsv import GeneralizedTwoStateVector, TwoStateVector, abl_probabilities, at_time, weak_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,11 +60,15 @@ def _load(args):
     return problem, problem.observables[args.observable]
 
 
-def _selection(problem, kind=GeneralizedTwoStateVector, message: str = _NO_SELECTION):
-    """The problem's selection if it is a ``kind``; else a ProblemFileError."""
+def _selection(problem, time=None, kind=GeneralizedTwoStateVector, message: str = _NO_SELECTION):
+    """The problem's selection if it is a ``kind``, moved to ``time`` if one is given; else a ProblemFileError."""
     if not isinstance(problem.selection, kind):
         raise ProblemFileError(message)
-    return problem.selection
+    if time is None:
+        return problem.selection
+    if problem.hamiltonian is None:
+        raise ProblemFileError("--time requires a hamiltonian in the problem file")
+    return at_time(problem.selection, problem.hamiltonian, time)
 
 
 def cmd_run(args) -> int:
@@ -102,13 +100,7 @@ def cmd_run(args) -> int:
 
 def cmd_abl(args) -> int:
     problem, obs = _load(args)
-    if args.time is None:
-        dist = abl_probabilities(_selection(problem), obs)
-    else:
-        tsv = _selection(problem, TwoStateVector, "--time needs a pre/post problem file")
-        if problem.hamiltonian is None:
-            raise ProblemFileError("--time requires a hamiltonian in the problem file")
-        dist = abl_at_time(tsv.forward, tsv.backward, problem.hamiltonian, args.time, obs)
+    dist = abl_probabilities(_selection(problem, args.time), obs)
     if args.format == "json":
         print(json.dumps({"observable": args.observable, "distribution": [
             {"outcome": o, "probability": p} for o, p in dist.entries
@@ -121,7 +113,7 @@ def cmd_abl(args) -> int:
 
 def cmd_weak(args) -> int:
     problem, obs = _load(args)
-    value = weak_value(_selection(problem), obs)
+    value = weak_value(_selection(problem, args.time), obs)
     if args.format == "json":
         print(json.dumps({"observable": args.observable, "weak_value": [value.real, value.imag]}))
     else:
@@ -131,7 +123,7 @@ def cmd_weak(args) -> int:
 
 def cmd_verify(args) -> int:
     problem, obs = _load(args)
-    tsv = _selection(problem, TwoStateVector, "verify needs a pre/post problem file")
+    tsv = _selection(problem, kind=TwoStateVector, message="verify needs a pre/post problem file")
     if args.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {args.workers}")
     report = measure.monte_carlo_abl(tsv.forward, tsv.backward, obs, args.samples, seed=args.seed)
@@ -169,7 +161,7 @@ def cmd_verify(args) -> int:
 
 def cmd_pointer(args) -> int:
     problem, obs = _load(args)
-    selection = _selection(problem)
+    selection = _selection(problem, args.time)
     cfg = measure.PointerConfig(args.g, args.sigma, obs.max_abs_eigenvalue)
     result = measure.weak_measure_pointer(selection, obs, cfg)
     try:
@@ -299,18 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     problem_flags.add_argument("--observable", required=True, help="observable name from the file")
     format_flag = argparse.ArgumentParser(add_help=False)
     format_flag.add_argument("--format", choices=("table", "json"), default="table")
+    time_flag = argparse.ArgumentParser(add_help=False)
+    time_flag.add_argument("--time", type=float, default=None,
+                           help="evaluate at this time inside the file's hamiltonian schedule")
 
     run = sub.add_parser("run", parents=[format_flag], help="run a named scenario's checks")
     run.add_argument("scenario", choices=sorted(scenarios.SCENARIOS))
     run.set_defaults(func=cmd_run)
 
-    abl = sub.add_parser("abl", parents=[problem_flags, format_flag],
+    abl = sub.add_parser("abl", parents=[problem_flags, format_flag, time_flag],
                          help="conditional outcome probabilities")
-    abl.add_argument("--time", type=float, default=None,
-                     help="evaluate at this time inside the file's hamiltonian schedule")
     abl.set_defaults(func=cmd_abl)
 
-    weak = sub.add_parser("weak", parents=[problem_flags, format_flag],
+    weak = sub.add_parser("weak", parents=[problem_flags, format_flag, time_flag],
                           help="weak value of an observable")
     weak.set_defaults(func=cmd_weak)
 
@@ -323,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="echoed in the output only; the counts do not depend on it")
     verify.set_defaults(func=cmd_verify)
 
-    pointer = sub.add_parser("pointer", parents=[problem_flags],
+    pointer = sub.add_parser("pointer", parents=[problem_flags, time_flag],
                              help="Gaussian-pointer measurement simulation")
     pointer.add_argument("--g", type=float, required=True, help="coupling strength")
     pointer.add_argument("--sigma", type=float, required=True, help="pointer spread")

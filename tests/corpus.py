@@ -2,10 +2,11 @@
 
 Each command runs in-process through ``tsvlab.cli.main`` in a scratch
 directory holding the problem files that :func:`write_inputs` makes: the
-CI flip files, edge files (states scaled by 1e300 and 1e-300, a 6-level
-degenerate observable at the units 1, 2**24 and 1e-200, subnormal
-amplitudes), a kernel file with an observable, a generalized file with a
-schedule, and the two files under ``tests/fixtures``. The command list
+CI flip files and the flip pair's one-term generalized copy, edge files
+(states scaled by 1e300 and 1e-300, a 6-level degenerate observable at
+the units 1, 2**24 and 1e-200, subnormal amplitudes), a kernel file with
+an observable, a two-term generalized file with and without a schedule,
+and the two files under ``tests/fixtures``. The command list
 begins with ``export-scenario`` of the five scenarios, whose files the later
 commands read. A command's digest is the sha256 of its exit code, stdout,
 stderr and the bytes of the file named by its ``--out`` (removed first, so
@@ -84,12 +85,17 @@ def write_inputs() -> None:
     for name in COPIED:
         shutil.copyfile(fixtures / name, name)
     # the CI flip files: two segments of H = c sigma_x for time 1/c
+    pre, post = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
     for name, c in (("flip.json", 1.0), ("flip-overflow.json", 1e-308)):
         h = [[[0.0, 0.0], [c, 0.0]], [[c, 0.0], [0.0, 0.0]]]
-        doc = {"dims": [2], "pre": [[1.0, 0.0], [0.0, 0.0]], "post": [[0.0, 0.0], [1.0, 0.0]],
+        doc = {"dims": [2], "pre": pre, "post": post,
                "hamiltonian": [{"duration": 1.0 / c, "matrix": h}] * 2,
                "observables": [{"name": "z", "matrix": Z}]}
         _dump(name, doc)
+    # the flip pair as its one-term generalized selection
+    _dump("flip-generalized.json", {"dims": [2], "generalized": [{"alpha": [1.0, 0.0], "pre": pre, "post": post}],
+                                    "hamiltonian": [{"duration": 1.0, "matrix": X}] * 2,
+                                    "observables": [{"name": "z", "matrix": Z}]})
     upper = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     doc["hamiltonian"] = [{"duration": 1.0, "matrix": Z}, {"duration": 1.0, "matrix": upper}]
     _dump("upper-segment.json", doc)
@@ -172,8 +178,15 @@ def commands() -> list:
     out += [["abl", *flip], ["weak", *flip]]
     out += [["abl", "--file", name, "--observable", "z", f"--time={t}"]
             for name in ("flip-overflow.json", "upper-segment.json") for t in ("0", "1")]
+    # --time moves the selection of abl, weak and pointer alike, a pair as its one-term form
+    for name, observable in (("flip.json", "z"), ("flip-generalized.json", "z"), ("generalized-h.json", "x")):
+        file = ["--file", name, "--observable", observable]
+        out += [[verb, *file, f"--time={t}"] for verb in ("abl", "weak") for t in ("0.5", "1.5")]
+        out += [["pointer", *file, "--time=0.5", "--g", g, "--sigma", "1", "--out", "density.csv"]
+                for g in ("0.001", "100")]
 
-    # error cases: exit 2 (usage, parse, configuration), 3 (null ensemble), 4 (no samples)
+    # --time on generalized and kernel files, then error cases: exit 2 (usage, parse,
+    # configuration), 3 (null ensemble), 4 (no samples)
     three = ["--file", "three-box.json", "--observable", "P_A"]
     out += [
         ["abl", "--file", "generalized-h.json", "--observable", "z", "--time=0.5"],
@@ -181,6 +194,10 @@ def commands() -> list:
         ["abl", "--file", "kernel.json", "--observable", "z", "--time=0.5"],
         ["abl", "--file", "kernel-h.json", "--observable", "z", "--time=0.5"],
         ["abl", *three, "--time=0"],
+        ["weak", *three, "--time=0"],
+        ["pointer", *three, "--time=0", "--g", "0.001", "--sigma", "1", "--out", "density.csv"],
+        ["weak", "--file", "kernel-h.json", "--observable", "z", "--time=0.5"],
+        ["weak", "--file", "flip.json", "--observable", "z", "--time=2.5"],
         ["verify", "--file", "generalized-h.json", "--observable", "z", "--samples", "1000"],
         ["verify", "--file", "mean-king.json", "--observable", "sigma_z"],
         ["verify", *three, "--workers", "0"],
@@ -197,7 +214,8 @@ def commands() -> list:
         ["abl", "--file", "no-such-file.json", "--observable", "z"],
         ["abl", "--file", "broken.json", "--observable", "z"],
     ]
-    return out
+    # each command once, where it first appears
+    return list({" ".join(argv): argv for argv in out}.values())
 
 
 def digest(argv: list) -> str:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from tsvlab import (
     GeneralizedTwoStateVector,
@@ -1149,17 +1150,21 @@ class TestExportRoundTrip:
 
 
 class TestSelectionKinds:
-    """`abl`, `weak` and `pointer` take a pair or a generalized file; `verify` and `abl --time` only a pair."""
+    """`abl`, `weak` and `pointer` take a pair or a generalized file, moved to `--time` if given; `verify` only a pair."""
 
     Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 
-    def test_kernel_file_rejected_by_pointer(self, tmp_path, capsys):
+    def kernel_file(self, tmp_path, capsys, **extra):
         path = tmp_path / "pair.json"
         assert main(["export-scenario", "correlated-pair", "--out", str(path)]) == 0
         doc = json.loads(path.read_text())
         doc["observables"] = [{"name": "z", "matrix": self.Z}]
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({**doc, **extra}))
         capsys.readouterr()  # drop export output
+        return path
+
+    def test_kernel_file_rejected_by_pointer(self, tmp_path, capsys):
+        path = self.kernel_file(tmp_path, capsys)
         code = main(["pointer", "--file", str(path), "--observable", "z", "--g", "0.001",
                      "--sigma", "1", "--out", str(tmp_path / "p.csv")])
         assert code == 2
@@ -1168,9 +1173,26 @@ class TestSelectionKinds:
         )
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("hamiltonian", [[], [{"duration": 1.0, "matrix": Z}]])
+    def test_kernel_file_rejected_at_a_time(self, tmp_path, capsys, hamiltonian):
+        # the selection is read before the schedule, with or without one
+        extra = {"hamiltonian": hamiltonian} if hamiltonian else {}
+        path = self.kernel_file(tmp_path, capsys, **extra)
+        assert main(["abl", "--file", str(path), "--observable", "z", "--time=0.5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {cli._NO_SELECTION}\n")
+
+    @pytest.mark.parametrize("verb, flags", [("weak", []), ("pointer", ["--g", "0.001", "--sigma", "1"])])
+    def test_time_needs_a_hamiltonian(self, tmp_path, capsys, verb, flags):
+        path, out = tmp_path / "three-box.json", tmp_path / "p.csv"
+        assert main(["export-scenario", "three-box", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = [verb, "--file", str(path), "--observable", "P_A", "--time=0", *flags]
+        assert main([*argv, "--out", str(out)] if verb == "pointer" else argv) == 2
+        assert capsys.readouterr() == ("", "error: --time requires a hamiltonian in the problem file\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb, flags, message", [
         ("verify", ["--samples", "1000"], "verify needs a pre/post problem file"),
-        ("abl", ["--time=0.5"], "--time needs a pre/post problem file"),
     ])
     def test_generalized_file_rejected_by_pair_only_verbs(self, tmp_path, capsys, verb, flags, message):
         # the file has a hamiltonian, so the message names the selection, not the schedule
@@ -1184,3 +1206,40 @@ class TestSelectionKinds:
         }))
         assert main([verb, "--file", str(path), "--observable", "z", *flags]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_weak_and_pointer_at_a_time_match_evolved_files(self, tmp_path, capsys):
+        # `--time t` on a pair file answers as the file whose pre and post were evolved
+        # to t by scipy's expm: the weak value and each CSV density within 1e-12, the
+        # positions exactly, and each printed number to its 12 digits
+        rng = np.random.default_rng(32)
+        d, t = 4, 0.7
+        h1, h2, o = ((a + a.conj().T) / 2.0 for a in rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d)))
+        pre, post = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+        late = expm(-1j * h2 * 0.6) @ expm(-1j * h1 * 0.2)  # from t = 0.7 to T = 1.5
+        common = {"dims": [d], "observables": [{"name": "O", "matrix": pairs(o)}]}
+        timed, evolved = tmp_path / "timed.json", tmp_path / "evolved.json"
+        timed.write_text(json.dumps({**common, "pre": pairs(pre), "post": pairs(post), "hamiltonian": [
+            {"duration": 0.9, "matrix": pairs(h1)}, {"duration": 0.6, "matrix": pairs(h2)}]}))
+        evolved.write_text(json.dumps({**common, "pre": pairs(expm(-1j * h1 * t) @ pre),
+                                       "post": pairs(late.conj().T @ post)}))
+
+        def run(path, verb, *flags):
+            out = tmp_path / f"{path.stem}.csv"
+            argv = [verb, "--file", str(path), "--observable", "O", *flags]
+            assert main([*argv, "--out", str(out)] if verb == "pointer" else argv) == 0
+            return capsys.readouterr().out, out
+
+        def numbers(text):
+            # every number printed after the first line, which names the CSV
+            return [float(x) for x in re.findall(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", text.split("\n", 1)[1])]
+
+        w, v = (complex(*json.loads(run(path, "weak", *flags, "--format", "json")[0])["weak_value"])
+                for path, flags in ((timed, ["--time=0.7"]), (evolved, [])))
+        assert abs(w - v) <= 1e-12 * max(1.0, abs(w))
+        for g in ("0.001", "100"):
+            (text, csv), (other, other_csv) = (run(path, "pointer", *flags, "--g", g, "--sigma", "1")
+                                               for path, flags in ((timed, ["--time=0.7"]), (evolved, [])))
+            assert numbers(text) == pytest.approx(numbers(other), rel=1e-11, abs=1e-12)
+            a, b = (np.loadtxt(path, delimiter=",", skiprows=1) for path in (csv, other_csv))
+            assert np.array_equal(a[:, 0], b[:, 0])
+            assert np.abs(a[:, 1] - b[:, 1]).max() <= 1e-12

@@ -6,6 +6,7 @@ from scipy, the joint system with ``O (x) I``), so a fault in one code
 path cannot cancel against itself.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from tsvlab import (
     TwoStateVector,
     abl_at_time,
     abl_probabilities,
+    at_time,
     exact_conditional_oracle,
     gtsv_from_ancilla,
     monte_carlo_abl,
@@ -92,15 +94,15 @@ def gtsv(terms, scale=lambda alpha: alpha):
     return GeneralizedTwoStateVector(tuple((scale(a), Bra(phi), Ket(psi)) for a, phi, psi in terms))
 
 
-def assert_same_distribution(dist, other):
+def assert_same_distribution(dist, other, tol=TOL):
     assert len(dist.entries) == len(other.entries)
     for (o, p), (q, r) in zip(dist.entries, other.entries):
-        assert abs(o - q) <= TOL * max(1.0, abs(o))
-        assert abs(p - r) <= TOL
+        assert abs(o - q) <= tol * max(1.0, abs(o))
+        assert abs(p - r) <= tol
 
 
-def assert_same_value(w, v):
-    assert abs(w - v) <= TOL * max(1.0, abs(w))
+def assert_same_value(w, v, tol=TOL):
+    assert abs(w - v) <= tol * max(1.0, abs(w))
 
 
 @SETTINGS
@@ -179,22 +181,49 @@ def propagator(segments, start, end):
     return u
 
 
+def dilation(terms) -> tuple:
+    """The joint pair sum_i sqrt|a_i| e^(i arg a_i) |psi_i>|i>, sum_i sqrt|a_i| <phi_i|<i| of unit-state terms.
+
+    Its reduction over the ancilla (Aharonov-Vaidman) is the generalized
+    selection sum_i a_i <phi_i| |psi_i>, so the two give the same ABL table
+    and weak value of O and O (x) I.
+    """
+    ancilla = np.eye(len(terms))
+    roots = [math.sqrt(abs(a)) for a, _, _ in terms]
+    pre = sum(np.kron(r * cmath.exp(1j * cmath.phase(a)) * unit(psi), e)
+              for r, (a, _, psi), e in zip(roots, terms, ancilla))
+    post = sum(np.kron(r * unit(phi), e) for r, (_, phi, _), e in zip(roots, terms, ancilla))
+    return pre, post
+
+
 @SETTINGS
 @given(st.data())
 def test_abl_at_time_matches_expm(data):
+    # a selection at time t is its dilated pair with the ket evolved by expm on H (x) I
+    # over [0, t] and the bra back over [t, T]: ABL and weak value agree within 1e-12
     dim = data.draw(dims)
-    psi, phi = data.draw(vectors(dim)), data.draw(vectors(dim))
+    terms = data.draw(generalized_terms(dim))
     n = data.draw(st.integers(1, 3))
     segments = [(data.draw(st.floats(0.0, 2.0)), data.draw(hermitians(dim))) for _ in range(n)]
     total = sum(duration for duration, _ in segments)
     t = data.draw(st.floats(0.0, 1.0)) * total
-    forward = propagator(segments, 0.0, t) @ psi
-    backward = propagator(segments, t, total).conj().T @ phi
-    assume(well_conditioned([(1.0, backward, forward)]))
-    obs = spectral_decompose(Operator(data.draw(hermitians(dim))))
+    early, late = propagator(segments, 0.0, t), propagator(segments, t, total)
+    assume(well_conditioned([(a, late.conj().T @ phi, early @ psi) for a, phi, psi in terms]))
+    o = data.draw(hermitians(dim))
+    obs = spectral_decompose(Operator(o))
     schedule = HamiltonianSchedule(tuple((duration, Operator(h)) for duration, h in segments))
-    expected = abl_probabilities(TwoStateVector(Ket(forward), Bra(backward)), obs)
-    assert_same_distribution(abl_at_time(Ket(psi), Bra(phi), schedule, t, obs), expected)
+    moved = at_time(gtsv(terms), schedule, t)
+
+    ancilla = np.eye(len(terms))
+    pre, post = dilation(terms)
+    joint = TwoStateVector(Ket(np.kron(early, ancilla) @ pre), Bra(np.kron(late, ancilla).conj().T @ post))
+    joint_obs = spectral_decompose(Operator(np.kron(o, ancilla)))
+    expected = abl_probabilities(joint, joint_obs)
+    assert_same_distribution(abl_probabilities(moved, obs), expected, 1e-12)
+    assert_same_value(weak_value(moved, obs.op), weak_value(joint, joint_obs.op), 1e-12)
+    # the pair path: the dilated pair under the schedule of H (x) I
+    joint_schedule = HamiltonianSchedule(tuple((d, Operator(np.kron(h, ancilla))) for d, h in segments))
+    assert_same_distribution(abl_at_time(Ket(pre), Bra(post), joint_schedule, t, joint_obs), expected, 1e-12)
 
 
 @SETTINGS

@@ -37,6 +37,7 @@ from tsvlab import (
     abl_at_time,
     abl_probabilities,
     abl_probabilities_generalized,
+    at_time,
     element_of_reality,
     exact_conditional_oracle,
     get_scenario,
@@ -201,6 +202,19 @@ class TestAblAtTime:
                 2.0,
                 spectral_decompose(Operator(SIGMA_Z)),
             )
+
+    def test_at_time_decomposes_each_segment_once(self, monkeypatch):
+        # an n-term selection over k segments runs k eighs, not n k: each segment's
+        # eigh is cached on its Hamiltonian, which both halves of a split segment share
+        rng = np.random.default_rng(32)
+        schedule = HamiltonianSchedule(tuple((0.5, random_hermitian(rng, 3)) for _ in range(3)))
+        selection = GeneralizedTwoStateVector(tuple(
+            (complex(i + 1, -i), random_bra(rng, 3), random_ket(rng, 3)) for i in range(4)
+        ))
+        calls = count_eigh(monkeypatch)
+        moved = at_time(selection, schedule, 0.8)
+        assert calls == [(3, 3)] * 3
+        assert [a for a, _, _ in moved.terms] == [a for a, _, _ in selection.terms]
 
 
 class TestGeneralized:
