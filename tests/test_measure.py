@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from helpers import (
     dichotomic_case_with_certain_outcome,
     per_trial_counts,
     random_bra,
+    random_dichotomic_observable,
     random_ket,
     random_observable,
     random_tsv,
@@ -251,6 +253,18 @@ class TestMonteCarloGolden:
         assert report.samples_postselected == 6622
         assert report.counts == (49, 160, 878, 154, 1373, 1225, 3, 2780)
 
+    def test_sequential_born_bytes(self):
+        # sha256 of both Born-rule arrays on 2,000 random pairs at d = 2..8, every
+        # other observable degenerate; captured while _sequential_born took a pair
+        rng = np.random.default_rng(33)
+        digest = hashlib.sha256()
+        for case in range(2000):
+            dim = int(rng.integers(2, 9))
+            obs = random_dichotomic_observable(rng, dim) if case % 2 else random_observable(rng, dim)
+            pre, post = random_ket(rng, dim), random_bra(rng, dim)
+            for part in tsvlab.measure._sequential_born(pre, post, obs):
+                digest.update(part.tobytes())
+        assert digest.hexdigest() == "7a2060f39a9c10f14413cc2256c1636ec67cdf7f32563bd843eaa43aaf704351"
 
 class TestExactConditionalOracle:
     def test_eigenstate_pre(self):
