@@ -26,7 +26,7 @@ import numpy as np
 
 from . import measure, problemfile, scenarios
 from .errors import ConfigError, NullEnsembleError, OrthogonalSelectionError, ProblemFileError, TsvLabError
-from .tsv import GeneralizedTwoStateVector, TwoStateVector, abl_probabilities, at_time, weak_value
+from .tsv import GeneralizedTwoStateVector, abl_probabilities, at_time, weak_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,10 +60,10 @@ def _load(args):
     return problem, problem.observables[args.observable]
 
 
-def _selection(problem, time=None, kind=GeneralizedTwoStateVector, message: str = _NO_SELECTION):
-    """The problem's selection if it is a ``kind``, moved to ``time`` if one is given; else a ProblemFileError."""
-    if not isinstance(problem.selection, kind):
-        raise ProblemFileError(message)
+def _selection(problem, time=None):
+    """The problem's pair or generalized selection, moved to ``time`` if one is given; else a ProblemFileError."""
+    if not isinstance(problem.selection, GeneralizedTwoStateVector):
+        raise ProblemFileError(_NO_SELECTION)
     if time is None:
         return problem.selection
     if problem.hamiltonian is None:
@@ -123,10 +123,10 @@ def cmd_weak(args) -> int:
 
 def cmd_verify(args) -> int:
     problem, obs = _load(args)
-    tsv = _selection(problem, kind=TwoStateVector, message="verify needs a pre/post problem file")
+    selection = _selection(problem)
     if args.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {args.workers}")
-    report = measure.monte_carlo_abl(tsv.forward, tsv.backward, obs, args.samples, seed=args.seed)
+    report = measure.monte_carlo(selection, obs, args.samples, seed=args.seed)
     if report.samples_postselected == 0:
         print(
             f"no post-selected samples out of {args.samples}; "
@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NO_SAMPLES
-    rows = measure.measure(report, abl_probabilities(tsv, obs))
+    rows = measure.measure(report, abl_probabilities(selection, obs))
     all_ok = all(abs(z) <= measure.Z_LIMIT for *_, z in rows)
     if args.format == "json":
         print(json.dumps({

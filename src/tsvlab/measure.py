@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NullEnsembleError
 from .qcore import Bra, Ket, Operator
-from .tsv import _NULL_WEIGHT, Distribution, _abl_amplitudes
+from .tsv import _NULL_WEIGHT, Distribution, TwoStateVector, _abl_amplitudes
 
 #: documented default master seed for randomized commands
 DEFAULT_SEED = 20260810
@@ -156,40 +156,38 @@ def _born_weights(projected: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", projected.conj(), projected).real
 
 
-def _sequential_born(pre: Ket, post: Bra, obs: Operator) -> tuple:
+def _sequential_born(selection, obs: Operator) -> tuple:
     """The two Born rules of a pre/post-selected trial, one entry per outcome n.
 
-    Returns ``(p_outcome, p_post)``: the Born weight ``||P_n psi||^2`` of the
-    intermediate outcome, and the Born probability ``|<phi|psi_n>|^2`` of
-    the post-selection from the collapsed state ``psi_n``. An outcome of
-    zero Born weight has ``p_post == 0``.
+    The selection is read as its normalized ancilla dilation, one block per term (the inverse
+    of :func:`~tsvlab.tsv.gtsv_from_ancilla`): ``sum_i sqrt|alpha_i| e^(i arg alpha_i) |psi_i>|i>``
+    and ``sum_i sqrt(|alpha_i| / W) <phi_i|<i|``, ``W = sum_i |alpha_i|``. Returns ``(p, q)``:
+    the Born weight ``p_n = sum_i |alpha_i| ||P_n psi_i||^2`` of the intermediate outcome, and the
+    Born probability ``q_n = |sum_i alpha_i <phi_i|P_n psi_i> / sqrt(p_n)|^2 / W`` of the
+    post-selection from the collapsed state; ``q_n == 0`` where ``p_n == 0``.
     """
-    if pre.dim != obs.dim or post.dim != obs.dim:
+    if selection.dim != obs.dim:
         raise DimensionError("state and observable dims differ")
-    projected = obs.project(pre)
-    p_outcome = _born_weights(projected)
-    norms = np.sqrt(p_outcome)
-    collapsed = projected / np.where(norms > 0.0, norms, 1.0)
-    p_post = np.abs(post.amplitudes.conj() @ collapsed) ** 2
-    return p_outcome, p_post
+    blocks = [(a, b, obs.project(f)) for a, b, f in selection.terms]
+    p_outcome = sum(abs(a) * _born_weights(projected) for a, _, projected in blocks)
+    norms = np.where(p_outcome > 0.0, np.sqrt(p_outcome), 1.0)
+    # collapse first, then take the overlap: a pair's weight 1 changes no bit
+    amplitudes = sum(a * (b.amplitudes.conj() @ (projected / norms)) for a, b, projected in blocks)
+    return p_outcome, np.abs(amplitudes) ** 2 / sum(abs(a) for a, _, _ in blocks)
 
 
-def monte_carlo_abl(
-    pre: Ket,
-    post: Bra,
-    obs: Operator,
-    n_samples: int,
-    seed: int = DEFAULT_SEED,
-) -> MonteCarloReport:
+def monte_carlo(selection, obs: Operator, n_samples: int, seed: int = DEFAULT_SEED) -> MonteCarloReport:
     """Simulate the pre/post-selected ensemble in forward-only mechanics.
 
-    Each trial prepares ``pre`` and performs the intermediate projective
+    ``selection`` is a GeneralizedTwoStateVector, such as a TwoStateVector,
+    run as its ancilla dilation (see :func:`_sequential_born`). Each trial
+    prepares the pre-selection and performs the intermediate projective
     measurement of ``obs``, finding outcome n with its Born weight ``p_n``;
     it is kept iff the post-selection then succeeds, with the Born
-    probability ``q_n = |<phi|psi_n>|^2`` from the collapsed state ``psi_n``.
-    So a trial is kept in outcome n with probability ``p_n q_n``, and the
-    kept counts of ``n_samples`` independent trials, with the dropped trials
-    as a last cell, are one draw from their exact law,
+    probability ``q_n`` from the collapsed state. So a trial is kept in
+    outcome n with probability ``p_n q_n``, and the kept counts of
+    ``n_samples`` independent trials, with the dropped trials as a last
+    cell, are one draw from their exact law,
     Multinomial(n_samples, [p_1 q_1, ..., 1 - sum_n p_n q_n]).
 
     Deterministic for a fixed seed. Time is that of the two Born rules plus
@@ -206,12 +204,17 @@ def monte_carlo_abl(
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    p_outcome, p_post = _sequential_born(pre, post, obs)
+    p_outcome, p_post = _sequential_born(selection, obs)
     # rounding can lift a certain outcome's cell to 1 + a few ulp, which multinomial rejects
     cells = np.minimum(p_outcome / p_outcome.sum() * p_post, 1.0)
     # multinomial gives the last cell what the others leave: the dropped trials
     counts = np.random.default_rng(seed).multinomial(n_samples, [*cells, 0.0])[:-1]
     return MonteCarloReport(tuple(counts.tolist()))
+
+
+def monte_carlo_abl(pre: Ket, post: Bra, obs: Operator, n_samples: int, seed: int = DEFAULT_SEED) -> MonteCarloReport:
+    """:func:`monte_carlo` of the pair ``<post| |pre>``, kept for its caller ``bench/probe.py``."""
+    return monte_carlo(TwoStateVector(pre, post), obs, n_samples, seed)
 
 
 def measure(report: MonteCarloReport, dist: Distribution) -> list:
@@ -241,7 +244,7 @@ def exact_conditional_oracle(pre: Ket, post: Bra, obs: Operator) -> Distribution
     collapsed state; the joint weights are then normalized. This shares no
     formula with the ABL path and serves as its independent oracle.
     """
-    p_outcome, p_post = _sequential_born(pre, post, obs)
+    p_outcome, p_post = _sequential_born(TwoStateVector(pre, post), obs)
     weights = p_outcome * p_post
     total = weights.sum()
     if total <= _NULL_WEIGHT:

@@ -242,8 +242,8 @@ def to_document(problem: ProblemFile) -> dict:
     selection = problem.selection
     doc = {"dims": [int(d) for d in problem.dims]}
     if isinstance(selection, TwoStateVector):  # before its parent class, which a pair also is
-        doc["pre"] = _pairs(selection.forward.amplitudes)
-        doc["post"] = _pairs(selection.backward.amplitudes)
+        ((_, bwd, fwd),) = selection.terms
+        doc["pre"], doc["post"] = _pairs(fwd.amplitudes), _pairs(bwd.amplitudes)
     elif isinstance(selection, GeneralizedTwoStateVector):
         doc["generalized"] = [
             {"alpha": _pairs(alpha), "pre": _pairs(fwd.amplitudes),

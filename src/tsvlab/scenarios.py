@@ -156,9 +156,7 @@ def _projector_sum_check(tsv, obs, description):
 def _monte_carlo_check(tsv, obs, description):
     def run():
         dist = abl_probabilities(tsv, obs)
-        report = measure.monte_carlo_abl(
-            tsv.forward, tsv.backward, obs, _MC_SAMPLES, seed=_MC_SEED
-        )
+        report = measure.monte_carlo(tsv, obs, _MC_SAMPLES, seed=_MC_SEED)
         if report.samples_postselected == 0:
             expected = f"frequencies within {measure.Z_LIMIT:g} standard errors"
             return expected, "no post-selected samples", False

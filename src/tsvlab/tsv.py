@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,14 +95,6 @@ class TwoStateVector(GeneralizedTwoStateVector):
 
     def __init__(self, forward: Ket, backward: Bra):
         super().__init__(((1.0, backward, forward),))
-
-    @property
-    def forward(self) -> Ket:
-        return self.terms[0][2]
-
-    @property
-    def backward(self) -> Bra:
-        return self.terms[0][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,8 +281,9 @@ def weak_value(selection, op: Operator) -> complex:
     general: the effective coupling seen by a weakly coupled probe, which
     may lie far outside the operator's eigenvalue range. For a generalized
     two-state vector it matches the joint-system weak value of
-    O (x) identity under the ancilla reduction. Only where O psi overflows
-    is it formed on O over a power of two, so it is found wherever finite.
+    O (x) identity under the ancilla reduction. Only where O psi overflows, or
+    the ratio is subnormal and O below 0.5, is it formed on O over a power of
+    two, so it is found wherever finite and keeps a subnormal's bits.
 
     Raises
     ------
@@ -315,12 +309,14 @@ def weak_value(selection, op: Operator) -> complex:
                    for a, b, f in selection.terms) / denom
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the rescaled path below
         value = ratio(op.matrix)
-    if not cmath.isfinite(value):
-        # O psi_i may overflow where the weak value does not: take it on O over a power of two,
-        # then scale each part back, keeping a zero's sign, in halves: 2.0**1024 overflows
+    if not sys.float_info.min <= abs(value) < math.inf:
+        # O psi_i may overflow where the weak value does not, or underflow where it is subnormal:
+        # take it on O over a power of two (for a subnormal one, only if that scales O up), then
+        # scale each part back, keeping a zero's sign, in halves: 2.0**1024 overflows
         unit, e = _unit_scaled(op.matrix)
-        value, up, rest = ratio(unit), 2.0 ** (e // 2), 2.0 ** (e - e // 2)
-        value = complex(value.real * up * rest, value.imag * up * rest)
+        if e < 0 or not cmath.isfinite(value):
+            value, up, rest = ratio(unit), 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+            value = complex(value.real * up * rest, value.imag * up * rest)
     if not cmath.isfinite(value):
         raise RangeError(f"weak value overflows float64 (pre/post overlap {abs(denom):.3e})")
     return value

@@ -2,7 +2,8 @@
 
 Each command runs in-process through ``tsvlab.cli.main`` in a scratch
 directory holding the problem files that :func:`write_inputs` makes: the
-CI flip files and the flip pair's one-term generalized copy, edge files
+CI flip files and the one-term generalized copies of the flip pair and
+of the three-box scenario, edge files
 (states scaled by 1e300 and 1e-300, a 6-level degenerate observable at
 the units 1, 2**24 and 1e-200, subnormal amplitudes), a kernel file with
 an observable, a two-term generalized file with and without a schedule,
@@ -39,6 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from tsvlab.cli import main
+from tsvlab.problemfile import to_document
+from tsvlab.scenarios import get_scenario
 
 FIXTURE = Path(__file__).parent / "fixtures" / "corpus.json"
 #: problem files copied from tests/fixtures into the scratch directory
@@ -96,6 +99,9 @@ def write_inputs() -> None:
     _dump("flip-generalized.json", {"dims": [2], "generalized": [{"alpha": [1.0, 0.0], "pre": pre, "post": post}],
                                     "hamiltonian": [{"duration": 1.0, "matrix": X}] * 2,
                                     "observables": [{"name": "z", "matrix": Z}]})
+    three = to_document(get_scenario("three-box"))
+    three["generalized"] = [{"alpha": [1.0, 0.0], "pre": three.pop("pre"), "post": three.pop("post")}]
+    _dump("three-box-generalized.json", three)
     upper = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     doc["hamiltonian"] = [{"duration": 1.0, "matrix": Z}, {"duration": 1.0, "matrix": upper}]
     _dump("upper-segment.json", doc)
@@ -200,6 +206,9 @@ def commands() -> list:
         ["weak", "--file", "flip.json", "--observable", "z", "--time=2.5"],
         ["verify", "--file", "generalized-h.json", "--observable", "z", "--samples", "1000"],
         ["verify", "--file", "mean-king.json", "--observable", "sigma_z"],
+        # verify reads a pair as its one-term generalized copy, and a kernel file as every verb does
+        ["verify", "--file", "three-box-generalized.json", "--observable", "P_B", "--format", "json", "--seed", "1"],
+        ["verify", "--file", "kernel.json", "--observable", "z"],
         ["verify", *three, "--workers", "0"],
         ["verify", *three, "--samples", "0"],
         ["verify", "--file", "impossible_postselection.json", "--observable", "identity", "--samples", "1000"],

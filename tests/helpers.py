@@ -108,9 +108,9 @@ def random_observable(rng, dim):
 def random_tsv(rng, dim, min_overlap=0.0):
     """Random selection pair, resampled until the overlap clears min_overlap."""
     while True:
-        tsv = TwoStateVector(random_ket(rng, dim), random_bra(rng, dim))
-        if abs(overlap(tsv.backward, tsv.forward)) > min_overlap:
-            return tsv
+        ket, bra = random_ket(rng, dim), random_bra(rng, dim)
+        if abs(overlap(bra, ket)) > min_overlap:
+            return TwoStateVector(ket, bra)
 
 
 def random_projector_observable(rng, dim, rank=1):
@@ -158,7 +158,7 @@ def dichotomic_case_with_certain_outcome(rng, dim):
         backward = Bra(raw)
         tsv = TwoStateVector(forward, backward)
         live_amp = np.vdot(backward.amplitudes, obs.projectors[keep].matrix @ forward.amplitudes)
-        if abs(overlap(tsv.backward, tsv.forward)) < 1e-3 or abs(live_amp) < 1e-3:
+        if abs(overlap(backward, forward)) < 1e-3 or abs(live_amp) < 1e-3:
             continue
         return tsv, obs, obs.eigenvalues[keep]
 
@@ -179,15 +179,21 @@ def strong_weak_bridges(tsv, obs) -> tuple:
     return strong, weak
 
 
-def per_trial_counts(pre, post, obs, n_samples, rng) -> tuple:
+def pair_states(tsv) -> tuple:
+    """``(ket, bra)`` of a pair: the states of its one term."""
+    ((_, bra, ket),) = tsv.terms
+    return ket, bra
+
+
+def per_trial_counts(selection, obs, n_samples, rng) -> tuple:
     """Kept counts per outcome, in eigenvalue order, from simulating every trial.
 
-    The reference for ``monte_carlo_abl``'s one draw: each trial draws its
+    The reference for ``monte_carlo``'s one draw: each trial draws its
     intermediate outcome n with its Born weight, and is kept iff a uniform
     draw is at most ``|<phi|psi_n>|^2``, the Born probability of the
     post-selection from the collapsed state.
     """
-    outcome_probs, p_post = _sequential_born(pre, post, obs)
+    outcome_probs, p_post = _sequential_born(selection, obs)
     outcome_probs /= outcome_probs.sum()
     n_outcomes = len(outcome_probs)
     intermediate = rng.choice(n_outcomes, size=n_samples, p=outcome_probs)

@@ -9,6 +9,7 @@ import numpy as np
 
 from helpers import (
     dichotomic_case_with_certain_outcome,
+    pair_states,
     random_bra,
     random_ket,
     random_observable,
@@ -29,7 +30,7 @@ from tsvlab import (
     exact_conditional_oracle,
     get_scenario,
     gtsv_from_ancilla,
-    monte_carlo_abl,
+    monte_carlo,
     pointer_bump_masses,
     product_rule_report,
     spectral_decompose,
@@ -55,7 +56,7 @@ def test_criterion_01_abl_matches_conditional_oracle():
         tsv = random_tsv(rng, dim)
         obs = random_observable(rng, dim)
         a = abl_probabilities(tsv, obs)
-        b = exact_conditional_oracle(tsv.forward, tsv.backward, obs)
+        b = exact_conditional_oracle(*pair_states(tsv), obs)
         worst = max(worst, np.abs(np.array(a.entries)[:, 1] - np.array(b.entries)[:, 1]).max())
     elapsed = time.perf_counter() - start
     _report(
@@ -122,9 +123,9 @@ def test_criterion_04_strong_weak_sweep():
     _report(4, f"1000 dichotomic cases, {violations} violations of either implication", violations == 0)
 
 
-def _mc_within_bands(pre, post, obs, seed):
-    dist = abl_probabilities(TwoStateVector(pre, post), obs)
-    report = monte_carlo_abl(pre, post, obs, 100_000, seed=seed)
+def _mc_within_bands(selection, obs, seed):
+    dist = abl_probabilities(selection, obs)
+    report = monte_carlo(selection, obs, 100_000, seed=seed)
     if report.samples_postselected == 0:
         return False
     return all(abs(freq - p) <= 5 * se for _, p, freq, se, _ in measure(report, dist))
@@ -138,28 +139,31 @@ def test_criterion_05_monte_carlo():
         s = get_scenario(name)
         for obs in s.observables.values():
             seed += 1
-            ok = ok and _mc_within_bands(s.selection.forward, s.selection.backward, obs, seed)
-    # the entangled-ancilla scenario runs on the joint system
+            ok = ok and _mc_within_bands(s.selection, obs, seed)
+    # the entangled-ancilla scenario runs on its generalized selection and on the joint system
     king = get_scenario("mean-king")
+    for obs in king.observables.values():
+        seed += 1
+        ok = ok and _mc_within_bands(king.selection, obs, seed)
     joint_pre = Ket(np.array([1, 0, 0, 1], dtype=complex))
     for royal_state in king.details["royal_basis"]:
         joint_post = Bra(np.asarray(royal_state, dtype=complex))
         for obs in king.observables.values():
             joint_obs = spectral_decompose(Operator(np.kron(obs.op.matrix, np.eye(2))))
             seed += 1
-            ok = ok and _mc_within_bands(joint_pre, joint_post, joint_obs, seed)
+            ok = ok and _mc_within_bands(TwoStateVector(joint_pre, joint_post), joint_obs, seed)
     rng = np.random.default_rng(105)
     for _ in range(20):
         dim = int(rng.integers(2, 5))
         tsv = random_tsv(rng, dim, min_overlap=0.05)
         obs = random_observable(rng, dim)
         seed += 1
-        ok = ok and _mc_within_bands(tsv.forward, tsv.backward, obs, seed)
+        ok = ok and _mc_within_bands(tsv, obs, seed)
 
     s = get_scenario("three-box")
     obs = s.observables["P_C"]
-    first = monte_carlo_abl(s.selection.forward, s.selection.backward, obs, 50_000, seed=9)
-    second = monte_carlo_abl(s.selection.forward, s.selection.backward, obs, 50_000, seed=9)
+    first = monte_carlo(s.selection, obs, 50_000, seed=9)
+    second = monte_carlo(s.selection, obs, 50_000, seed=9)
     deterministic = first == second
     elapsed = time.perf_counter() - start
     _report(
@@ -284,7 +288,8 @@ def test_criterion_10_invariance_suite():
         tsv = random_tsv(rng, dim)
         obs = random_observable(rng, dim)
         base = np.array(abl_probabilities(tsv, obs).entries)[:, 1]
-        swapped = TwoStateVector(Ket(tsv.backward.amplitudes), Bra(tsv.forward.amplitudes))
+        ket, bra = pair_states(tsv)
+        swapped = TwoStateVector(Ket(bra.amplitudes), Bra(ket.amplitudes))
         other = np.array(abl_probabilities(swapped, obs).entries)[:, 1]
         worst = max(worst, max(abs(x - y) for x, y in zip(base, other)))
     for _ in range(100):  # global phases
@@ -292,9 +297,10 @@ def test_criterion_10_invariance_suite():
         tsv = random_tsv(rng, dim)
         obs = random_observable(rng, dim)
         base = np.array(abl_probabilities(tsv, obs).entries)[:, 1]
+        ket, bra = pair_states(tsv)
         phased = TwoStateVector(
-            Ket(np.exp(1j * rng.uniform(0, 2 * np.pi)) * tsv.forward.amplitudes),
-            Bra(np.exp(1j * rng.uniform(0, 2 * np.pi)) * tsv.backward.amplitudes),
+            Ket(np.exp(1j * rng.uniform(0, 2 * np.pi)) * ket.amplitudes),
+            Bra(np.exp(1j * rng.uniform(0, 2 * np.pi)) * bra.amplitudes),
         )
         other = np.array(abl_probabilities(phased, obs).entries)[:, 1]
         worst = max(worst, max(abs(x - y) for x, y in zip(base, other)))
@@ -305,9 +311,8 @@ def test_criterion_10_invariance_suite():
         base = np.array(abl_probabilities(tsv, obs).entries)[:, 1]
         c1 = complex(rng.uniform(0.1, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
         c2 = complex(rng.uniform(0.1, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        scaled = TwoStateVector(
-            Ket(c1 * tsv.forward.amplitudes), Bra(c2 * tsv.backward.amplitudes)
-        )
+        ket, bra = pair_states(tsv)
+        scaled = TwoStateVector(Ket(c1 * ket.amplitudes), Bra(c2 * bra.amplitudes))
         other = np.array(abl_probabilities(scaled, obs).entries)[:, 1]
         worst = max(worst, max(abs(x - y) for x, y in zip(base, other)))
     _report(

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from helpers import pair_states
 from tsvlab import (
     GeneralizedTwoStateVector,
     PointerConfig,
@@ -576,8 +578,7 @@ class TestVerify:
                                         "observables": [{"name": "O", "matrix": pairs(matrix)}]}),
                             encoding="utf-8")
             problem = load(path)
-            p_outcome, p_post = _sequential_born(problem.selection.forward, problem.selection.backward,
-                                                 problem.observables["O"])
+            p_outcome, p_post = _sequential_born(problem.selection, problem.observables["O"])
             above_one += (p_outcome / p_outcome.sum() * p_post).max() > 1.0
             assert main(["verify", "--file", str(path), "--observable", "O",
                          "--samples", "1000", "--format", "json"]) == 0
@@ -585,6 +586,19 @@ class TestVerify:
             assert doc["samples_postselected"] == 1000
             assert sorted(row["frequency"] for row in doc["outcomes"]) == [0.0] * 7 + [1.0]
         assert above_one > 0
+
+    @pytest.mark.parametrize("observable", ["sigma_x", "sigma_y", "sigma_z"])
+    def test_mean_king_generalized_selection_passes(self, capsys, tmp_path, observable):
+        # the mean-king export is a generalized selection (system and unmeasured ancilla):
+        # verify simulates its ancilla dilation and agrees with the ABL rule, which makes
+        # one outcome of each observable certain
+        path = tmp_path / "mean-king.json"
+        assert main(["export-scenario", "mean-king", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--file", str(path), "--observable", observable, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True
+        assert sorted(row["frequency"] for row in doc["outcomes"]) == [0.0, 1.0]
 
     def test_negative_seed_exits_2(self, capsys):
         code = main([
@@ -1106,8 +1120,8 @@ class TestExportRoundTrip:
         if isinstance(scenario.selection, TwoStateVector):
             assert isinstance(problem.selection, TwoStateVector)
             tsv = problem.selection
-            assert np.array_equal(tsv.forward.amplitudes, scenario.selection.forward.amplitudes)
-            assert np.array_equal(tsv.backward.amplitudes, scenario.selection.backward.amplitudes)
+            for loaded, built in zip(pair_states(tsv), pair_states(scenario.selection)):
+                assert np.array_equal(loaded.amplitudes, built.amplitudes)
             for obs_name, obs in scenario.observables.items():
                 direct = abl_probabilities(scenario.selection, obs)
                 via_file = abl_probabilities(tsv, problem.observables[obs_name])
@@ -1150,7 +1164,7 @@ class TestExportRoundTrip:
 
 
 class TestSelectionKinds:
-    """`abl`, `weak` and `pointer` take a pair or a generalized file, moved to `--time` if given; `verify` only a pair."""
+    """Every verb that reads a selection takes a pair or a generalized file; `abl`, `weak` and `pointer` move it to `--time`."""
 
     Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 
@@ -1191,21 +1205,40 @@ class TestSelectionKinds:
         assert capsys.readouterr() == ("", "error: --time requires a hamiltonian in the problem file\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("verb, flags, message", [
-        ("verify", ["--samples", "1000"], "verify needs a pre/post problem file"),
-    ])
-    def test_generalized_file_rejected_by_pair_only_verbs(self, tmp_path, capsys, verb, flags, message):
-        # the file has a hamiltonian, so the message names the selection, not the schedule
+    def test_kernel_file_rejected_by_verify(self, tmp_path, capsys):
+        # verify reads the selection by the one rule of every verb
+        path = self.kernel_file(tmp_path, capsys)
+        assert main(["verify", "--file", str(path), "--observable", "z", "--samples", "1000"]) == 2
+        assert capsys.readouterr() == ("", f"error: {cli._NO_SELECTION}\n")
+
+    def test_one_selection_rule(self):
+        # no verb has a selection kind of its own, and a pair is read through its terms only
+        assert list(inspect.signature(cli._selection).parameters) == ["problem", "time"]
+        src = Path(cli.__file__).parent
+        assert not re.search(r"\bTwoStateVector\b", (src / "cli.py").read_text(encoding="utf-8"))
+        for path in sorted(src.glob("*.py")):
+            assert not re.search(r"\.(forward|backward)\b", path.read_text(encoding="utf-8")), path.name
+
+    def test_generalized_file_answers_verify(self, tmp_path, capsys):
+        # a two-term file with a hamiltonian: verify runs at the selection times and prints
+        # the abl column that `abl` prints, every bit of it
         path = tmp_path / "generalized.json"
         path.write_text(json.dumps({
             "dims": [2],
             "generalized": [{"alpha": [1.0, 0.0], "pre": [[1.0, 0.0], [1.0, 0.0]], "post": [[1.0, 0.0], [0.0, 0.0]]},
                             {"alpha": [0.0, 2.0], "pre": [[0.0, 0.0], [1.0, 0.0]], "post": [[1.0, 0.0], [1.0, 0.0]]}],
             "hamiltonian": [{"duration": 1.0, "matrix": self.Z}],
-            "observables": [{"name": "z", "matrix": self.Z}],
+            "observables": [{"name": "x", "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}],
         }))
-        assert main([verb, "--file", str(path), "--observable", "z", *flags]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        file = ["--file", str(path), "--observable", "x", "--format", "json"]
+        assert main(["abl", *file]) == 0
+        abl = json.loads(capsys.readouterr().out)["distribution"]
+        assert main(["verify", *file, "--samples", "100000", "--seed", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True
+        assert [(row["outcome"], row["abl"]) for row in doc["outcomes"]] == [
+            (row["outcome"], row["probability"]) for row in abl
+        ]
 
     def test_weak_and_pointer_at_a_time_match_evolved_files(self, tmp_path, capsys):
         # `--time t` on a pair file answers as the file whose pre and post were evolved

@@ -15,3 +15,10 @@ def test_corpus_bytes(tmp_path, monkeypatch):
     actual = corpus.digests()
     assert list(actual) == list(expected)
     assert [key for key in expected if actual[key] != expected[key]] == []
+
+
+def test_verify_reads_a_pair_as_its_one_term_copy():
+    # the two commands print the same bytes: the pair and its generalized copy are one selection
+    digests = json.loads(corpus.FIXTURE.read_text())
+    file = "--observable P_B --format json --seed 1"
+    assert digests[f"verify --file three-box.json {file}"] == digests[f"verify --file three-box-generalized.json {file}"]

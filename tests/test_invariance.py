@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm  # independent evolution oracle
 
+from helpers import pair_states
 from tsvlab import (
     Bra,
     GeneralizedTwoStateVector,
@@ -27,7 +28,7 @@ from tsvlab import (
     at_time,
     exact_conditional_oracle,
     gtsv_from_ancilla,
-    monte_carlo_abl,
+    monte_carlo,
     spectral_decompose,
     weak_value,
 )
@@ -305,10 +306,10 @@ def test_observable_rescaling(data):
     assert scaled.eigenvalues == tuple(math.ldexp(o, k) for o in obs.eigenvalues)
     dist, scaled_dist = abl_probabilities(pair, obs), abl_probabilities(pair, scaled)
     assert [p for _, p in scaled_dist.entries] == [p for _, p in dist.entries]
-    oracle = exact_conditional_oracle(pair.forward, pair.backward, obs)
-    scaled_oracle = exact_conditional_oracle(pair.forward, pair.backward, scaled)
+    oracle = exact_conditional_oracle(*pair_states(pair), obs)
+    scaled_oracle = exact_conditional_oracle(*pair_states(pair), scaled)
     assert [p for _, p in scaled_oracle.entries] == [p for _, p in oracle.entries]
-    counts = monte_carlo_abl(pair.forward, pair.backward, obs, 2000, seed=k + 60).counts
-    assert monte_carlo_abl(pair.forward, pair.backward, scaled, 2000, seed=k + 60).counts == counts
+    counts = monte_carlo(pair, obs, 2000, seed=k + 60).counts
+    assert monte_carlo(pair, scaled, 2000, seed=k + 60).counts == counts
     wv = weak_value(pair, obs.op)
     assert weak_value(pair, scaled.op) == complex(math.ldexp(wv.real, k), math.ldexp(wv.imag, k))

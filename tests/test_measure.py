@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import tsvlab.tsv
 
 from helpers import (
     dichotomic_case_with_certain_outcome,
+    pair_states,
     per_trial_counts,
     random_bra,
     random_dichotomic_observable,
@@ -36,6 +38,7 @@ from tsvlab import (
     exact_conditional_oracle,
     get_scenario,
     ideal_measure,
+    monte_carlo,
     monte_carlo_abl,
     pointer_bump_masses,
     spectral_decompose,
@@ -100,7 +103,7 @@ class TestIdealMeasure:
 class TestMonteCarloAbl:
     def test_boxed_spin_certainty_is_exact(self):
         tsv = boxed_spin_tsv()
-        report = monte_carlo_abl(tsv.forward, tsv.backward, diagonal_projector(4, 0), 100_000, seed=5)
+        report = monte_carlo(tsv, diagonal_projector(4, 0), 100_000, seed=5)
         assert report.samples_postselected > 0
         assert report.counts == (0, report.samples_postselected)
 
@@ -109,7 +112,7 @@ class TestMonteCarloAbl:
         tsv = random_tsv(rng, 3)
         obs = random_observable(rng, 3)
         dist = abl_probabilities(tsv, obs)
-        report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 100_000, seed=11)
+        report = monte_carlo(tsv, obs, 100_000, seed=11)
         for _, prob, freq, se, _ in tsvlab.measure.measure(report, dist):
             assert abs(freq - prob) <= 5 * se
 
@@ -128,16 +131,16 @@ class TestMonteCarloAbl:
         rng = np.random.default_rng(13)
         tsv = random_tsv(rng, 4)
         obs = random_observable(rng, 4)
-        a = monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=13)
-        assert monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=13) == a
-        assert monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=14) != a
+        a = monte_carlo(tsv, obs, 20_000, seed=13)
+        assert monte_carlo(tsv, obs, 20_000, seed=13) == a
+        assert monte_carlo(tsv, obs, 20_000, seed=14) != a
 
     def test_worker_partition_preserves_statistics(self):
         rng = np.random.default_rng(4)
         tsv = random_tsv(rng, 2)
         obs = spectral_decompose(Operator(SIGMA_X))
         dist = abl_probabilities(tsv, obs)
-        report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 100_000, seed=17)
+        report = monte_carlo(tsv, obs, 100_000, seed=17)
         for *_, z in tsvlab.measure.measure(report, dist):
             assert abs(z) <= 5
 
@@ -154,7 +157,7 @@ class TestMonteCarloAbl:
         rng = np.random.default_rng(15)
         tsv = random_tsv(rng, 3, min_overlap=0.3)
         obs = random_observable(rng, 3)
-        p_outcome, p_post = tsvlab.measure._sequential_born(tsv.forward, tsv.backward, obs)
+        p_outcome, p_post = tsvlab.measure._sequential_born(tsv, obs)
         kept = p_outcome / p_outcome.sum() * p_post
         cells = np.append(kept, 1.0 - kept.sum())
         # every cell is exercised: none is near 0 or N
@@ -163,9 +166,9 @@ class TestMonteCarloAbl:
         def with_dropped(counts):
             return [*counts, n - sum(counts)]
 
-        drawn = np.array([with_dropped(monte_carlo_abl(tsv.forward, tsv.backward, obs, n, seed=seed).counts)
+        drawn = np.array([with_dropped(monte_carlo(tsv, obs, n, seed=seed).counts)
                           for seed in range(runs)])
-        simulated = np.array([with_dropped(per_trial_counts(tsv.forward, tsv.backward, obs, n,
+        simulated = np.array([with_dropped(per_trial_counts(tsv, obs, n,
                                                             np.random.default_rng(runs + seed)))
                               for seed in range(runs)])
         s2 = n * cells * (1.0 - cells)
@@ -182,7 +185,7 @@ class TestMonteCarloAbl:
         obs = random_observable(rng, 8)
         tracemalloc.start()
         try:
-            report = monte_carlo_abl(tsv.forward, tsv.backward, obs, n_samples, seed=2)
+            report = monte_carlo(tsv, obs, n_samples, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -208,7 +211,7 @@ class TestMonteCarloAbl:
         rng = np.random.default_rng(5)
         tsv = random_tsv(rng, 4)
         obs = random_observable(rng, 4)
-        report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 30_000, seed=19)
+        report = monte_carlo(tsv, obs, 30_000, seed=19)
         rows = tsvlab.measure.measure(report, abl_probabilities(tsv, obs))
         assert abs(sum(freq for _, _, freq, _, _ in rows) - 1.0) <= 1e-12
 
@@ -239,17 +242,14 @@ class TestMonteCarloGolden:
     @pytest.mark.parametrize("name", ["P_A", "P_B"])
     def test_three_box(self, name):
         scenario = get_scenario("three-box")
-        report = monte_carlo_abl(
-            scenario.selection.forward, scenario.selection.backward, scenario.observables[name],
-            100_000, seed=424242,
-        )
+        report = monte_carlo(scenario.selection, scenario.observables[name], 100_000, seed=424242)
         assert report.counts == (0, 11224)
 
     def test_random_d8_three_workers(self):
         rng = np.random.default_rng(2024)
         tsv = random_tsv(rng, 8)
         obs = random_observable(rng, 8)
-        report = monte_carlo_abl(tsv.forward, tsv.backward, obs, 50_000, seed=31)
+        report = monte_carlo(tsv, obs, 50_000, seed=31)
         assert report.samples_postselected == 6622
         assert report.counts == (49, 160, 878, 154, 1373, 1225, 3, 2780)
 
@@ -262,9 +262,76 @@ class TestMonteCarloGolden:
             dim = int(rng.integers(2, 9))
             obs = random_dichotomic_observable(rng, dim) if case % 2 else random_observable(rng, dim)
             pre, post = random_ket(rng, dim), random_bra(rng, dim)
-            for part in tsvlab.measure._sequential_born(pre, post, obs):
+            for part in tsvlab.measure._sequential_born(TwoStateVector(pre, post), obs):
                 digest.update(part.tobytes())
         assert digest.hexdigest() == "7a2060f39a9c10f14413cc2256c1636ec67cdf7f32563bd843eaa43aaf704351"
+
+def random_generalized(rng, dim, n_terms, scale=1.0):
+    """Random selection of ``n_terms`` terms with weights of magnitude about ``scale``; with two or more, one weight is 0."""
+    alphas = scale * (rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms))
+    if n_terms > 1:
+        alphas[rng.integers(n_terms)] = 0.0
+    return GeneralizedTwoStateVector(tuple(
+        (complex(a), random_bra(rng, dim), random_ket(rng, dim)) for a in alphas
+    )), alphas
+
+
+def dilated_pair(terms, alphas) -> TwoStateVector:
+    """The normalized ancilla dilation of ``sum_i alpha_i <phi_i| |psi_i>`` as an explicit pair on system (x) ancilla.
+
+    ``|Psi> = sum_i sqrt|alpha_i| e^(i arg alpha_i) |psi_i>|i>``, ``<Phi| = sum_i sqrt(|alpha_i| / W) <phi_i|<i|``,
+    with the system as the slow tensor factor, formed by ``np.kron`` from the weights as given.
+    """
+    basis = np.eye(len(terms))
+    total = np.abs(alphas).sum()
+    psi = sum(np.sqrt(abs(a)) * np.exp(1j * np.angle(a)) * np.kron(f.amplitudes, e)
+              for a, (_, _, f), e in zip(alphas, terms, basis))
+    phi = sum(np.sqrt(abs(a) / total) * np.kron(b.amplitudes, e) for a, (_, b, _), e in zip(alphas, terms, basis))
+    return TwoStateVector(Ket(psi), Bra(phi))
+
+
+class TestMonteCarloSelection:
+    """The one sampler reads a generalized selection as its normalized ancilla dilation."""
+
+    def test_blocks_match_the_dilated_pair(self):
+        # 1-4 terms (one of zero weight from 2 on), weights at 2**-600, 1 and 2**600, against
+        # the explicit pair on system (x) ancilla measured with O (x) I
+        rng = np.random.default_rng(41)
+        for case in range(120):
+            dim, n_terms = int(rng.integers(2, 5)), 1 + case % 4
+            scale = (2.0**-600, 1.0, 2.0**600)[case % 3]
+            selection, alphas = random_generalized(rng, dim, n_terms, scale)
+            obs = random_dichotomic_observable(rng, dim) if case % 2 else random_observable(rng, dim)
+            p, q = tsvlab.measure._sequential_born(selection, obs)
+            pair = dilated_pair(selection.terms, alphas)
+            p_pair, q_pair = tsvlab.measure._sequential_born(pair, Operator(np.kron(obs.matrix, np.eye(n_terms))))
+            np.testing.assert_allclose(p / p.sum(), p_pair / p_pair.sum(), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(q, q_pair, rtol=0, atol=1e-12)
+
+    def test_pair_shims_are_the_one_sampler(self):
+        rng = np.random.default_rng(42)
+        tsv, obs = random_tsv(rng, 4), random_observable(rng, 4)
+        ket, bra = pair_states(tsv)
+        assert monte_carlo_abl(ket, bra, obs, 20_000, 7) == monte_carlo(tsv, obs, 20_000, seed=7)
+        p, q = tsvlab.measure._sequential_born(tsv, obs)
+        oracle = np.array(exact_conditional_oracle(ket, bra, obs).entries)[:, 1]
+        np.testing.assert_allclose(oracle, p * q / (p * q).sum(), rtol=0, atol=1e-15)
+
+    def test_strong_pointer_rate_is_the_kept_probability(self):
+        # bumps 50 sigma apart: the pointer's post-selection rate is the dilation's
+        # sum_n p_n q_n / sum_n p_n, for a pair, the mean-king selection and random ones
+        rng = np.random.default_rng(44)
+        king = get_scenario("mean-king")
+        cases = [(king.selection, king.observables[name]) for name in ("sigma_x", "sigma_z")]
+        cases += [(random_tsv(rng, 3), random_dichotomic_observable(rng, 3))]
+        cases += [(random_generalized(rng, 3, n)[0], random_dichotomic_observable(rng, 3)) for n in (2, 3, 4)]
+        for selection, obs in cases:
+            gap = obs.eigenvalues[1] - obs.eigenvalues[0]
+            cfg = PointerConfig(50.0 / gap, 1.0, obs.max_abs_eigenvalue)
+            rate = weak_measure_pointer(selection, obs, cfg).postselection_rate
+            p, q = tsvlab.measure._sequential_born(selection, obs)
+            assert rate == pytest.approx((p * q).sum() / p.sum(), rel=1e-12)
+
 
 class TestExactConditionalOracle:
     def test_eigenstate_pre(self):
@@ -275,7 +342,7 @@ class TestExactConditionalOracle:
 
     def test_boxed_spin_second_projection(self):
         tsv = boxed_spin_tsv()
-        dist = exact_conditional_oracle(tsv.forward, tsv.backward, diagonal_projector(4, 1))
+        dist = exact_conditional_oracle(*pair_states(tsv), diagonal_projector(4, 1))
         assert dict(dist.entries)[1.0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_validation_random(self):
@@ -285,25 +352,35 @@ class TestExactConditionalOracle:
             tsv = random_tsv(rng, dim)
             obs = random_observable(rng, dim)
             a = abl_probabilities(tsv, obs)
-            b = exact_conditional_oracle(tsv.forward, tsv.backward, obs)
+            b = exact_conditional_oracle(*pair_states(tsv), obs)
             np.testing.assert_allclose(np.array(a.entries)[:, 1], np.array(b.entries)[:, 1], atol=1e-12)
 
     def test_independent_of_abl_path(self, monkeypatch):
+        # every binding of the ABL code path raises: the oracle still answers, and the
+        # Monte Carlo that verify compares with the ABL rule, which draws on the same
+        # sequential Born rules, counts a pair and generalized selections as before
         def forbidden(*args, **kwargs):
             raise AssertionError("the forward-only path reached the ABL code path")
 
-        tsv = boxed_spin_tsv()
-        obs = random_observable(np.random.default_rng(14), 4)
-        counts = monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=3).counts
-        for module in (tsvlab.tsv, tsvlab.measure):
-            for name in ("_abl_amplitudes", "abl_probabilities", "weak_value", "element_of_reality"):
-                monkeypatch.setattr(module, name, forbidden, raising=False)
+        rng = np.random.default_rng(14)
+        king = get_scenario("mean-king")
+        cases = [(boxed_spin_tsv(), random_observable(rng, 4)),
+                 (king.selection, king.observables["sigma_x"]),
+                 (random_generalized(rng, 3, 3)[0], random_observable(rng, 3))]
+        counts = [monte_carlo(selection, obs, 20_000, seed=3).counts for selection, obs in cases]
+        originals = [getattr(tsvlab.tsv, name) for name in
+                     ("_abl_amplitudes", "abl_probabilities", "weak_value", "element_of_reality")]
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "tsvlab"]
+        for module in [*modules, sys.modules[__name__]]:
+            for name, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(Operator, "amplitudes", forbidden)
-        dist = exact_conditional_oracle(tsv.forward, tsv.backward, diagonal_projector(4, 1))
+        with pytest.raises(AssertionError, match="ABL code path"):
+            abl_probabilities(*cases[0])  # this module's own binding
+        dist = exact_conditional_oracle(*pair_states(cases[0][0]), diagonal_projector(4, 1))
         assert dict(dist.entries)[1.0] == pytest.approx(1.0, abs=1e-12)
-        # the Monte Carlo that verify compares with the ABL rule draws on the same
-        # sequential Born rules, so it too runs without the ABL path
-        assert monte_carlo_abl(tsv.forward, tsv.backward, obs, 20_000, seed=3).counts == counts
+        assert [monte_carlo(selection, obs, 20_000, seed=3).counts for selection, obs in cases] == counts
 
     def test_null_ensemble(self):
         with pytest.raises(NullEnsembleError):
@@ -319,8 +396,8 @@ def analytic_mean_shift(tsv, obs, coupling, sigma):
     Gaussians integrate to exp(-(a-b)^2 / (8 sigma^2)) with first moment at
     the midpoint.
     """
-    amps = np.array([np.vdot(tsv.backward.amplitudes, p.matrix @ tsv.forward.amplitudes)
-                     for p in obs.projectors])
+    ket, bra = pair_states(tsv)
+    amps = np.array([np.vdot(bra.amplitudes, p.matrix @ ket.amplitudes) for p in obs.projectors])
     centers = coupling * np.asarray(obs.eigenvalues)
     num = 0.0
     den = 0.0
@@ -620,7 +697,8 @@ class TestWeakMeasurePointer:
             finally:
                 tracemalloc.stop()
             # reference: every packet on the grid at once, summed by one product
-            terms = tsv.backward.amplitudes.conj() * tsv.forward.amplitudes
+            ket, bra = pair_states(tsv)
+            terms = bra.amplitudes.conj() * ket.amplitudes
             amplitudes = np.array([terms[levels == level].sum() for level in spectrum])
             q = result.positions
             packets = np.exp(-((q - cfg.coupling * spectrum[:, None]) ** 2) / 4.0)

@@ -104,7 +104,7 @@ def test_block_formulas_match_dense_projectors(case):
     amps = obs.amplitudes(post, pre)
     abl = np.array(abl_probabilities(tsv, obs).entries)[:, 1]
     other = TwoStateVector(random_ket(rng, obs.dim), random_bra(rng, obs.dim))
-    g = GeneralizedTwoStateVector(((0.8 + 0.1j, post, pre), (0.3j, other.backward, other.forward)))
+    g = GeneralizedTwoStateVector(((0.8 + 0.1j, post, pre), (0.3j, *other.terms[0][1:])))
     generalized = np.array(abl_probabilities_generalized(g, obs).entries)[:, 1]
     oracle = np.array(exact_conditional_oracle(pre, post, obs).entries)[:, 1]
     record = ideal_measure(pre, obs, np.random.default_rng(0))

@@ -12,6 +12,8 @@ import tsvlab.cli
 import tsvlab.measure
 import tsvlab.problemfile
 import tsvlab.scenarios
+
+from helpers import pair_states
 from tsvlab import (
     Bra,
     Ket,
@@ -58,7 +60,8 @@ def test_spin_box_empty_direction_is_irrelevant():
     # on the 3 levels alone every quantity its five checks print is the same
     scenario = scenario_spin_box()
     padded = scenario.selection
-    narrow = TwoStateVector(Ket(padded.forward.amplitudes[:3]), Bra(padded.backward.amplitudes[:3]))
+    ket, bra = pair_states(padded)
+    narrow = TwoStateVector(Ket(ket.amplitudes[:3]), Bra(bra.amplitudes[:3]))
     observables = {
         name: spectral_decompose(Operator(obs.op.matrix[:3, :3]))
         for name, obs in scenario.observables.items()
