@@ -138,7 +138,7 @@ def ideal_measure(state: Ket, obs: Operator, rng: np.random.Generator) -> Measur
         raise DimensionError("state and observable dims differ")
     projected = obs.project(state)
     probs = _born_weights(projected)
-    probs /= probs.sum()
+    probs /= np.add.reduce(probs, axis=None)
     # the draw Generator.choice(len(probs), p=probs) makes: one uniform against the
     # normalized cumulative sum, so the same index and stream position
     cdf = probs.cumsum()
@@ -169,10 +169,12 @@ def _sequential_born(selection, obs: Operator) -> tuple:
     if selection.dim != obs.dim:
         raise DimensionError("state and observable dims differ")
     blocks = [(a, b, obs.project(f)) for a, b, f in selection.terms]
-    p_outcome = sum(abs(a) * _born_weights(projected) for a, _, projected in blocks)
+    first, *rest = (abs(a) * _born_weights(projected) for a, _, projected in blocks)
+    p_outcome = sum(rest, first)
     norms = np.where(p_outcome > 0.0, np.sqrt(p_outcome), 1.0)
     # collapse first, then take the overlap: a pair's weight 1 changes no bit
-    amplitudes = sum(a * (b.amplitudes.conj() @ (projected / norms)) for a, b, projected in blocks)
+    first, *rest = (a * (b.amplitudes.conj() @ (projected / norms)) for a, b, projected in blocks)
+    amplitudes = sum(rest, first)
     return p_outcome, np.abs(amplitudes) ** 2 / sum(abs(a) for a, _, _ in blocks)
 
 
@@ -206,7 +208,7 @@ def monte_carlo(selection, obs: Operator, n_samples: int, seed: int = DEFAULT_SE
 
     p_outcome, p_post = _sequential_born(selection, obs)
     # rounding can lift a certain outcome's cell to 1 + a few ulp, which multinomial rejects
-    cells = np.minimum(p_outcome / p_outcome.sum() * p_post, 1.0)
+    cells = np.minimum(p_outcome / np.add.reduce(p_outcome, axis=None) * p_post, 1.0)
     # multinomial gives the last cell what the others leave: the dropped trials
     counts = np.random.default_rng(seed).multinomial(n_samples, [*cells, 0.0])[:-1]
     return MonteCarloReport(tuple(counts.tolist()))
@@ -246,12 +248,11 @@ def exact_conditional_oracle(pre: Ket, post: Bra, obs: Operator) -> Distribution
     """
     p_outcome, p_post = _sequential_born(TwoStateVector(pre, post), obs)
     weights = p_outcome * p_post
-    total = weights.sum()
+    total = np.add.reduce(weights, axis=None)
     if total <= _NULL_WEIGHT:
         raise NullEnsembleError("post-selection is unreachable from every intermediate outcome")
     probs = weights / total
-    probs = probs / probs.sum()
-    return Distribution(tuple(zip(obs.eigenvalues, probs)))
+    return Distribution(tuple(zip(obs.eigenvalues, (probs / np.add.reduce(probs, axis=None)).tolist())))
 
 
 def weak_measure_pointer(selection, obs: Operator, cfg: PointerConfig) -> PointerResult:

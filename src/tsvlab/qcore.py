@@ -53,7 +53,7 @@ _eigh_lo = _umath_linalg.eigh_lo
 def _unit_scaled(values: np.ndarray) -> tuple:
     """``(values * 2**-e, e)`` for complex ``values``, with e putting the largest real or imaginary part in [0.5, 1)."""
     parts = values.view(np.float64)
-    e = math.frexp(np.abs(parts).max())[1]
+    e = math.frexp(np.maximum.reduce(np.abs(parts), axis=None))[1]
     return np.ldexp(parts, -e).view(complex), e
 
 
@@ -160,12 +160,16 @@ class Operator:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         # halved, so the difference cannot overflow: for normal floats the verdict is
-        # that of max|M - M^dagger| <= FLAG_TOL * max|M|, since halving is exact
+        # that of max|M - M^dagger| <= FLAG_TOL * max|M|, since halving is exact. An infinite
+        # entry equal to its conjugate partner (a real infinite level) fails only by its NaN
+        # deviation here, so no cheaper pretest of M != M^dagger can stand in for this one
         half = m * 0.5
         diff = half - half.conj().T
         # the maxima are read only for a nonzero (or NaN) deviation; an infinite max|M| never passes
-        if diff.any() and not abs(diff).max() <= FLAG_TOL * abs(m).max() / 2.0 < math.inf:
-            raise NotHermitianError("matrix is not Hermitian")
+        if np.logical_or.reduce(diff, axis=None, dtype=bool):
+            bound = FLAG_TOL * np.maximum.reduce(abs(m), axis=None) / 2.0
+            if not np.maximum.reduce(abs(diff), axis=None) <= bound < math.inf:
+                raise NotHermitianError("matrix is not Hermitian")
 
     @cached_property
     # np.linalg.eigh's own errstate: a NaN from LAPACK raises LinAlgError("Eigenvalues did not converge")
@@ -217,7 +221,8 @@ class Operator:
             raise RangeError("eigenvalues of this observable overflow float64")
         block_starts = np.array(starts)
         block_starts.flags.writeable = False
-        return eigenvalues, v, block_starts
+        # V^dagger, formed once for every amplitudes and project call
+        return eigenvalues, v, block_starts, v.conj().T
 
     @property
     def eigenvalues(self) -> tuple:
@@ -247,13 +252,13 @@ class Operator:
 
     def amplitudes(self, bra: Bra, ket: Ket) -> np.ndarray:
         """``<phi|P_n|psi>`` for every merged eigenspace n, in eigenvalue order."""
-        vh = self.eigenvectors.conj().T
-        return np.add.reduceat(np.conj(vh @ bra.amplitudes) * (vh @ ket.amplitudes), self.block_starts)
+        _, _, starts, vh = self._spectrum
+        return np.add.reduceat(np.conj(vh @ bra.amplitudes) * (vh @ ket.amplitudes), starts)
 
     def project(self, ket: Ket) -> np.ndarray:
         """Projected states ``P_n |psi> = V_n (V_n^dagger psi)``, one column per eigenspace."""
-        v = self.eigenvectors
-        return np.add.reduceat(v * (v.conj().T @ ket.amplitudes), self.block_starts, axis=1)
+        _, v, starts, vh = self._spectrum
+        return np.add.reduceat(v * (vh @ ket.amplitudes), starts, axis=1)
 
 
 class _Projectors(Sequence):

@@ -15,6 +15,7 @@ expected value is one of:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -27,6 +28,7 @@ from .qcore import (
     Bra,
     Ket,
     Operator,
+    _norm,
 )
 from .tsv import (
     TwoStateVector,
@@ -49,14 +51,14 @@ _DIRECTION_SEED = 1105
 def spin_along(direction) -> Operator:
     """Spin component n . sigma for a unit 3-vector n."""
     n = np.asarray(direction, dtype=float)
-    n = n / np.linalg.norm(n)
+    n = n / math.sqrt(float(n.dot(n)))
     return Operator(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
 
 
 def _random_directions(count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(count, 3))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return vecs / np.sqrt(np.add.reduce(vecs * vecs, axis=1, keepdims=True))
 
 
 def _box_projector(dim: int, index: int):
@@ -289,7 +291,7 @@ def scenario_spin_xz() -> Scenario:
         )
         z = element_of_reality(tsv, observables["sigma_z"])
         x = element_of_reality(tsv, observables["sigma_x"])
-        noncommuting = np.max(np.abs(commutator)) > 1e-9
+        noncommuting = np.maximum.reduce(np.abs(commutator), axis=None) > 1e-9
         ok = noncommuting and z.certain and x.certain
         return (
             "noncommuting pair, both certain",
@@ -325,7 +327,7 @@ def _mean_king_candidate_basis():
     for sx, sy, sz in sign_triples:
         m = np.eye(2, dtype=complex) + sx * SIGMA_X + sy * SIGMA_Y + sz * SIGMA_Z
         joint = m.conj().T.reshape(-1)  # system index slow, ancilla fast
-        states.append(joint / np.linalg.norm(joint))
+        states.append(joint / _norm(joint))
     return sign_triples, states
 
 
@@ -353,7 +355,7 @@ def scenario_mean_king() -> Scenario:
 
     def basis_check():
         gram = np.array([[np.vdot(a, b) for b in post_states] for a in post_states])
-        dev = float(np.max(np.abs(gram - np.eye(4))))
+        dev = float(np.maximum.reduce(np.abs(gram - np.eye(4)), axis=None))
         # a unit state with 2x2 coefficient matrix M has concurrence 2|det M|,
         # 0 for a product state (each royal state has 1/2)
         concurrence = min(2.0 * float(abs(np.linalg.det(vec.reshape(2, 2)))) for vec in post_states)
@@ -404,7 +406,7 @@ def scenario_mean_king() -> Scenario:
 
 def scenario_correlated_pair() -> Scenario:
     """Forward/backward particle pair whose spins agree in every direction."""
-    kernel = TwoTimeKernel(np.eye(2, dtype=complex) / np.sqrt(2.0))
+    kernel = TwoTimeKernel(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0))
     directions = _random_directions(100, _DIRECTION_SEED)
 
     @cache
@@ -414,7 +416,7 @@ def scenario_correlated_pair() -> Scenario:
 
     def worst_deviation(k):
         # both legs measure the same spin: the diagonal pairs equal outcomes
-        return max(abs(float(np.trace(two_time_distribution(k, obs, obs))) - 1.0) for obs in spins())
+        return max(abs(float(two_time_distribution(k, obs, obs).trace()) - 1.0) for obs in spins())
 
     def correlation_check():
         worst = worst_deviation(kernel)

@@ -111,9 +111,9 @@ class TwoTimeKernel:
         m = np.asarray(self.matrix, dtype=complex).copy()
         if m.ndim != 2 or 0 in m.shape:
             raise DimensionError("kernel must be a non-empty matrix")
-        if not np.isfinite(m).all():
+        if not np.logical_and.reduce(np.isfinite(m), axis=None, dtype=bool):
             raise ValueError("kernel entries must be finite")
-        if not m.any():
+        if not np.logical_or.reduce(m, axis=None, dtype=bool):
             raise NullEnsembleError("kernel must be nonzero")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -122,7 +122,7 @@ class TwoTimeKernel:
     def _scaled(self) -> tuple:
         """``(K~, ||K~||_F^2)`` for ``K~`` the matrix times the power of two putting its largest real or imaginary part in [0.5, 1)."""
         m, _ = _unit_scaled(self.matrix)
-        return m, (np.abs(m) ** 2).sum()
+        return m, np.add.reduce(np.abs(m) ** 2, axis=None)
 
     @property
     def dim_forward(self) -> int:
@@ -141,11 +141,12 @@ class Distribution:
 
     def __post_init__(self):
         entries = tuple((float(o), float(p)) for o, p in self.entries)
-        if not all(math.isfinite(p) for _, p in entries):
+        probs = [p for _, p in entries]
+        if not all(map(math.isfinite, probs)):
             raise ValueError("probabilities must be finite")
-        if any(p < 0.0 for _, p in entries):
+        if min(probs, default=0.0) < 0.0:
             raise ValueError("probabilities must be non-negative")
-        total = sum(p for _, p in entries)
+        total = sum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "entries", entries)
@@ -165,7 +166,8 @@ def _abl_amplitudes(selection, obs: Operator) -> np.ndarray:
     """``sum_i alpha_i <phi_i|P_n|psi_i>`` for every merged eigenspace n."""
     if selection.dim != obs.dim:
         raise DimensionError("selection and observable dims differ")
-    return sum(a * obs.amplitudes(b, f) for a, b, f in selection.terms)
+    first, *rest = (a * obs.amplitudes(b, f) for a, b, f in selection.terms)
+    return sum(rest, first)
 
 
 def abl_probabilities(selection, obs: Operator) -> Distribution:
@@ -189,13 +191,13 @@ def abl_probabilities(selection, obs: Operator) -> Distribution:
         If every amplitude vanishes (the denominator is zero).
     """
     weights = np.abs(_abl_amplitudes(selection, obs)) ** 2
-    total = weights.sum()
+    total = np.add.reduce(weights, axis=None)
     if total <= _NULL_WEIGHT:
         raise NullEnsembleError(
             "this pre/post-selection is incompatible with measuring this observable at this time"
         )
     probs = weights / total
-    return Distribution(tuple(zip(obs.eigenvalues, probs / probs.sum())))
+    return Distribution(tuple(zip(obs.eigenvalues, (probs / np.add.reduce(probs, axis=None)).tolist())))
 
 
 def at_time(selection, schedule: HamiltonianSchedule, t: float) -> GeneralizedTwoStateVector:
@@ -383,7 +385,7 @@ def product_rule_report(selection, obs_a: Operator, obs_b: Operator) -> ProductR
     # halved, so neither difference nor sum overflows: a Hermitian AB of normal floats stays AB
     half = obs_a.matrix @ obs_b.matrix / 2.0
     adjoint = half.conj().T
-    if not np.abs(half - adjoint).max() <= FLAG_TOL * scale / 2.0:
+    if not np.maximum.reduce(np.abs(half - adjoint), axis=None) <= FLAG_TOL * scale / 2.0:
         raise NotMeasurableError("product of the observables is not Hermitian")
     product_obs = Operator(half + adjoint, _scale=scale)
     report_a = element_of_reality(selection, obs_a, label="A")
@@ -444,7 +446,7 @@ def two_time_joint(k: TwoTimeKernel, proj_a: Operator, proj_b: Operator) -> floa
         raise DimensionError("projector dims do not match the kernel legs")
     for proj, leg in ((proj_a, "forward"), (proj_b, "backward")):
         p = proj.matrix
-        if not np.abs(p @ p - p).max() <= 1e-9:
+        if not np.maximum.reduce(np.abs(p @ p - p), axis=None) <= 1e-9:
             raise ValueError(f"{leg} projector must be idempotent")
     m, norm2 = k._scaled
-    return float(np.sum(np.abs(proj_a.matrix @ m @ proj_b.matrix) ** 2) / norm2)
+    return float(np.add.reduce(np.abs(proj_a.matrix @ m @ proj_b.matrix) ** 2, axis=None) / norm2)

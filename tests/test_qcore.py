@@ -178,6 +178,16 @@ class TestOperator:
                 Operator([[0.0, 1.7e308], [-1.7e308, 0.0]])
             Operator([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
 
+    @pytest.mark.parametrize("matrix", [
+        [[math.inf, 0.0], [0.0, 1.0]],  # a real infinite level equals its own conjugate
+        [[0.0, math.inf], [math.inf, 0.0]],  # and so does an infinite pair
+        [[1.0, complex(0.0, math.inf)], [complex(0.0, -math.inf), 1.0]],
+    ])
+    def test_infinite_entries_rejected(self, matrix):
+        # M equals M^dagger entry by entry here, so only the halved deviation (NaN) rejects it
+        with np.errstate(invalid="ignore"), pytest.raises(NotHermitianError):
+            Operator(np.array(matrix, dtype=complex))
+
     @given(st.integers(1, 4), st.integers(-900, 1000), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_halved_check_matches_the_full_one(self, dim, exponent, seed):

@@ -9,6 +9,8 @@ claims to move no bit must leave the digest as it is.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -23,9 +25,11 @@ from tsvlab import (
     abl_probabilities,
     element_of_reality,
     exact_conditional_oracle,
+    get_scenario,
     gtsv_from_ancilla,
     ideal_measure,
     product_rule_report,
+    run_scenario,
     two_time_joint,
     weak_value,
 )
@@ -152,3 +156,88 @@ def test_small_query_bytes():
     # 2,000 systems, 250 at each d = 1..8; captured on the tree whose queries still
     # called numpy's Python reduction wrappers
     assert _system_digest(2000, 34) == "4bc8faa79680ee9eddbbee65e3ef49a704f128a80473f488ee8b2fc227af5be8"
+
+
+#: numpy's Python files a small-system call may enter: np.errstate, einsum (``_born_weights``' einsum
+#: has no bit-identical cheaper form) and the dispatch stubs of its C functions (np.vdot, np.where)
+ALLOWED_NUMPY_FILES = ("_core/_ufunc_config.py", "_core/einsumfunc.py", "_core/multiarray.py")
+
+
+def _numpy_python_calls(run) -> set:
+    """``(file, function)`` of every Python function under numpy that ``run()`` enters, outside the allowed files.
+
+    A profile hook sees what a monkeypatch cannot: an ndarray method such as ``.sum()``
+    reaches ``numpy._core._methods`` from C, without a numpy-namespace lookup. ``run`` is
+    called once unwatched first, so numpy's lazy imports (``np.random``) are not counted.
+    """
+    run()
+    root = Path(np.__file__).parent
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            path = Path(frame.f_code.co_filename)
+            if path.is_relative_to(root):
+                name = path.relative_to(root).as_posix()
+                if name not in ALLOWED_NUMPY_FILES:
+                    seen.add((name, frame.f_code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+class TestNoNumpyPythonWrappers:
+    """At d <= 8 a numpy Python wrapper costs about as much as the arithmetic it wraps."""
+
+    def test_query_kinds_enter_no_numpy_python_function(self):
+        rng = np.random.default_rng(35)
+        for dim in range(2, 9):
+            basis = _haar(rng, dim)
+            levels = _levels(rng, dim)
+            matrix, matrix_b = _hermitian(rng, basis, levels), _hermitian(rng, basis, _levels(rng, dim))
+            pre, post = _state(rng, dim, 1), _state(rng, dim, 2)
+            joint_pre, joint_post = _state(rng, 2 * dim, 1), _state(rng, 2 * dim, 2)
+            kernel = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            generator = np.random.default_rng(dim)
+
+            def pair():
+                return TwoStateVector(Ket(pre), Bra(post))
+
+            def two_time():
+                projectors = Operator(matrix).projectors
+                return two_time_joint(TwoTimeKernel(kernel), projectors[0], projectors[-1])
+
+            queries = {
+                "abl": lambda: abl_probabilities(pair(), Operator(matrix)),
+                "weak": lambda: weak_value(pair(), Operator(matrix)),
+                "ancilla": lambda: abl_probabilities(
+                    gtsv_from_ancilla(Ket(joint_pre), Bra(joint_post), dim, 2), Operator(matrix)),
+                "reality": lambda: element_of_reality(pair(), Operator(matrix)),
+                "product": lambda: product_rule_report(pair(), Operator(matrix), Operator(matrix_b)),
+                "two_time": two_time,
+                "ideal": lambda: ideal_measure(Ket(pre), Operator(matrix), generator),
+                "oracle": lambda: exact_conditional_oracle(Ket(pre), Bra(post), Operator(matrix)),
+            }
+            for kind, run in queries.items():
+                assert _numpy_python_calls(run) == set(), f"{kind} at d = {dim}"
+
+    def test_correlated_pair_enters_no_numpy_python_function(self):
+        # built and run: 100 spin directions, each decomposed and read through two kernels
+        report = None
+
+        def run():
+            nonlocal report
+            report = run_scenario(get_scenario("correlated-pair"))
+
+        assert _numpy_python_calls(run) == set()
+        assert report.passed
+
+    def test_the_hook_sees_an_ndarray_method(self):
+        # the guard's own premise: .sum() enters numpy's Python, np.add.reduce does not
+        values = np.arange(4.0)
+        assert _numpy_python_calls(values.sum) == {("_core/_methods.py", "_sum")}
+        assert _numpy_python_calls(lambda: np.add.reduce(values, axis=None)) == set()
