@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -43,6 +42,27 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.flags.writeable = False
+
+
+class _cached_property:
+    """``functools.cached_property`` without the lock that Python 3.11 takes on each first read.
+
+    The value goes into the instance's ``__dict__`` under the property's name,
+    where it shadows this descriptor from then on.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 #: LAPACK's Hermitian eigensolver (``heevd``, lower triangle) as numpy's own gufunc,
@@ -79,7 +99,7 @@ def _normalized_amplitudes(amplitudes) -> np.ndarray:
     # a stored state reproduces its amplitudes bit-exactly
     if abs(norm - 1.0) > NORM_TOL:
         vec /= norm
-    vec.flags.writeable = False
+    vec.setflags(write=False)
     return vec
 
 
@@ -157,12 +177,12 @@ class Operator:
         m = np.asarray(self.matrix, dtype=complex).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionError(f"operator matrix must be square and non-empty, got shape {m.shape}")
-        m.flags.writeable = False
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         # halved, so the difference cannot overflow: for normal floats the verdict is
         # that of max|M - M^dagger| <= FLAG_TOL * max|M|, since halving is exact. An infinite
         # entry equal to its conjugate partner (a real infinite level) fails only by its NaN
-        # deviation here, so no cheaper pretest of M != M^dagger can stand in for this one
+        # deviation, so a test of M == M^dagger entry by entry cannot stand in for this one
         half = m * 0.5
         diff = half - half.conj().T
         # the maxima are read only for a nonzero (or NaN) deviation; an infinite max|M| never passes
@@ -171,7 +191,7 @@ class Operator:
             if not np.maximum.reduce(abs(diff), axis=None) <= bound < math.inf:
                 raise NotHermitianError("matrix is not Hermitian")
 
-    @cached_property
+    @_cached_property
     # np.linalg.eigh's own errstate: a NaN from LAPACK raises LinAlgError("Eigenvalues did not converge")
     @np.errstate(call=_raise_linalgerror_eigenvalues_nonconvergence, invalid="call",
                  over="ignore", divide="ignore", under="ignore")
@@ -187,8 +207,8 @@ class Operator:
         whose columns are the matching eigenvectors.
         """
         w, v = _eigh_lo(self.matrix, signature="D->dD")
-        w.flags.writeable = False
-        v.flags.writeable = False
+        w.setflags(write=False)
+        v.setflags(write=False)
         return w, v
 
     @property
@@ -200,7 +220,7 @@ class Operator:
         """The operator itself; bench/workloads.py reads ``spectral_decompose(...).op``."""
         return self
 
-    @cached_property
+    @_cached_property
     def _spectrum(self) -> tuple:
         w, v = self.eigh
         wl = w.tolist()
@@ -220,7 +240,7 @@ class Operator:
         if not all(map(math.isfinite, eigenvalues)):
             raise RangeError("eigenvalues of this observable overflow float64")
         block_starts = np.array(starts)
-        block_starts.flags.writeable = False
+        block_starts.setflags(write=False)
         # V^dagger, formed once for every amplitudes and project call
         return eigenvalues, v, block_starts, v.conj().T
 
@@ -236,7 +256,7 @@ class Operator:
     def block_starts(self) -> np.ndarray:
         return self._spectrum[2]
 
-    @cached_property
+    @_cached_property
     def projectors(self) -> "_Projectors":
         """Dense eigenspace projectors ``V_n V_n^dagger`` as Operators, ascending.
 

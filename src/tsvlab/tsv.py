@@ -16,7 +16,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .qcore import (
     HamiltonianSchedule,
     Ket,
     Operator,
+    _cached_property,
     _norm,
     _unit_scaled,
     evolve_backward,
@@ -115,10 +115,10 @@ class TwoTimeKernel:
             raise ValueError("kernel entries must be finite")
         if not np.logical_or.reduce(m, axis=None, dtype=bool):
             raise NullEnsembleError("kernel must be nonzero")
-        m.flags.writeable = False
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @cached_property
+    @_cached_property
     def _scaled(self) -> tuple:
         """``(K~, ||K~||_F^2)`` for ``K~`` the matrix times the power of two putting its largest real or imaginary part in [0.5, 1)."""
         m, _ = _unit_scaled(self.matrix)

@@ -10,12 +10,13 @@ workload builds it: states and observable first, then the query::
 
 With ``--against DIR`` the package ``DIR/tsvlab`` (the ``src`` directory of
 another checkout) is copied to a temporary package and imported beside this
-one. The table then gives both trees, and a stream of 160 calls (the eight
-kinds at d = 2, 3, 4, 6 and 8, four instances each, in a seeded random order)
-runs on the two trees in turn, ``--rounds`` times, the first tree alternating.
-It prints the median over rounds of this tree's stream time over the other's
-and the number of rounds this tree won. Both trees must give the same results
-on the stream, or the script exits 1 before timing::
+one. The table then gives both trees. A stream of 160 calls (the eight kinds
+at d = 2, 3, 4, 6 and 8, four instances each, in a seeded random order) then
+runs ``--rounds`` times. A round runs the stream ``--passes`` times, each call
+on both trees back to back, the tree that goes first alternating from call to
+call. The script prints the median over rounds of this tree's stream time
+over the other's and the number of rounds this tree won. Both trees must give
+the same results on the stream, or the script exits 1 before timing::
 
     PYTHONPATH=src python tests/costs.py --against ../parent/src --seed 1
 
@@ -189,16 +190,17 @@ def ab(this, other, seed: int, rounds: int, passes: int) -> dict:
         differ = sum(a != b for a, b in zip(mine, theirs))
         raise SystemExit(f"error: the trees differ on {differ} of {len(calls)} stream calls")
 
+    names = ("this", "other")
+
     def one_round(r):
-        # call by call, the first tree alternating, so a change of load hits both trees alike
-        took = {"this": 0.0, "other": 0.0}
+        # call by call, the tree that goes first alternating, so a change of the host's load hits both alike
+        took = dict.fromkeys(names, 0.0)
         for p in range(passes):
             for i, pair in enumerate(zip(fns["this"], fns["other"])):
-                first = (r + p + i) % 2
-                for name, fn in ((("this", "other")[first], pair[first]), (("this", "other")[1 - first], pair[1 - first])):
+                for k in ((0, 1) if (r + p + i) % 2 == 0 else (1, 0)):
                     start = time.perf_counter()
-                    fn()
-                    took[name] += time.perf_counter() - start
+                    pair[k]()
+                    took[names[k]] += time.perf_counter() - start
         return took["this"] / took["other"]
 
     gc.disable()
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=25, help="timings per table entry; the fastest is kept")
     parser.add_argument("--number", type=int, default=200, help="calls per timing")
     parser.add_argument("--rounds", type=int, default=60, help="interleaved rounds of the A/B stream")
-    parser.add_argument("--passes", type=int, default=10, help="runs of the 160-call stream per tree and round")
+    parser.add_argument("--passes", type=int, default=10, help="runs of the 160-call stream per round")
     parser.add_argument("--json", type=Path, help="also write the results to this file")
     args = parser.parse_args(argv)
     import tsvlab

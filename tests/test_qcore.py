@@ -334,6 +334,15 @@ class TestEighKernel:
         with pytest.raises(np.linalg.LinAlgError, match=message):
             Operator(SIGMA_Z).eigh
 
+    def test_decomposed_once_and_kept(self, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        obs = Operator(SIGMA_Y)
+        assert obs.eigh is obs.eigh and obs._spectrum is obs._spectrum
+        assert obs.projectors is obs.projectors and obs.projectors[1] is obs.projectors[1]
+        assert calls == [(2, 2)]
+        # read on the class, the cached property is its descriptor, with the function's docstring
+        assert Operator.eigh.__doc__.startswith("``np.linalg.eigh`` of the operator")
+
 
 class TestNoNumpyWrappers:
     def test_small_system_path_calls_no_reduction_wrapper(self, monkeypatch):
