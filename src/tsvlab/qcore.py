@@ -80,10 +80,10 @@ def _unit_scaled(values: np.ndarray) -> tuple:
 def _norm(vec: np.ndarray) -> float:
     """``np.linalg.norm`` of a complex vector, formed as it forms it, without its Python wrapper."""
     re, im = vec.real, vec.imag
-    return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+    # np.vdot gives ndarray.dot's bits, but reads no floating-point status: an overflow is inf, not a warning
+    return math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
 
 
-@np.errstate(over="ignore")  # ndarray.dot warns on overflow; an overflowing norm is rescaled below
 def _normalized_amplitudes(amplitudes) -> np.ndarray:
     vec = np.array(amplitudes, dtype=complex).reshape(-1)
     if vec.size == 0:
@@ -241,8 +241,14 @@ class Operator:
             raise RangeError("eigenvalues of this observable overflow float64")
         block_starts = np.array(starts)
         block_starts.setflags(write=False)
-        # V^dagger, formed once for every amplitudes and project call
-        return eigenvalues, v, block_starts, v.conj().T
+        return eigenvalues, v, block_starts
+
+    @_cached_property
+    def _adjoint(self) -> np.ndarray:
+        """Read-only ``V^dagger``, formed on the first ``amplitudes`` or ``project`` call."""
+        vh = self.eigenvectors.conj().T
+        vh.setflags(write=False)
+        return vh
 
     @property
     def eigenvalues(self) -> tuple:
@@ -268,17 +274,17 @@ class Operator:
 
     @property
     def max_abs_eigenvalue(self) -> float:
-        return max(abs(e) for e in self.eigenvalues)
+        return max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1]))  # ascending: the largest is at an end
 
     def amplitudes(self, bra: Bra, ket: Ket) -> np.ndarray:
         """``<phi|P_n|psi>`` for every merged eigenspace n, in eigenvalue order."""
-        _, _, starts, vh = self._spectrum
-        return np.add.reduceat(np.conj(vh @ bra.amplitudes) * (vh @ ket.amplitudes), starts)
+        vh = self._adjoint
+        return np.add.reduceat(np.conj(vh @ bra.amplitudes) * (vh @ ket.amplitudes), self._spectrum[2])
 
     def project(self, ket: Ket) -> np.ndarray:
         """Projected states ``P_n |psi> = V_n (V_n^dagger psi)``, one column per eigenspace."""
-        _, v, starts, vh = self._spectrum
-        return np.add.reduceat(v * (vh @ ket.amplitudes), starts, axis=1)
+        _, v, starts = self._spectrum
+        return np.add.reduceat(v * (self._adjoint @ ket.amplitudes), starts, axis=1)
 
 
 class _Projectors(Sequence):

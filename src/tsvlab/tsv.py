@@ -135,21 +135,10 @@ class TwoTimeKernel:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Normalized outcome -> probability table, outcomes ascending."""
+    """Normalized outcome -> probability table, outcomes ascending: Python floats that its two
+    producers, ``abl_probabilities`` and ``exact_conditional_oracle``, divide by a positive total."""
 
     entries: tuple  # of (outcome: float, probability: float)
-
-    def __post_init__(self):
-        entries = tuple((float(o), float(p)) for o, p in self.entries)
-        probs = [p for _, p in entries]
-        if not all(map(math.isfinite, probs)):
-            raise ValueError("probabilities must be finite")
-        if min(probs, default=0.0) < 0.0:
-            raise ValueError("probabilities must be non-negative")
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)
@@ -166,7 +155,9 @@ def _abl_amplitudes(selection, obs: Operator) -> np.ndarray:
     """``sum_i alpha_i <phi_i|P_n|psi_i>`` for every merged eigenspace n."""
     if selection.dim != obs.dim:
         raise DimensionError("selection and observable dims differ")
-    first, *rest = (a * obs.amplitudes(b, f) for a, b, f in selection.terms)
+    # a weight of exactly 1 (a pair's) is not multiplied in: that can only flip the sign
+    # of a zero part, which |.|^2 and the pointer's real and imaginary sums both erase
+    first, *rest = (obs.amplitudes(b, f) if a == 1 else a * obs.amplitudes(b, f) for a, b, f in selection.terms)
     return sum(rest, first)
 
 

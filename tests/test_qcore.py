@@ -109,6 +109,20 @@ class TestKet:
     def test_norm_bits_match_the_linalg_norm_reference_anywhere(self, dim, exponent, spread, seed):
         assert_normalized_like_reference(Ket, spread_amplitudes(seed, dim, exponent, spread))
 
+    @pytest.mark.parametrize("exponent", (-600, -500, 0, 500, 600))
+    def test_norm_bits_match_ndarray_dot(self, exponent):
+        # _norm takes np.vdot of the real and imaginary parts, which reads no floating-point
+        # status, in place of ndarray.dot, which warns on overflow: the two must give the same
+        # bits on contiguous vectors and on gtsv_from_ancilla's strided sector views alike
+        rng = np.random.default_rng(exponent + 1000)
+        for dim in (*range(1, 65), 96, 1024, 4097):
+            joint = np.ldexp(rng.normal(size=(dim, 3, 2)), exponent).view(complex)[..., 0]
+            for vec in (joint[:, 0].copy(), *(joint[:, i] for i in range(3))):
+                re, im = vec.real, vec.imag
+                with np.errstate(over="ignore"):
+                    expected = math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+                assert qcore._norm(vec).hex() == expected.hex(), (dim, exponent)
+
     def test_amplitudes_read_only(self):
         k = Ket([1, 0])
         with pytest.raises(ValueError):
@@ -339,6 +353,15 @@ class TestEighKernel:
         obs = Operator(SIGMA_Y)
         assert obs.eigh is obs.eigh and obs._spectrum is obs._spectrum
         assert obs.projectors is obs.projectors and obs.projectors[1] is obs.projectors[1]
+        # the projectors (the two_time path) never form V^dagger; amplitudes and project form it once
+        assert "_adjoint" not in vars(obs)
+        ket, bra = Ket([1, 1j]), Bra([1, 0])
+        obs.amplitudes(bra, ket)
+        adjoint = obs._adjoint
+        obs.project(ket)
+        obs.amplitudes(bra, ket)
+        assert obs._adjoint is adjoint and not adjoint.flags.writeable
+        assert adjoint.tobytes() == obs.eigenvectors.conj().T.tobytes()
         assert calls == [(2, 2)]
         # read on the class, the cached property is its descriptor, with the function's docstring
         assert Operator.eigh.__doc__.startswith("``np.linalg.eigh`` of the operator")

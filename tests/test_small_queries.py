@@ -163,8 +163,8 @@ def test_small_query_bytes():
 ALLOWED_NUMPY_FILES = ("_core/_ufunc_config.py", "_core/einsumfunc.py", "_core/multiarray.py")
 
 
-def _numpy_python_calls(run) -> set:
-    """``(file, function)`` of every Python function under numpy that ``run()`` enters, outside the allowed files.
+def _numpy_python_calls(run, allowed=ALLOWED_NUMPY_FILES) -> set:
+    """``(file, function)`` of every Python function under numpy that ``run()`` enters, outside ``allowed`` files.
 
     A profile hook sees what a monkeypatch cannot: an ndarray method such as ``.sum()``
     reaches ``numpy._core._methods`` from C, without a numpy-namespace lookup. ``run`` is
@@ -179,7 +179,7 @@ def _numpy_python_calls(run) -> set:
             path = Path(frame.f_code.co_filename)
             if path.is_relative_to(root):
                 name = path.relative_to(root).as_posix()
-                if name not in ALLOWED_NUMPY_FILES:
+                if name not in allowed:
                     seen.add((name, frame.f_code.co_name))
 
     sys.setprofile(hook)
@@ -224,6 +224,16 @@ class TestNoNumpyPythonWrappers:
             }
             for kind, run in queries.items():
                 assert _numpy_python_calls(run) == set(), f"{kind} at d = {dim}"
+
+    def test_states_enter_no_numpy_python_function(self):
+        # not even np.errstate's _ufunc_config.py: a Ket or Bra enters only np.vdot's dispatch stub,
+        # at scales 1 and 2**+-500, where the norm is rescaled, and with signed zeros
+        rng = np.random.default_rng(36)
+        for dim in range(1, 9):
+            for case in range(len(STATE_SCALES)):
+                vec = _state(rng, dim, case)
+                for cls in (Ket, Bra):
+                    assert _numpy_python_calls(lambda: cls(vec), allowed=("_core/multiarray.py",)) == set()
 
     def test_correlated_pair_enters_no_numpy_python_function(self):
         # built and run: 100 spin directions, each decomposed and read through two kernels

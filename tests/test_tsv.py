@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     count_eigh,
@@ -391,10 +393,50 @@ class TestNonFiniteRejected:
             with pytest.raises(ValueError, match="^kernel entries must be finite$"):
                 TwoTimeKernel([[1.0, entry], [0.0, 1.0]])
 
-    @NON_FINITE
-    def test_distribution_probability(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            Distribution(((-1.0, bad), (1.0, 1.0)))
+
+def assert_normalized_table(dist: Distribution):
+    """Python-float entries, outcomes strictly ascending, probabilities finite, non-negative and summing to 1."""
+    outcomes, probs = zip(*dist.entries)
+    assert all(type(x) is float for x in (*outcomes, *probs))
+    assert all(a < b for a, b in zip(outcomes, outcomes[1:]))
+    assert all(math.isfinite(p) and p >= 0.0 for p in probs)
+    assert abs(sum(probs) - 1.0) <= 1e-12
+
+
+class TestDistributionByConstruction:
+    """``Distribution`` checks nothing: its two producers normalize what they hand it."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 6), st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_abl_and_oracle_tables_are_normalized(self, dim, terms, degenerate, seed):
+        # terms = 0 draws a pair; weights reach 2**+-600 and states 2**+-500
+        rng = np.random.default_rng(seed)
+        if degenerate:  # integer levels in {-2..2}: repeated and zero levels, in a random basis
+            basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            m = (basis * rng.integers(-2, 3, size=dim)) @ basis.conj().T
+            obs = Operator((m + m.conj().T) / 2.0)
+        else:
+            obs = random_hermitian(rng, dim)
+
+        def state():
+            return (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 2.0 ** rng.choice((-500, 0, 500))
+
+        if terms == 0:
+            pre, post = Ket(state()), Bra(state())
+            selection = TwoStateVector(pre, post)
+        else:
+            selection = GeneralizedTwoStateVector(tuple(
+                (complex(*rng.normal(size=2)) * 2.0 ** rng.choice((-600, 0, 600)), Bra(state()), Ket(state()))
+                for _ in range(terms)))
+        try:
+            assert_normalized_table(abl_probabilities(selection, obs))
+        except NullEnsembleError:
+            pass
+        if terms == 0:
+            try:
+                assert_normalized_table(exact_conditional_oracle(pre, post, obs))
+            except NullEnsembleError:
+                pass
 
 
 class TestWeakValue:
