@@ -12,11 +12,14 @@ With ``--against DIR`` the package ``DIR/tsvlab`` (the ``src`` directory of
 another checkout) is copied to a temporary package and imported beside this
 one. The table then gives both trees. A stream of 160 calls (the eight kinds
 at d = 2, 3, 4, 6 and 8, four instances each, in a seeded random order) then
-runs ``--rounds`` times. A round runs the stream ``--passes`` times, each call
-on both trees back to back, the tree that goes first alternating from call to
-call. The script prints the median over rounds of this tree's stream time
-over the other's and the number of rounds this tree won. Both trees must give
-the same results on the stream, or the script exits 1 before timing::
+runs ``--rounds`` times. A round runs the stream ``--passes`` times, and, as the
+``small-systems`` workload does, makes every 100th call one of its five
+scenarios, built and run, in rotation; so the ratio stands for that workload's
+``ops_per_s``. Each call runs on both trees back to back, the tree that goes
+first alternating from call to call. The script prints the median over rounds
+of this tree's round time over the other's and the number of rounds this tree
+won. Both trees must give the same results on the stream and the scenarios, or
+the script exits 1 before timing::
 
     PYTHONPATH=src python tests/costs.py --against ../parent/src --seed 1
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import itertools
 import json
 import shutil
 import statistics
@@ -41,6 +45,9 @@ from pathlib import Path
 import numpy as np
 
 QUERIES = ("abl", "weak", "ancilla", "reality", "product", "two_time", "ideal", "oracle")
+#: the ``small-systems`` workload's scenarios, one every ``SCENARIO_EVERY`` calls, in this rotation
+SCENARIOS = ("spin-box", "three-box", "spin-xz", "mean-king", "correlated-pair")
+SCENARIO_EVERY = 100
 CONSTRUCTS = ("Ket", "Bra", "Operator", "Operator+spectrum", "TwoStateVector")
 TABLE_DIMS = (2, 4, 8)
 STREAM_DIMS = (2, 3, 4, 6, 8)
@@ -153,6 +160,20 @@ def stream(seed: int) -> list:
     return [calls[i] for i in rng.permutation(len(calls))]
 
 
+def round_calls(count: int, passes: int) -> list:
+    """One round's calls: ``passes`` runs of the ``count``-call stream, every ``SCENARIO_EVERY``-th call a
+    scenario in rotation. Each entry is a stream index or a scenario name."""
+    queries = iter(list(range(count)) * passes)
+    calls = []
+    for i in itertools.count():
+        if i % SCENARIO_EVERY == SCENARIO_EVERY - 1:
+            calls.append(SCENARIOS[(i // SCENARIO_EVERY) % len(SCENARIOS)])
+        elif (index := next(queries, None)) is not None:
+            calls.append(index)
+        else:
+            return calls
+
+
 def fingerprint(result) -> str:
     """``repr`` of a result with every array replaced by its bytes, so two trees compare bit for bit."""
     if hasattr(result, "post_state"):
@@ -182,25 +203,28 @@ def table(trees: dict, seed: int, repeat: int, number: int) -> list:
 
 
 def ab(this, other, seed: int, rounds: int, passes: int) -> dict:
-    """Median per-round ratio of the stream's time on ``this`` over ``other``, and this tree's wins."""
+    """Median per-round ratio of the round's time on ``this`` over ``other``, and this tree's wins."""
     calls = stream(seed)
-    fns = {name: [call(tl, q, inst) for q, inst in calls] for name, tl in (("this", this), ("other", other))}
-    mine, theirs = ([fingerprint(fn()) for fn in fns[name]] for name in ("this", "other"))
+    names = ("this", "other")
+    fns = {}
+    for name, tl in zip(names, (this, other)):
+        fns[name] = {i: call(tl, q, inst) for i, (q, inst) in enumerate(calls)}
+        fns[name].update({s: lambda tl=tl, s=s: tl.run_scenario(tl.get_scenario(s)) for s in SCENARIOS})
+    mine, theirs = ([fingerprint(fn()) for fn in fns[name].values()] for name in names)
     if mine != theirs:
         differ = sum(a != b for a, b in zip(mine, theirs))
-        raise SystemExit(f"error: the trees differ on {differ} of {len(calls)} stream calls")
-
-    names = ("this", "other")
+        raise SystemExit(f"error: the trees differ on {differ} of {len(mine)} stream calls and scenarios")
+    order = round_calls(len(calls), passes)
 
     def one_round(r):
         # call by call, the tree that goes first alternating, so a change of the host's load hits both alike
         took = dict.fromkeys(names, 0.0)
-        for p in range(passes):
-            for i, pair in enumerate(zip(fns["this"], fns["other"])):
-                for k in ((0, 1) if (r + p + i) % 2 == 0 else (1, 0)):
-                    start = time.perf_counter()
-                    pair[k]()
-                    took[names[k]] += time.perf_counter() - start
+        for i, key in enumerate(order):
+            pair = (fns["this"][key], fns["other"][key])
+            for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                start = time.perf_counter()
+                pair[k]()
+                took[names[k]] += time.perf_counter() - start
         return took["this"] / took["other"]
 
     gc.disable()
@@ -209,7 +233,8 @@ def ab(this, other, seed: int, rounds: int, passes: int) -> dict:
     finally:
         gc.enable()
     quartiles = statistics.quantiles(ratios, n=4)
-    return {"calls": len(calls), "rounds": rounds, "passes": passes, "median_ratio": statistics.median(ratios),
+    return {"calls": len(calls), "rounds": rounds, "passes": passes,
+            "scenario_calls": sum(isinstance(key, str) for key in order), "median_ratio": statistics.median(ratios),
             "quartiles": [quartiles[0], quartiles[2]], "wins": sum(x < 1.0 for x in ratios)}
 
 
@@ -243,7 +268,8 @@ def main(argv=None) -> int:
         if args.against is not None:
             result["stream"] = ab(trees["this"], trees["other"], args.seed, args.rounds, args.passes)
             s = result["stream"]
-            print(f"stream of {s['calls']} calls x {s['passes']} passes, {s['rounds']} rounds: median ratio "
+            print(f"stream of {s['calls']} calls x {s['passes']} passes and {s['scenario_calls']} scenarios, "
+                  f"{s['rounds']} rounds: median ratio "
                   f"{s['median_ratio']:.3f} (quartiles {s['quartiles'][0]:.3f}-{s['quartiles'][1]:.3f}), "
                   f"this tree won {s['wins']} of {s['rounds']}")
     if args.json is not None:
