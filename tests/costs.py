@@ -44,10 +44,12 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import SmallSystems
+
 QUERIES = ("abl", "weak", "ancilla", "reality", "product", "two_time", "ideal", "oracle")
 #: the ``small-systems`` workload's scenarios, one every ``SCENARIO_EVERY`` calls, in this rotation
-SCENARIOS = ("spin-box", "three-box", "spin-xz", "mean-king", "correlated-pair")
-SCENARIO_EVERY = 100
+SCENARIOS, SCENARIO_EVERY = SmallSystems.SCENARIOS, SmallSystems.SCENARIO_EVERY
 CONSTRUCTS = ("Ket", "Bra", "Operator", "Operator+spectrum", "TwoStateVector")
 TABLE_DIMS = (2, 4, 8)
 STREAM_DIMS = (2, 3, 4, 6, 8)
