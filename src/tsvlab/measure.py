@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NullEnsembleError
 from .qcore import Bra, Ket, Operator
-from .tsv import _NULL_WEIGHT, Distribution, TwoStateVector, _abl_amplitudes
+from .tsv import _NULL_WEIGHT, Distribution, TwoStateVector, _abl_amplitudes, _distribution
 
 #: documented default master seed for randomized commands
 DEFAULT_SEED = 20260810
@@ -247,12 +247,8 @@ def exact_conditional_oracle(pre: Ket, post: Bra, obs: Operator) -> Distribution
     formula with the ABL path and serves as its independent oracle.
     """
     p_outcome, p_post = _sequential_born(TwoStateVector(pre, post), obs)
-    weights = p_outcome * p_post
-    total = np.add.reduce(weights, axis=None)
-    if total <= _NULL_WEIGHT:
-        raise NullEnsembleError("post-selection is unreachable from every intermediate outcome")
-    probs = weights / total
-    return Distribution(tuple(zip(obs.eigenvalues, (probs / np.add.reduce(probs, axis=None)).tolist())))
+    return _distribution(obs.eigenvalues, p_outcome * p_post,
+                         "post-selection is unreachable from every intermediate outcome")
 
 
 def weak_measure_pointer(selection, obs: Operator, cfg: PointerConfig) -> PointerResult:

@@ -241,14 +241,8 @@ class Operator:
             raise RangeError("eigenvalues of this observable overflow float64")
         block_starts = np.array(starts)
         block_starts.setflags(write=False)
-        return eigenvalues, v, block_starts
-
-    @_cached_property
-    def _adjoint(self) -> np.ndarray:
-        """Read-only ``V^dagger``, formed on the first ``amplitudes`` or ``project`` call."""
-        vh = self.eigenvectors.conj().T
-        vh.setflags(write=False)
-        return vh
+        # V^dagger, formed once for every amplitudes and project call
+        return eigenvalues, v, block_starts, v.conj().T
 
     @property
     def eigenvalues(self) -> tuple:
@@ -278,13 +272,13 @@ class Operator:
 
     def amplitudes(self, bra: Bra, ket: Ket) -> np.ndarray:
         """``<phi|P_n|psi>`` for every merged eigenspace n, in eigenvalue order."""
-        vh = self._adjoint
-        return np.add.reduceat(np.conj(vh @ bra.amplitudes) * (vh @ ket.amplitudes), self._spectrum[2])
+        _, _, starts, vh = self._spectrum
+        return np.add.reduceat(np.conj(vh @ bra.amplitudes) * (vh @ ket.amplitudes), starts)
 
     def project(self, ket: Ket) -> np.ndarray:
         """Projected states ``P_n |psi> = V_n (V_n^dagger psi)``, one column per eigenspace."""
-        _, v, starts = self._spectrum
-        return np.add.reduceat(v * (self._adjoint @ ket.amplitudes), starts, axis=1)
+        _, v, starts, vh = self._spectrum
+        return np.add.reduceat(v * (vh @ ket.amplitudes), starts, axis=1)
 
 
 class _Projectors(Sequence):

@@ -135,10 +135,33 @@ class TwoTimeKernel:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Normalized outcome -> probability table, outcomes ascending: Python floats that its two
-    producers, ``abl_probabilities`` and ``exact_conditional_oracle``, divide by a positive total."""
+    """Normalized outcome -> probability table, outcomes ascending."""
 
     entries: tuple  # of (outcome: float, probability: float)
+
+    def __post_init__(self):
+        entries = tuple((float(o), float(p)) for o, p in self.entries)
+        probs = [p for _, p in entries]
+        if not all(map(math.isfinite, probs)):
+            raise ValueError("probabilities must be finite")
+        if min(probs, default=0.0) < 0.0:
+            raise ValueError("probabilities must be non-negative")
+        total = sum(probs)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        object.__setattr__(self, "entries", entries)
+
+
+def _distribution(outcomes: tuple, weights: np.ndarray, null_message: str) -> Distribution:
+    """``weights`` normalized twice over the ascending float ``outcomes``, or ``NullEnsembleError``.
+    Finite non-negative weights over a positive total pass ``Distribution``'s checks, so they are skipped."""
+    total = np.add.reduce(weights, axis=None)
+    if total <= _NULL_WEIGHT:
+        raise NullEnsembleError(null_message)
+    probs = weights / total
+    dist = object.__new__(Distribution)
+    object.__setattr__(dist, "entries", tuple(zip(outcomes, (probs / np.add.reduce(probs, axis=None)).tolist())))
+    return dist
 
 
 @dataclass(frozen=True)
@@ -155,9 +178,7 @@ def _abl_amplitudes(selection, obs: Operator) -> np.ndarray:
     """``sum_i alpha_i <phi_i|P_n|psi_i>`` for every merged eigenspace n."""
     if selection.dim != obs.dim:
         raise DimensionError("selection and observable dims differ")
-    # a weight of exactly 1 (a pair's) is not multiplied in: that can only flip the sign
-    # of a zero part, which |.|^2 and the pointer's real and imaginary sums both erase
-    first, *rest = (obs.amplitudes(b, f) if a == 1 else a * obs.amplitudes(b, f) for a, b, f in selection.terms)
+    first, *rest = (a * obs.amplitudes(b, f) for a, b, f in selection.terms)
     return sum(rest, first)
 
 
@@ -182,13 +203,8 @@ def abl_probabilities(selection, obs: Operator) -> Distribution:
         If every amplitude vanishes (the denominator is zero).
     """
     weights = np.abs(_abl_amplitudes(selection, obs)) ** 2
-    total = np.add.reduce(weights, axis=None)
-    if total <= _NULL_WEIGHT:
-        raise NullEnsembleError(
-            "this pre/post-selection is incompatible with measuring this observable at this time"
-        )
-    probs = weights / total
-    return Distribution(tuple(zip(obs.eigenvalues, (probs / np.add.reduce(probs, axis=None)).tolist())))
+    return _distribution(obs.eigenvalues, weights,
+                         "this pre/post-selection is incompatible with measuring this observable at this time")
 
 
 def at_time(selection, schedule: HamiltonianSchedule, t: float) -> GeneralizedTwoStateVector:

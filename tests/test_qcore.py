@@ -353,15 +353,6 @@ class TestEighKernel:
         obs = Operator(SIGMA_Y)
         assert obs.eigh is obs.eigh and obs._spectrum is obs._spectrum
         assert obs.projectors is obs.projectors and obs.projectors[1] is obs.projectors[1]
-        # the projectors (the two_time path) never form V^dagger; amplitudes and project form it once
-        assert "_adjoint" not in vars(obs)
-        ket, bra = Ket([1, 1j]), Bra([1, 0])
-        obs.amplitudes(bra, ket)
-        adjoint = obs._adjoint
-        obs.project(ket)
-        obs.amplitudes(bra, ket)
-        assert obs._adjoint is adjoint and not adjoint.flags.writeable
-        assert adjoint.tobytes() == obs.eigenvectors.conj().T.tobytes()
         assert calls == [(2, 2)]
         # read on the class, the cached property is its descriptor, with the function's docstring
         assert Operator.eigh.__doc__.startswith("``np.linalg.eigh`` of the operator")

@@ -393,6 +393,10 @@ class TestNonFiniteRejected:
             with pytest.raises(ValueError, match="^kernel entries must be finite$"):
                 TwoTimeKernel([[1.0, entry], [0.0, 1.0]])
 
+    @NON_FINITE
+    def test_distribution_probability(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(((-1.0, bad), (1.0, 1.0)))
 
 def assert_normalized_table(dist: Distribution):
     """Python-float entries, outcomes strictly ascending, probabilities finite, non-negative and summing to 1."""
@@ -401,10 +405,21 @@ def assert_normalized_table(dist: Distribution):
     assert all(a < b for a, b in zip(outcomes, outcomes[1:]))
     assert all(math.isfinite(p) and p >= 0.0 for p in probs)
     assert abs(sum(probs) - 1.0) <= 1e-12
+    assert Distribution(dist.entries) == dist  # the public constructor's checks pass and change nothing
 
 
 class TestDistributionByConstruction:
-    """``Distribution`` checks nothing: its two producers normalize what they hand it."""
+    """``abl_probabilities`` and ``exact_conditional_oracle`` build their table without
+    ``Distribution``'s checks: what they divide out already passes them."""
+
+    def test_public_constructor_checks_its_input(self):
+        dist = Distribution([(np.float64(-1.0), np.float32(0.25)), (1, 0.75)])
+        assert dist.entries == ((-1.0, 0.25), (1.0, 0.75))
+        assert all(type(x) is float for entry in dist.entries for x in entry) and hash(dist) is not None
+        with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
+            Distribution(((-1.0, -0.5), (1.0, 1.5)))
+        with pytest.raises(ValueError, match="^probabilities sum to 0.9, not 1$"):
+            Distribution(((-1.0, 0.4), (1.0, 0.5)))
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 6), st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1))
