@@ -331,6 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once at import and reused by every ``main`` call: a parse keeps no state in
+#: it (each call gets a fresh Namespace, every default is immutable), and usage and
+#: error text read the terminal width when printed
+PARSER = build_parser()
+
+
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -359,8 +365,7 @@ def _attach_negative_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    args = PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (NullEnsembleError, OrthogonalSelectionError) as exc:

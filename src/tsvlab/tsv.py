@@ -318,7 +318,8 @@ def weak_value(selection, op: Operator) -> complex:
                    for a, b, f in selection.terms) / denom
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the rescaled path below
         value = ratio(op.matrix)
-    if not sys.float_info.min <= abs(value) < math.inf:
+    # the parts, not the modulus: abs() raises OverflowError on finite parts whose modulus overflows
+    if not sys.float_info.min <= max(abs(value.real), abs(value.imag)) < math.inf:
         # O psi_i may overflow where the weak value does not, or underflow where it is subnormal:
         # take it on O over a power of two (for a subnormal one, only if that scales O up), then
         # scale each part back, keeping a zero's sign, in halves: 2.0**1024 overflows

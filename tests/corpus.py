@@ -5,7 +5,8 @@ directory holding the problem files that :func:`write_inputs` makes: the
 CI flip files and the one-term generalized copies of the flip pair and
 of the three-box scenario, edge files
 (states scaled by 1e300 and 1e-300, a 6-level degenerate observable at
-the units 1, 2**24 and 1e-200, subnormal amplitudes), a kernel file with
+the units 1, 2**24 and 1e-200, subnormal amplitudes, a weak value whose
+parts are finite but whose modulus overflows), a kernel file with
 an observable, a two-term generalized file with and without a schedule,
 and the two files under ``tests/fixtures``. The command list
 begins with ``export-scenario`` of the five scenarios, whose files the later
@@ -63,6 +64,7 @@ EDGES = {
     "unit-16777216.json": ("O",),
     "unit-1e-200.json": ("O",),
     "subnormal.json": ("O", "tiny"),
+    "huge-modulus.json": ("O",),
 }
 #: times on the flip schedule (two unit segments of sigma_x): inside, on the boundaries,
 #: within the slack of 0 and 2, and outside the window
@@ -138,6 +140,13 @@ def write_inputs() -> None:
                                         [[0.0, 0.0], [1e-320, 0.0], [0.0, 0.0]],
                                         [[0.0, 0.0], [0.0, 0.0], [1e-320, 0.0]]]},
         ],
+    })
+
+    # the weak value 1.5e308 + 1.5e308i: both parts are finite, its modulus is not
+    _dump("huge-modulus.json", {
+        "dims": [2], "pre": [[1.0, 0.0], [0.0, 0.0]], "post": [[1.0, 0.0], [1.0, 0.0]],
+        "observables": [{"name": "O", "matrix": [[[0.0, 0.0], [1.5e308, -1.5e308]],
+                                                 [[1.5e308, 1.5e308], [0.0, 0.0]]]}],
     })
 
     # a kernel file with an observable and a schedule: no verb has one selection to read

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -76,6 +77,25 @@ def three_box_file(tmp_path):
     path = tmp_path / "three-box.json"
     assert main(["export-scenario", "three-box", "--out", str(path)]) == 0
     return path
+
+
+def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys, three_box_file):
+    capsys.readouterr()  # drop fixture output
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    file = ["--file", str(three_box_file), "--observable", "P_A"]
+    assert main(["abl", *file]) == 0
+    assert main(["weak", *file, "--format", "json"]) == 0
+    assert main(["verify", *file, "--samples", "1000"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["abl", *file, "--format", "xml"])
+    assert exc.value.code == 2
+    assert built == []
 
 
 class TestAbl:

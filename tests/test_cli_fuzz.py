@@ -102,6 +102,25 @@ ANTI_HERMITIAN_MAXIMUM = {
 }
 
 
+# both parts of the weak value 1.5e308 + 1.5e308i are finite; its modulus overflows
+HUGE_MODULUS = {
+    "dims": [2],
+    "pre": [[1.0, 0.0], [0.0, 0.0]],
+    "post": [[1.0, 0.0], [1.0, 0.0]],
+    "observables": [{"name": "A", "matrix": [[[0.0, 0.0], [1.5e308, -1.5e308]],
+                                            [[1.5e308, 1.5e308], [0.0, 0.0]]]}],
+}
+
+# eigenvalues +-1e300 and a pre/post overlap of a (1 + i), a = 1e300 / 1.5e308: the weak
+# value, about 1.5e308 (1 - i), reaches pointer, which prints its real part
+HUGE_MODULUS_POINTER = {
+    "dims": [2],
+    "pre": [[1.0, 0.0], [1.0, 0.0]],
+    "post": [[1.0, 0.0], [-1.0 + 1e300 / 1.5e308, -1e300 / 1.5e308]],
+    "observables": [{"name": "A", "matrix": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e300, 0.0]]]}],
+}
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=documents(), time=st.floats(-0.5, 4.5), g=st.sampled_from([1e-3, 0.1, 30.0]))
@@ -111,6 +130,8 @@ ANTI_HERMITIAN_MAXIMUM = {
 @example(doc=HUGE_WEAK_VALUE, time=-1e-05, g=0.1)  # argparse alone reads -1e-05 as an option
 @example(doc=OVERFLOWING_PRODUCT, time=0.0, g=0.1)
 @example(doc=ANTI_HERMITIAN_MAXIMUM, time=0.0, g=0.1)
+@example(doc=HUGE_MODULUS, time=0.0, g=0.1)  # abs(weak value) overflows
+@example(doc=HUGE_MODULUS_POINTER, time=0.0, g=1e-300)
 def test_every_verb_ends_in_an_exit_code(tmp_path, capsys, doc, time, g):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
