@@ -1,25 +1,30 @@
 """In-process costs of the small-system calls: min-of-N microseconds per call, and an A/B against another tree.
 
-Prints, at d = 2, 4 and 8, the fastest of ``--repeat`` timings of
-``--number`` calls each for the constructors (``Ket``, ``Bra``, ``Operator``,
-``Operator`` plus its spectrum, ``TwoStateVector``) and for the eight query
-kinds of the benchmark's ``small-systems`` workload, each built as that
-workload builds it: states and observable first, then the query::
+Every timed call is an op of the benchmark's ``small-systems`` workload
+(``bench/workloads.SmallSystems``), or a constructor called on one of that
+workload's pool instances. One period of the workload's op sequence at
+``--seed`` (500 ops in its own order: the eight query kinds at d = 2, 3, 4, 6
+and 8, and one of its five scenarios every 100th op) is built once per tree.
+Before any timing, every op's result must pass that op's own check (the
+benchmark's reference), and with two trees both must give the same result
+bit for bit, or the script exits 1.
+
+The table gives, at d = 2, 4 and 8, the fastest of ``--repeat`` timings of
+``--number`` calls each for the first op of each query kind at that d in the
+period (``abl d=2`` and so on), and for the constructors (``Ket``, ``Bra``,
+``Operator``, ``Operator`` plus its spectrum, ``TwoStateVector``) on the pool
+instance of the first ``abl`` op at that d::
 
     PYTHONPATH=src python tests/costs.py
 
 With ``--against DIR`` the package ``DIR/tsvlab`` (the ``src`` directory of
 another checkout) is copied to a temporary package and imported beside this
-one. The table then gives both trees. A stream of 160 calls (the eight kinds
-at d = 2, 3, 4, 6 and 8, four instances each, in a seeded random order) then
-runs ``--rounds`` times. A round runs the stream ``--passes`` times, and, as the
-``small-systems`` workload does, makes every 100th call one of its five
-scenarios, built and run, in rotation; so the ratio stands for that workload's
-``ops_per_s``. Each call runs on both trees back to back, the tree that goes
-first alternating from call to call. The script prints the median over rounds
-of this tree's round time over the other's and the number of rounds this tree
-won. Both trees must give the same results on the stream and the scenarios, or
-the script exits 1 before timing::
+one. The table then gives both trees, timed in turns, and the period runs ``--rounds``
+times, ``--passes`` times per round. Each op runs on both trees back to
+back, the tree that goes first alternating from op to op, so the ratio
+stands for exactly the ops that ``small-systems`` times. The script prints
+the median over rounds of this tree's round time over the other's and the
+number of rounds this tree won::
 
     PYTHONPATH=src python tests/costs.py --against ../parent/src --seed 1
 
@@ -42,138 +47,44 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import SmallSystems
 
-QUERIES = ("abl", "weak", "ancilla", "reality", "product", "two_time", "ideal", "oracle")
-#: the ``small-systems`` workload's scenarios, one every ``SCENARIO_EVERY`` calls, in this rotation
-SCENARIOS, SCENARIO_EVERY = SmallSystems.SCENARIOS, SmallSystems.SCENARIO_EVERY
 CONSTRUCTS = ("Ket", "Bra", "Operator", "Operator+spectrum", "TwoStateVector")
 TABLE_DIMS = (2, 4, 8)
-STREAM_DIMS = (2, 3, 4, 6, 8)
-INSTANCES = 4
 
 
-def _state(rng, d):
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.sqrt(np.vdot(v, v).real)
+def construct(tl, name: str, inst):
+    """A zero-argument function building one ``name`` from the pool instance ``inst`` with the package ``tl``."""
+    if name == "Ket":
+        return lambda: tl.Ket(inst.pre)
+    if name == "Bra":
+        return lambda: tl.Bra(inst.post)
+    if name == "Operator":
+        return lambda: tl.Operator(inst.matrix)
+    if name == "Operator+spectrum":
+        return lambda: tl.Operator(inst.matrix).eigenvalues
+    ket, bra = tl.Ket(inst.pre), tl.Bra(inst.post)
+    return lambda: tl.TwoStateVector(ket, bra)
 
 
-def _instance(rng, d: int, query: str, k: int) -> dict:
-    """Inputs of one call, drawn as the ``small-systems`` workload draws them."""
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    basis = q * (np.diag(r) / np.abs(np.diag(r)))
-    if query == "two_time":
-        levels = rng.permutation(np.arange(-4, 5) / 2.0)[:d]
-    else:
-        levels = rng.integers(-2, 3, size=d).astype(float)
-        while np.unique(levels).size < 2:
-            levels = rng.integers(-2, 3, size=d).astype(float)
+def min_us(fns: dict, repeat: int, number: int) -> dict:
+    """Fastest of ``repeat`` timings of ``number`` calls of each function, in microseconds per call.
 
-    def hermitian(values):
-        m = (basis * values) @ basis.conj().T
-        return (m + m.conj().T) / 2.0
-
-    inst = {"d": d, "matrix": hermitian(levels), "pre": _state(rng, d), "post": _state(rng, d)}
-    if query == "reality" and k % 2 == 0:
-        # post-select inside one eigenspace: that outcome is certain
-        block = basis[:, levels == levels[rng.integers(d)]]
-        inst["post"] = block @ (block.conj().T @ inst["pre"])
-    elif query == "product":
-        inst["matrix_b"] = hermitian(rng.integers(-2, 3, size=d).astype(float))
-        if k % 2 == 0:
-            inst["post"] = basis[:, rng.integers(d)].copy()  # a common eigenvector
-    elif query == "two_time":
-        inst["kernel"] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        inst["legs"] = (int(rng.integers(d)), int(rng.integers(d)))
-    elif query == "ancilla":
-        inst["joint_pre"], inst["joint_post"] = _state(rng, 2 * d), _state(rng, 2 * d)
-    elif query == "ideal":
-        inst["seed"] = int(rng.integers(2**31))
-    return inst
-
-
-def call(tl, query: str, inst: dict):
-    """A zero-argument function running one query kind on ``inst`` with the package ``tl``."""
-    pre, post, matrix = inst["pre"], inst["post"], inst["matrix"]
-
-    def pair():
-        return tl.TwoStateVector(tl.Ket(pre), tl.Bra(post))
-
-    if query == "abl":
-        return lambda: tl.abl_probabilities(pair(), tl.Operator(matrix))
-    if query == "weak":
-        return lambda: tl.weak_value(pair(), tl.Operator(matrix))
-    if query == "ancilla":
-        jpre, jpost, d = inst["joint_pre"], inst["joint_post"], inst["d"]
-        return lambda: tl.abl_probabilities(tl.gtsv_from_ancilla(tl.Ket(jpre), tl.Bra(jpost), d, 2),
-                                            tl.Operator(matrix))
-    if query == "reality":
-        return lambda: tl.element_of_reality(pair(), tl.Operator(matrix))
-    if query == "product":
-        return lambda: tl.product_rule_report(pair(), tl.Operator(matrix), tl.Operator(inst["matrix_b"]))
-    if query == "two_time":
-        kernel, (i, j) = inst["kernel"], inst["legs"]
-
-        def two_time():
-            projectors = tl.Operator(matrix).projectors
-            return tl.two_time_joint(tl.TwoTimeKernel(kernel), projectors[i], projectors[j])
-
-        return two_time
-    if query == "ideal":
-        return lambda: tl.ideal_measure(tl.Ket(pre), tl.Operator(matrix), np.random.default_rng(inst["seed"]))
-    if query == "oracle":
-        return lambda: tl.exact_conditional_oracle(tl.Ket(pre), tl.Bra(post), tl.Operator(matrix))
-    if query == "Ket":
-        return lambda: tl.Ket(pre)
-    if query == "Bra":
-        return lambda: tl.Bra(post)
-    if query == "Operator":
-        return lambda: tl.Operator(matrix)
-    if query == "Operator+spectrum":
-        return lambda: tl.Operator(matrix).eigenvalues
-    if query == "TwoStateVector":
-        ket, bra = tl.Ket(pre), tl.Bra(post)
-        return lambda: tl.TwoStateVector(ket, bra)
-    raise ValueError(query)
-
-
-def min_us(fn, repeat: int, number: int) -> float:
-    """Fastest of ``repeat`` timings of ``number`` calls, in microseconds per call, garbage collection off."""
-    best = float("inf")
+    The functions take turns, one timing each, so a change of the host's load hits all alike; garbage
+    collection is off."""
+    best = dict.fromkeys(fns, float("inf"))
     gc.disable()
     try:
         for _ in range(repeat):
-            start = time.perf_counter()
-            for _ in range(number):
-                fn()
-            best = min(best, time.perf_counter() - start)
+            for name, fn in fns.items():
+                start = time.perf_counter()
+                for _ in range(number):
+                    fn()
+                best[name] = min(best[name], time.perf_counter() - start)
     finally:
         gc.enable()
-    return best / number * 1e6
-
-
-def stream(seed: int) -> list:
-    """The 160 ``(query, inputs)`` calls in a seeded random order."""
-    rng = np.random.default_rng([seed, 34])
-    calls = [(q, _instance(rng, d, q, k)) for d in STREAM_DIMS for q in QUERIES for k in range(INSTANCES)]
-    return [calls[i] for i in rng.permutation(len(calls))]
-
-
-def round_calls(count: int, passes: int) -> list:
-    """One round's calls: ``passes`` runs of the ``count``-call stream, every ``SCENARIO_EVERY``-th call a
-    scenario in rotation. Each entry is a stream index or a scenario name."""
-    queries = iter(list(range(count)) * passes)
-    calls = []
-    for i in itertools.count():
-        if i % SCENARIO_EVERY == SCENARIO_EVERY - 1:
-            calls.append(SCENARIOS[(i // SCENARIO_EVERY) % len(SCENARIOS)])
-        elif (index := next(queries, None)) is not None:
-            calls.append(index)
-        else:
-            return calls
+    return {name: t / number * 1e6 for name, t in best.items()}
 
 
 def fingerprint(result) -> str:
@@ -181,6 +92,19 @@ def fingerprint(result) -> str:
     if hasattr(result, "post_state"):
         return repr((result.outcome, result.post_state.amplitudes.tobytes(), result.probability))
     return repr(result)
+
+
+def checked(tree: str, ops: list) -> list:
+    """The fingerprint of each op's result, which must pass the op's own check; exits 1 on the first that does not."""
+    prints = []
+    for op in ops:
+        try:
+            result = op.run()
+            op.check(result)
+        except Exception as exc:
+            raise SystemExit(f"error: {tree} tree, op {op.label!r}: {type(exc).__name__}: {exc}")
+        prints.append(fingerprint(result))
+    return prints
 
 
 def load_against(directory: Path, scratch: Path):
@@ -193,41 +117,34 @@ def load_against(directory: Path, scratch: Path):
     return importlib.import_module("tsvlab_against")
 
 
-def table(trees: dict, seed: int, repeat: int, number: int) -> list:
-    rng = np.random.default_rng([seed, 2])
+def table(trees: dict, pool: dict, periods: dict, repeat: int, number: int) -> list:
+    first = {}
+    for i, op in enumerate(periods["this"]):
+        first.setdefault(op.label, i)
     rows = []
     for d in TABLE_DIMS:
-        for query in (*CONSTRUCTS, *QUERIES):
-            inst = _instance(rng, d, query if query in QUERIES else "abl", 1)
-            timings = {name: min_us(call(tl, query, inst), repeat, number) for name, tl in trees.items()}
-            rows.append({"call": query, "d": d, "us": timings})
+        inst = pool[(d, "abl")][0]  # the first abl op at d reads the first of its pool
+        calls = {name: {tree: construct(tl, name, inst) for tree, tl in trees.items()} for name in CONSTRUCTS}
+        for query in SmallSystems.QUERIES:
+            calls[query] = {tree: ops[first[f"{query} d={d}"]].run for tree, ops in periods.items()}
+        for name, fns in calls.items():
+            rows.append({"call": name, "d": d, "us": min_us(fns, repeat, number)})
     return rows
 
 
-def ab(this, other, seed: int, rounds: int, passes: int) -> dict:
-    """Median per-round ratio of the round's time on ``this`` over ``other``, and this tree's wins."""
-    calls = stream(seed)
-    names = ("this", "other")
-    fns = {}
-    for name, tl in zip(names, (this, other)):
-        fns[name] = {i: call(tl, q, inst) for i, (q, inst) in enumerate(calls)}
-        fns[name].update({s: lambda tl=tl, s=s: tl.run_scenario(tl.get_scenario(s)) for s in SCENARIOS})
-    mine, theirs = ([fingerprint(fn()) for fn in fns[name].values()] for name in names)
-    if mine != theirs:
-        differ = sum(a != b for a, b in zip(mine, theirs))
-        raise SystemExit(f"error: the trees differ on {differ} of {len(mine)} stream calls and scenarios")
-    order = round_calls(len(calls), passes)
+def ab(periods: dict, rounds: int, passes: int) -> dict:
+    """Median per-round ratio of the round's time on this tree over the other, and this tree's wins."""
+    pairs = list(zip(periods["this"], periods["other"])) * passes
 
     def one_round(r):
-        # call by call, the tree that goes first alternating, so a change of the host's load hits both alike
-        took = dict.fromkeys(names, 0.0)
-        for i, key in enumerate(order):
-            pair = (fns["this"][key], fns["other"][key])
+        # op by op, the tree that goes first alternating, so a change of the host's load hits both alike
+        took = [0.0, 0.0]
+        for i, pair in enumerate(pairs):
             for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
                 start = time.perf_counter()
-                pair[k]()
-                took[names[k]] += time.perf_counter() - start
-        return took["this"] / took["other"]
+                pair[k].run()
+                took[k] += time.perf_counter() - start
+        return took[0] / took[1]
 
     gc.disable()
     try:
@@ -235,19 +152,21 @@ def ab(this, other, seed: int, rounds: int, passes: int) -> dict:
     finally:
         gc.enable()
     quartiles = statistics.quantiles(ratios, n=4)
-    return {"calls": len(calls), "rounds": rounds, "passes": passes,
-            "scenario_calls": sum(isinstance(key, str) for key in order), "median_ratio": statistics.median(ratios),
-            "quartiles": [quartiles[0], quartiles[2]], "wins": sum(x < 1.0 for x in ratios)}
+    labels = [op.label for op in periods["this"]]
+    return {"labels": labels, "rounds": rounds, "passes": passes,
+            "scenario_ops": sum(label.startswith("scenario ") for label in labels),
+            "median_ratio": statistics.median(ratios), "quartiles": [quartiles[0], quartiles[2]],
+            "wins": sum(x < 1.0 for x in ratios)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, help="src directory of another tree holding a tsvlab package")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the inputs (default 1)")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the small-systems workload (default 1)")
     parser.add_argument("--repeat", type=int, default=25, help="timings per table entry; the fastest is kept")
     parser.add_argument("--number", type=int, default=200, help="calls per timing")
-    parser.add_argument("--rounds", type=int, default=60, help="interleaved rounds of the A/B stream")
-    parser.add_argument("--passes", type=int, default=10, help="runs of the 160-call stream per round")
+    parser.add_argument("--rounds", type=int, default=60, help="interleaved rounds of the A/B")
+    parser.add_argument("--passes", type=int, default=4, help="runs of the 500-op period per round (default 4)")
     parser.add_argument("--json", type=Path, help="also write the results to this file")
     args = parser.parse_args(argv)
     import tsvlab
@@ -256,22 +175,27 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         if args.against is not None:
             trees["other"] = load_against(args.against, Path(scratch))
-        rows = table(trees, args.seed, args.repeat, args.number)
+        workloads = {tree: SmallSystems(tl, args.seed, Path(scratch)) for tree, tl in trees.items()}
+        periods = {tree: list(itertools.islice(w.ops(), w.period)) for tree, w in workloads.items()}
+        prints = {tree: checked(tree, ops) for tree, ops in periods.items()}
+        if len(trees) > 1 and prints["this"] != prints["other"]:
+            differ = sum(a != b for a, b in zip(prints["this"], prints["other"]))
+            raise SystemExit(f"error: the trees differ on {differ} of {len(prints['this'])} ops")
+        rows = table(trees, workloads["this"].pool, periods, args.repeat, args.number)
         print(f"min of {args.repeat} x {args.number} calls, us per call, seed {args.seed}")
-        print(f"{'call':<18} {'d':>2} " + " ".join(f"{name:>9}" for name in trees)
+        print(f"{'call':<18} {'d':>2} " + " ".join(f"{tree:>9}" for tree in trees)
               + ("    ratio" if len(trees) > 1 else ""))
         for row in rows:
             us = row["us"]
-            line = f"{row['call']:<18} {row['d']:>2} " + " ".join(f"{us[name]:9.2f}" for name in trees)
+            line = f"{row['call']:<18} {row['d']:>2} " + " ".join(f"{us[tree]:9.2f}" for tree in trees)
             if len(trees) > 1:
                 line += f" {us['this'] / us['other']:8.3f}"
             print(line)
         result = {"seed": args.seed, "repeat": args.repeat, "number": args.number, "table": rows}
         if args.against is not None:
-            result["stream"] = ab(trees["this"], trees["other"], args.seed, args.rounds, args.passes)
-            s = result["stream"]
-            print(f"stream of {s['calls']} calls x {s['passes']} passes and {s['scenario_calls']} scenarios, "
-                  f"{s['rounds']} rounds: median ratio "
+            result["stream"] = s = ab(periods, args.rounds, args.passes)
+            print(f"period of {len(s['labels'])} small-systems ops ({s['scenario_ops']} scenarios) x {s['passes']} "
+                  f"passes, {s['rounds']} rounds: median ratio "
                   f"{s['median_ratio']:.3f} (quartiles {s['quartiles'][0]:.3f}-{s['quartiles'][1]:.3f}), "
                   f"this tree won {s['wins']} of {s['rounds']}")
     if args.json is not None:
